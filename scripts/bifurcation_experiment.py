@@ -8,7 +8,6 @@ it both away from and back toward the crossing.
 """
 
 import argparse
-import math
 import time
 
 import numpy as np
@@ -19,18 +18,19 @@ from cylbif import (
     LaneEmden,
     assemble_linearized,
     backtrack_branch,
+    compose_spectrum,
     continue_branch,
     degeneracy_times,
     discrete_bifurcation_scaling,
     embed_one_dim,
     eval_energy,
+    extrapolated_alphas,
     find_one_dim_solution,
     integrate_ivp,
     linearized_spectrum,
     make_branch_context,
     morse_index,
     neumann_eigenvalues,
-    richardson_extrapolate,
     smallest_eigenvalues,
 )
 
@@ -51,14 +51,7 @@ def main():
     print(f"amplitude {sol.amplitude:.12f}, residual {sol.residual:.2e}")
 
     print("\n== linearization spectrum (Richardson over M = 500/1000/2000) ==")
-    k = max(args.n + 5, 12)
-    per_m = {m: linearized_spectrum(model, sol.amplitude, m, k) for m in (500, 1000, 2000)}
-    alphas = np.array(
-        [
-            richardson_extrapolate([per_m[500].alphas[i], per_m[1000].alphas[i], per_m[2000].alphas[i]])
-            for i in range(k)
-        ]
-    )
+    alphas = extrapolated_alphas(model, sol.amplitude, 2000, max(args.n + 5, 12))
     print("alpha:", np.array2string(alphas[: args.n + 3], precision=8))
 
     base = neumann_eigenvalues(Interval(args.length), cutoff=1.05 * (-alphas[0]) * 25.0)
@@ -76,8 +69,9 @@ def main():
     u1d, _ = integrate_ivp(model, sol.amplitude, grid.ny - 1)
     op = assemble_linearized(embed_one_dim(u1d, grid), 1.0, model, grid, args.length)
     direct = smallest_eigenvalues(op, 8)
-    lambdas = np.array([(j * math.pi / args.length) ** 2 for j in range(6)])
-    composed = np.sort((alphas[:, None] + lambdas[None, :]).ravel())[:8]
+    top = float(alphas[-1])
+    full = neumann_eigenvalues(Interval(args.length), cutoff=top - float(alphas[0]) + 1.0)
+    composed = compose_spectrum(alphas, full, cutoff=top).values()[:8]
     print("direct  :", np.array2string(direct, precision=6))
     print("composed:", np.array2string(composed, precision=6))
     print(f"max rel mismatch: {np.max(np.abs(direct - composed) / np.abs(composed)):.2e}")

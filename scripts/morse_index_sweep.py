@@ -15,11 +15,10 @@ from cylbif import (
     LaneEmden,
     Rectangle,
     degeneracy_times,
+    extrapolated_alphas,
     find_one_dim_solution,
-    linearized_spectrum,
     morse_vs_t,
     neumann_eigenvalues,
-    richardson_extrapolate,
 )
 
 
@@ -47,14 +46,7 @@ def main():
 
     model = LaneEmden(p=args.p)
     sol = find_one_dim_solution(model, args.n)
-    k = max(args.n + 5, 12)
-    per_m = {m: linearized_spectrum(model, sol.amplitude, m, k) for m in (500, 1000, 2000)}
-    alphas = np.array(
-        [
-            richardson_extrapolate([per_m[500].alphas[i], per_m[1000].alphas[i], per_m[2000].alphas[i]])
-            for i in range(k)
-        ]
-    )
+    alphas = extrapolated_alphas(model, sol.amplitude, 2000, max(args.n + 5, 12))
     print(f"amplitude {sol.amplitude:.10f}, leading eigenvalues {np.round(alphas[:args.n + 2], 6)}")
 
     base = neumann_eigenvalues(args.base, cutoff=1.05 * (-alphas[0]) * args.t_max**2)

@@ -39,6 +39,7 @@ from .sturm_liouville import (
     SturmSpectrum,
     TridiagonalOperator,
     assemble_sl_operator,
+    extrapolated_alphas,
     linearized_spectrum,
     nondegeneracy_margin,
     one_dim_morse,
@@ -53,7 +54,6 @@ from .base_spectrum import (
     Interval,
     Rectangle,
     domain_from_dict,
-    domain_to_dict,
     neumann_eigenvalues,
     scale_spectrum,
 )

@@ -31,7 +31,6 @@ __all__ = [
     "neumann_eigenvalues",
     "scale_spectrum",
     "domain_from_dict",
-    "domain_to_dict",
 ]
 
 #: relative tolerance for merging numerically equal eigenvalues
@@ -236,14 +235,6 @@ def scale_spectrum(spec: BaseSpectrum, t: float) -> BaseSpectrum:
         labels=[list(entry) for entry in spec.labels],
         cutoff=spec.cutoff / t**2,
     )
-
-
-def domain_to_dict(domain: BaseDomain) -> dict:
-    if isinstance(domain, Interval):
-        return {"type": "interval", "length": domain.length}
-    if isinstance(domain, Rectangle):
-        return {"type": "rectangle", "a": domain.a, "b": domain.b}
-    return {"type": "disk", "radius": domain.radius}
 
 
 def domain_from_dict(data: dict) -> BaseDomain:

@@ -8,7 +8,8 @@ validation failure, 3 on numerical non-convergence, 4 when no
 solution/branch exists, 64 on usage errors.
 
 Identical configurations produce bitwise-identical CSV output: iteration
-orders are fixed and nothing is seeded from the clock.
+orders are fixed, the sparse eigensolver starts from a fixed-seed vector and
+nothing is seeded from the clock.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .base_spectrum import (
     BaseDomain,
-    Disk,
+    BaseSpectrum,
     Interval,
     domain_from_dict,
     neumann_eigenvalues,
@@ -37,11 +37,12 @@ from .base_spectrum import (
 )
 from .errors import (
     CylbifError,
+    InsufficientSpectrumError,
     NoSolutionError,
     NonConvergenceError,
     ValidationError,
 )
-from .morse_bifurcation import degeneracy_times, ground_state_flag, morse_index, morse_vs_t
+from .morse_bifurcation import compose_spectrum, degeneracy_times, ground_state_flag, morse_index, morse_vs_t
 from .nonlinearity import (
     NonlinearityModel,
     check_hypotheses,
@@ -51,7 +52,7 @@ from .nonlinearity import (
     eval_fprime,
     model_from_dict,
 )
-from .ode_shooting import ShootingConfig, find_one_dim_solution
+from .ode_shooting import OneDimSolution, ShootingConfig, find_one_dim_solution, integrate_ivp
 from .pde_rectangle import (
     Grid2D,
     assemble_linearized,
@@ -64,13 +65,12 @@ from .pde_rectangle import (
     smallest_eigenvalues,
 )
 from .sturm_liouville import (
+    extrapolated_alphas,
     linearized_spectrum,
     nondegeneracy_margin,
     one_dim_morse,
     oscillation_check,
-    richardson_extrapolate,
 )
-from .ode_shooting import integrate_ivp
 
 log = logging.getLogger("cylbif.cli")
 
@@ -257,15 +257,14 @@ def _shooting_config(cfg: RunConfig) -> ShootingConfig:
     )
 
 
-def _alphas_for(cfg: RunConfig, k: int | None = None) -> np.ndarray:
-    """Synthetic alphas from the config if given, otherwise solve and extrapolate."""
+def _alphas_for(cfg: RunConfig, sol: OneDimSolution | None = None) -> np.ndarray:
+    """Synthetic alphas from the config if given, otherwise extrapolate around
+    ``sol``, shooting for it first when the caller has none."""
     if cfg.alphas is not None:
         return np.asarray(cfg.alphas, dtype=float)
-    sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    k = k or int(cfg.options["k_eigs"])
-    base_m = int(cfg.grids["eig_M"])
-    per_m = [linearized_spectrum(cfg.model, sol.amplitude, m, k).alphas for m in (base_m // 4, base_m // 2, base_m)]
-    return np.array([richardson_extrapolate([per_m[0][i], per_m[1][i], per_m[2][i]]) for i in range(k)])
+    if sol is None:
+        sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
+    return extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), int(cfg.options["k_eigs"]))
 
 
 def _interval_length(cfg: RunConfig) -> float:
@@ -339,30 +338,24 @@ def cmd_base_eigs(cfg: RunConfig) -> dict:
     return {"count": len(spec.lambdas), "total_multiplicity": int(spec.multiplicities.sum())}
 
 
-def _base_with_coverage(cfg: RunConfig, alphas: np.ndarray) -> tuple:
-    t_min, t_max, _ = cfg.t_range
-    needed = max(float(cfg.options["cutoff"]), 1.05 * (-float(alphas[0])) * t_max**2, 1.0)
-    base = neumann_eigenvalues(
+def _base_with_coverage(cfg: RunConfig, alphas: np.ndarray) -> BaseSpectrum:
+    """Base spectrum enumerated past every lambda that meets -alpha_1 * t^2 for t <= t_max."""
+    t_max = cfg.t_range[1]
+    cutoff = max(float(cfg.options["cutoff"]), 1.05 * max(0.0, -float(alphas[0])) * t_max**2, 1.0)
+    return neumann_eigenvalues(
         cfg.base,
-        needed,
+        cutoff,
         max_modes=int(cfg.options["max_modes"]),
         rotation_invariant=bool(cfg.options["rotation_invariant"]),
     )
-    return base, needed
 
 
-def cmd_morse(cfg: RunConfig, threads: int = 1) -> dict:
+def cmd_morse(cfg: RunConfig) -> dict:
     alphas = _alphas_for(cfg)
-    base, _ = _base_with_coverage(cfg, alphas)
+    base = _base_with_coverage(cfg, alphas)
     report = morse_index(alphas, base)
     t_min, t_max, samples = cfg.t_range
-    ts = np.linspace(t_min, t_max, samples)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: morse_index(alphas, scale_spectrum(base, float(t))), ts))
-        sweep = [(float(t), r.m, r.degenerate) for t, r in zip(ts, results)]
-    else:
-        sweep = [(s.t, s.m, s.degenerate) for s in morse_vs_t(alphas, base, ts)]
+    sweep = [(s.t, s.m, s.degenerate) for s in morse_vs_t(alphas, base, np.linspace(t_min, t_max, samples))]
     write_csv(cfg.output_dir / "morse.csv", ["t", "m", "degenerate"], sweep)
     return {
         "m": report.m,
@@ -376,15 +369,7 @@ def cmd_morse(cfg: RunConfig, threads: int = 1) -> dict:
 
 def cmd_bifurcation_points(cfg: RunConfig) -> dict:
     alphas = _alphas_for(cfg)
-    _, t_max, _ = cfg.t_range
-    needed = max(1.05 * max(0.0, -float(alphas[0])) * t_max**2, float(cfg.options["cutoff"]))
-    base = neumann_eigenvalues(
-        cfg.base,
-        needed,
-        max_modes=int(cfg.options["max_modes"]),
-        rotation_invariant=bool(cfg.options["rotation_invariant"]),
-    )
-    points = degeneracy_times(alphas, base, t_max)
+    points = degeneracy_times(alphas, _base_with_coverage(cfg, alphas), cfg.t_range[1])
     rows = []
     for p in points:
         for i, j in p.pairs:
@@ -401,16 +386,16 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
     length = _interval_length(cfg)
     t = float(cfg.options["t_verify"])
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    alphas = _alphas_for(cfg)
+    alphas = _alphas_for(cfg, sol)
     k = 10
-    cutoff = float(alphas[-1])
-    base = neumann_eigenvalues(Interval(length), cutoff=max(2.0 * cutoff, 50.0) * t**2 + 1.0)
-    scaled = scale_spectrum(base, t)
-    composed = []
-    for a in alphas:
-        for lam, mult in zip(scaled.lambdas, scaled.multiplicities):
-            composed.extend([float(a) + float(lam)] * int(mult))
-    composed = np.sort(np.array(composed))[:k]
+    top = float(alphas[-1])
+    base = neumann_eigenvalues(Interval(length), cutoff=(top - float(alphas[0])) * t**2 + 1.0)
+    # the sums up to the largest alpha are complete; interval eigenvalues are simple
+    composed = compose_spectrum(alphas, scale_spectrum(base, t), cutoff=top).values()[:k]
+    if composed.size < k:
+        raise InsufficientSpectrumError(
+            f"only {composed.size} composed eigenvalues lie below alpha_max = {top}; raise options.k_eigs"
+        )
 
     grid = Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
     u1d, _ = integrate_ivp(cfg.model, sol.amplitude, grid.ny - 1)
@@ -429,10 +414,9 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
 def cmd_continue(cfg: RunConfig) -> dict:
     length = _interval_length(cfg)
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    alphas = _alphas_for(cfg)
-    _, t_max, _ = cfg.t_range
-    base = neumann_eigenvalues(Interval(length), cutoff=1.05 * (-float(alphas[0])) * t_max**2 + 1.0)
-    points = degeneracy_times(alphas, base, t_max)
+    alphas = _alphas_for(cfg, sol)
+    t_max = cfg.t_range[1]
+    points = degeneracy_times(alphas, _base_with_coverage(cfg, alphas), t_max)
     simple_points = [p for p in points if p.simple]
     if not simple_points:
         raise NoSolutionError(f"no simple degeneracy scaling below t_max = {t_max}")
@@ -536,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for independent samples")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, default=None, help="seed recorded in the provenance block")
     return parser
 
@@ -576,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.subcommand == "base-eigs":
             results = cmd_base_eigs(cfg)
         elif args.subcommand == "morse":
-            results = cmd_morse(cfg, threads=args.threads)
+            results = cmd_morse(cfg)
         elif args.subcommand == "bifurcation-points":
             results = cmd_bifurcation_points(cfg)
         elif args.subcommand == "verify-decomposition":

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .base_spectrum import BaseSpectrum, scale_spectrum
+from .base_spectrum import BaseSpectrum
 from .errors import CoverageError, CylbifError, InsufficientSpectrumError, ValidationError
 
 __all__ = [
@@ -114,21 +114,23 @@ def compose_spectrum(alphas, base: BaseSpectrum, cutoff: float) -> ComposedSpect
             f"base spectrum enumerated to {base.cutoff} but sums <= {cutoff} "
             f"need eigenvalues up to {needed}"
         )
-    entries = []
-    for i, a in enumerate(arr, start=1):
-        for j, (lam, mult) in enumerate(zip(base.lambdas, base.multiplicities)):
-            value = a + float(lam)
-            if value <= cutoff:
-                entries.append(ComposedEntry(value=value, i=i, j=j, multiplicity=int(mult)))
-    entries.sort(key=lambda e: (e.value, e.i, e.j))
+    sums = np.add.outer(arr, np.asarray(base.lambdas, dtype=float))
+    rows, cols = np.nonzero(sums <= cutoff)
+    values = sums[rows, cols]
+    mults = np.asarray(base.multiplicities)
+    entries = [
+        ComposedEntry(value=float(values[k]), i=int(rows[k]) + 1, j=int(cols[k]), multiplicity=int(mults[cols[k]]))
+        for k in np.lexsort((cols, rows, values))
+    ]
     return ComposedSpectrum(entries=entries, cutoff=float(cutoff))
 
 
-def morse_index(alphas, base: BaseSpectrum, tol_zero: float | None = None) -> MorseReport:
-    """Evaluate the Morse-index formula with multiplicity-weighted counts.
+def _morse_counts(alphas, base: BaseSpectrum, t2: np.ndarray, tol_zero: float | None):
+    """Morse-formula terms on the base dilated by sqrt(t2), one row per entry of t2.
 
-    The result is cross-validated against the negative-entry count of the
-    composed multiset; away from degeneracy the two must agree exactly.
+    Returns (alphas, m_xn, tol_zero, contributions, zero multiplicities).
+    lambda_j / t2 is the division ``scale_spectrum`` performs, so each row
+    equals the counts on the scaled spectrum bit for bit.
     """
     arr = _check_sorted(alphas)
     if arr[-1] <= 0.0:
@@ -139,27 +141,40 @@ def morse_index(alphas, base: BaseSpectrum, tol_zero: float | None = None) -> Mo
     if tol_zero is None:
         tol_zero = 1e-8 * max(1.0, abs(float(arr[0])))
 
-    if m_xn > 0 and base.cutoff < -float(arr[0]):
+    short = base.cutoff / t2 < -float(arr[0])
+    if m_xn > 0 and np.any(short):
         raise CoverageError(
-            f"base spectrum enumerated to {base.cutoff} but counts need eigenvalues "
-            f"up to {-float(arr[0])}"
+            f"base spectrum enumerated to {float(base.cutoff / t2[np.argmax(short)])} but counts "
+            f"need eigenvalues up to {-float(arr[0])}"
         )
 
     lambdas = np.asarray(base.lambdas)
     mults = np.asarray(base.multiplicities)
-    positive = lambdas > 0.0
+    contributions = np.zeros((t2.size, m_xn), dtype=int)
+    zero_mult = np.zeros(t2.size, dtype=int)
+    # blocks of about 2**16 (t, lambda) pairs keep each temporary array near 512 KiB
+    step = max(1, (1 << 16) // max(1, lambdas.size))
+    for lo in range(0, t2.size, step):
+        rows = slice(lo, lo + step)
+        scaled = lambdas[None, :] / t2[rows, None]
+        positive = scaled > 0.0
+        for i in range(m_xn):
+            contributions[rows, i] = (positive & (scaled < -float(arr[i]))) @ mults
+        for a in arr:
+            zero_mult[rows] += (np.abs(a + scaled) < tol_zero) @ mults
+    return arr, m_xn, float(tol_zero), contributions, zero_mult
 
-    contributions = []
-    for i in range(m_xn):
-        thresh = -float(arr[i])
-        contributions.append(int(mults[positive & (lambdas < thresh)].sum()))
+
+def morse_index(alphas, base: BaseSpectrum, tol_zero: float | None = None) -> MorseReport:
+    """Evaluate the Morse-index formula with multiplicity-weighted counts.
+
+    The result is cross-validated against the negative-entry count of the
+    composed multiset; away from degeneracy the two must agree exactly.
+    """
+    arr, m_xn, tol_zero, contributions, zero_mult = _morse_counts(alphas, base, np.ones(1), tol_zero)
+    contributions = [int(c) for c in contributions[0]]
     m = m_xn + sum(contributions)
-
-    # degeneracy scan over all pairs that could land near zero
-    zero_mult = 0
-    for a in arr:
-        close = np.abs(a + lambdas) < tol_zero
-        zero_mult += int(mults[close].sum())
+    zero_mult = int(zero_mult[0])
     degenerate = zero_mult > 0
 
     if not degenerate:
@@ -175,7 +190,7 @@ def morse_index(alphas, base: BaseSpectrum, tol_zero: float | None = None) -> Mo
         contributions=contributions,
         degenerate=degenerate,
         zero_multiplicity=zero_mult,
-        tol_zero=float(tol_zero),
+        tol_zero=tol_zero,
     )
 
 
@@ -246,13 +261,15 @@ def morse_vs_t(alphas, base: BaseSpectrum, t_grid) -> list[MorseSample]:
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError("t_grid must be a nonempty 1-d sequence")
-    if np.any(ts <= 0.0) or np.any(np.diff(ts) <= 0.0):
-        raise ValidationError("t_grid must be positive and strictly ascending")
-    samples = []
-    for t in ts:
-        report = morse_index(alphas, scale_spectrum(base, float(t)))
-        samples.append(MorseSample(t=float(t), m=report.m, degenerate=report.degenerate))
-    return samples
+    if not np.all(np.isfinite(ts) & (ts > 0.0)) or np.any(np.diff(ts) <= 0.0):
+        raise ValidationError("t_grid must be finite, positive and strictly ascending")
+    # t**2 on Python floats, as scale_spectrum squares its factor
+    t2 = np.array([float(t) ** 2 for t in ts])
+    _, m_xn, _, contributions, zero_mult = _morse_counts(alphas, base, t2, None)
+    return [
+        MorseSample(t=float(t), m=m_xn + int(c), degenerate=bool(z > 0))
+        for t, c, z in zip(ts, contributions.sum(axis=1), zero_mult)
+    ]
 
 
 def ground_state_flag(alphas, base: BaseSpectrum) -> bool:

@@ -200,7 +200,8 @@ def assemble_linearized(
 
 
 def smallest_eigenvalues(operator: Linearized2D, k: int, maxiter: int | None = None) -> np.ndarray:
-    """k smallest eigenvalues via shift-invert Lanczos below the spectrum."""
+    """k smallest eigenvalues via shift-invert Lanczos below the spectrum,
+    started from a fixed-seed random vector so that repeated calls agree."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     try:
@@ -209,6 +210,7 @@ def smallest_eigenvalues(operator: Linearized2D, k: int, maxiter: int | None = N
             k=k,
             sigma=operator.sigma_floor,
             which="LM",
+            v0=np.random.default_rng(0).standard_normal(operator.matrix.shape[0]),
             maxiter=maxiter,
             return_eigenvectors=False,
         )

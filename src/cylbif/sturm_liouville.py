@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .nonlinearity import NonlinearityModel, eval_fprime
-from .ode_shooting import SIGN_CHANGE_REL_TOL, integrate_ivp
+from .ode_shooting import SIGN_CHANGE_REL_TOL, count_nodal_domains_1d, integrate_ivp
 
 __all__ = [
     "TridiagonalOperator",
@@ -38,6 +38,7 @@ __all__ = [
     "nondegeneracy_margin",
     "linearized_spectrum",
     "richardson_extrapolate",
+    "extrapolated_alphas",
 ]
 
 
@@ -119,7 +120,7 @@ def sl_eigenpairs(operator: TridiagonalOperator, k: int) -> SturmSpectrum:
 
     full = np.zeros((k, m + 1))
     full[:, :m] = z.T
-    counts = np.array([_strict_sign_changes(full[i]) for i in range(k)])
+    counts = np.array([count_nodal_domains_1d(z, SIGN_CHANGE_REL_TOL * float(np.max(np.abs(z)))) - 1 for z in full])
     return SturmSpectrum(
         alphas=alphas,
         eigenfunctions=full,
@@ -127,15 +128,6 @@ def sl_eigenpairs(operator: TridiagonalOperator, k: int) -> SturmSpectrum:
         grid_size=m,
         potential=operator.potential.copy(),
     )
-
-
-def _strict_sign_changes(z: np.ndarray) -> int:
-    tol = SIGN_CHANGE_REL_TOL * float(np.max(np.abs(z)))
-    live = z[np.abs(z) > tol]
-    if live.size == 0:
-        return 0
-    signs = np.sign(live)
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def oscillation_check(spec: SturmSpectrum) -> bool:
@@ -183,3 +175,10 @@ def richardson_extrapolate(values, ratio: float = 2.0, order: int = 2) -> float:
         vals = [(factor * fine - coarse) / (factor - 1.0) for coarse, fine in zip(vals, vals[1:])]
         p += 2
     return vals[0]
+
+
+def extrapolated_alphas(model: NonlinearityModel, amplitude: float, grid_size: int, k: int) -> np.ndarray:
+    """First k linearization eigenvalues, Richardson-extrapolated from the
+    grids grid_size // 4, grid_size // 2 and grid_size."""
+    per_m = [linearized_spectrum(model, amplitude, m, k).alphas for m in (grid_size // 4, grid_size // 2, grid_size)]
+    return np.array([richardson_extrapolate(column) for column in zip(*per_m)])

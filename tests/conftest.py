@@ -1,11 +1,10 @@
-import numpy as np
 import pytest
 
 from cylbif import (
     LaneEmden,
+    extrapolated_alphas,
     find_one_dim_solution,
     linearized_spectrum,
-    richardson_extrapolate,
 )
 
 
@@ -29,7 +28,6 @@ def cubic_spectra_n1(cubic_model, cubic_solutions):
 
 
 @pytest.fixture(scope="session")
-def cubic_alphas_n1(cubic_spectra_n1):
+def cubic_alphas_n1(cubic_model, cubic_solutions):
     """Richardson-extrapolated eigenvalues for the positive cubic solution."""
-    per_m = [cubic_spectra_n1[m].alphas for m in (500, 1000, 2000)]
-    return np.array([richardson_extrapolate([per_m[0][i], per_m[1][i], per_m[2][i]]) for i in range(12)])
+    return extrapolated_alphas(cubic_model, cubic_solutions[1].amplitude, 2000, 12)

@@ -173,6 +173,12 @@ class TestContract:
         )
         assert main(["continue", "--config", str(cfg)]) == 3
 
+    def test_continue_without_negative_alphas_has_no_crossing(self, tmp_path, caplog):
+        # no alpha_i < 0 means no degeneracy scaling, and the base cutoff must stay positive
+        cfg = write_config(tmp_path, alphas=[0.5, 3.0])
+        assert main(["continue", "--config", str(cfg)]) == 4
+        assert "no simple degeneracy scaling" in caplog.text
+
     def test_verify_decomposition_needs_interval_base(self, tmp_path):
         cfg = write_config(tmp_path, base={"type": "disk", "radius": 1.0})
         assert main(["verify-decomposition", "--config", str(cfg)]) == 2
@@ -197,13 +203,13 @@ class TestContract:
         assert summary["grids"]["nx"] == 64
 
     def test_deterministic_output_bytes(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["solve-1d", "--config", str(cfg)]) == 0
-        first_csv = (tmp_path / "out" / "solve-1d.csv").read_bytes()
-        first_summary = (tmp_path / "out" / "summary.json").read_bytes()
-        assert main(["solve-1d", "--config", str(cfg)]) == 0
-        assert (tmp_path / "out" / "solve-1d.csv").read_bytes() == first_csv
-        assert (tmp_path / "out" / "summary.json").read_bytes() == first_summary
+        cfg = write_config(tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32})
+        for subcommand in ("solve-1d", "verify-decomposition"):
+            outputs = []
+            for _ in range(2):
+                assert main([subcommand, "--config", str(cfg)]) == 0
+                outputs.append([(tmp_path / "out" / name).read_bytes() for name in (f"{subcommand}.csv", "summary.json")])
+            assert outputs[0] == outputs[1], subcommand
 
 
 def test_installed_entry_point_and_log_env(tmp_path):

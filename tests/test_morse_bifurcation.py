@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cylbif import (
     BaseSpectrum,
     CoverageError,
+    Disk,
     InsufficientSpectrumError,
     Interval,
     Rectangle,
@@ -57,6 +58,19 @@ class TestCompose:
         base = neumann_eigenvalues(Interval(1.0), cutoff=40.0)
         with pytest.raises(ValidationError):
             compose_spectrum([3.0, -5.0], base, cutoff=1.0)
+
+    def test_disk_base_matches_pair_list(self):
+        alphas = [-40.0, -12.5, 3.0, 30.0]
+        base = neumann_eigenvalues(Disk(1.0), cutoff=200.0)
+        comp = compose_spectrum(alphas, base, cutoff=150.0)
+        expected = sorted(
+            (a + float(lam), i, j, int(mult))
+            for i, a in enumerate(alphas, start=1)
+            for j, (lam, mult) in enumerate(zip(base.lambdas, base.multiplicities))
+            if a + float(lam) <= 150.0
+        )
+        assert [(e.value, e.i, e.j, e.multiplicity) for e in comp.entries] == expected
+        assert any(e.multiplicity == 2 for e in comp.entries)
 
 
 class TestMorseFormula:
@@ -218,6 +232,26 @@ class TestMorseSweep:
         base = neumann_eigenvalues(Interval(1.0), cutoff=50.0)
         with pytest.raises(ValidationError):
             morse_vs_t([-5.0, 1.0], base, [2.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "domain, alphas, t_max",
+        [(Disk(1.0), [-40.0, -12.5, 3.0, 30.0], 3.0), (Rectangle(1.0, 1.0), [-5.0, 1.0], 4.0)],
+    )
+    def test_sweep_equals_per_sample_index(self, domain, alphas, t_max):
+        base = neumann_eigenvalues(domain, cutoff=1.05 * -alphas[0] * t_max**2)
+        crossings = [p.t_bar for p in degeneracy_times(alphas, base, t_max)]
+        ts = np.unique(np.concatenate([np.linspace(0.3, t_max, 50), crossings]))
+        samples = morse_vs_t(alphas, base, ts)
+        assert [s.t for s in samples] == list(ts)
+        flagged = 0
+        for s in samples:
+            scaled = scale_spectrum(base, s.t)
+            report = morse_index(alphas, scaled)
+            assert (s.m, s.degenerate) == (report.m, report.degenerate)
+            if not s.degenerate:
+                assert s.m == brute_force_negative_count(alphas, scaled.lambdas, scaled.multiplicities)
+            flagged += s.degenerate
+        assert flagged >= len(crossings) > 0
 
 
 class TestGroundStateFlag:
