@@ -21,13 +21,11 @@ from cylbif import (
     compose_spectrum,
     continue_branch,
     degeneracy_times,
-    discrete_bifurcation_scaling,
     embed_one_dim,
     eval_energy,
     extrapolated_alphas,
     find_one_dim_solution,
     integrate_ivp,
-    linearized_spectrum,
     make_branch_context,
     morse_index,
     neumann_eigenvalues,
@@ -83,8 +81,7 @@ def main():
     point = simple[0]
     i, j = point.pairs[0]
     print(f"\n== branch switching at t = {point.t_bar:.8f} ==")
-    spec_grid = linearized_spectrum(model, sol.amplitude, grid.ny - 1, max(i + 2, 6))
-    ctx = make_branch_context(model, grid, args.length, sol.amplitude, spec_grid, i=i, j=j)
+    ctx = make_branch_context(model, grid, args.length, sol.amplitude, i=i, j=j)
     for direction in (+1, -1):
         try:
             branch = continue_branch(ctx, point, direction, steps=args.steps)
@@ -98,10 +95,9 @@ def main():
                 f"  t = {bp.t:.6f}  deviation {bp.deviation:.3e}  "
                 f"distance {bp.distance_to_1d:.3e}  nodal {bp.nodal_count_2d}  energy {energy:.8f}"
             )
-        t_bar_h = discrete_bifurcation_scaling(ctx, i, j)
-        back = backtrack_branch(ctx, branch[0], t_bar_h, n_offsets=5)
+        back = backtrack_branch(ctx, branch[0], n_offsets=5)
         dists = ", ".join(f"{bp.distance_to_1d:.2e}" for bp in back)
-        print(f"  backtrack toward t = {t_bar_h:.8f}: distances {dists}")
+        print(f"  backtrack toward t = {ctx.t_bar_discrete:.8f}: distances {dists}")
 
     print(f"\ntotal {time.perf_counter() - t_start:.1f} s")
 

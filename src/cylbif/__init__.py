@@ -80,7 +80,6 @@ from .pde_rectangle import (
     build_kernel_mode,
     continue_branch,
     count_nodal_domains_2d,
-    discrete_bifurcation_scaling,
     embed_one_dim,
     eval_energy,
     make_branch_context,

@@ -248,6 +248,6 @@ def domain_from_dict(data: dict) -> BaseDomain:
             return Rectangle(a=float(data["a"]), b=float(data["b"]))
         if kind == "disk":
             return Disk(radius=float(data["radius"]))
-    except KeyError as exc:
-        raise ValidationError(f"missing field for base type {kind!r}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"missing or non-numeric field for base type {kind!r}: {exc}") from exc
     raise ValidationError(f"unknown base type {kind!r}")

@@ -58,7 +58,6 @@ from .pde_rectangle import (
     assemble_linearized,
     backtrack_branch,
     continue_branch,
-    discrete_bifurcation_scaling,
     embed_one_dim,
     eval_energy,
     make_branch_context,
@@ -99,7 +98,6 @@ DEFAULT_TOLERANCES = {
     "tol_terminal": 1e-10,
     "tol_amplitude": 1e-12,
     "newton_tol": 1e-8,
-    "deviation_floor": 1e-3,
 }
 DEFAULT_OPTIONS = {
     "cutoff": 120.0,
@@ -131,6 +129,30 @@ class RunConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _number(value, what: str, kind=float):
+    """``value`` as ``kind`` if it is a finite JSON number; anything else, booleans included, fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return kind(value)
+
+
+def _section(raw: dict, name: str, defaults: dict) -> dict:
+    """The defaults overridden by the map ``raw[name]``, whose keys and value types must match them."""
+    given = raw.get(name, {})
+    if not isinstance(given, dict):
+        raise ValidationError(f"{name} must be a JSON object")
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
+    for key, value in given.items():
+        if isinstance(defaults[key], bool):
+            if not isinstance(value, bool):
+                raise ValidationError(f"{name}.{key} must be true or false, got {value!r}")
+        else:
+            _number(value, f"{name}.{key}")
+    return {**defaults, **given}
 
 
 def load_config(path: str, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
@@ -166,22 +188,23 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
 
     model = model_from_dict(raw.get("model", {"type": "lane_emden", "p": 4.0}))
     base = domain_from_dict(raw.get("base", {"type": "interval", "length": 1.0}))
-    nodal_n = int(raw.get("nodal_n", 1))
+    nodal_n = _number(raw.get("nodal_n", 1), "nodal_n", int)
     if nodal_n < 1:
         raise ValidationError(f"nodal_n must be >= 1, got {nodal_n}")
 
-    grids = dict(DEFAULT_GRIDS)
-    grids.update(raw.get("grids", {}))
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(raw.get("tolerances", {}))
+    grids = _section(raw, "grids", DEFAULT_GRIDS)
+    tolerances = _section(raw, "tolerances", DEFAULT_TOLERANCES)
     if any(v <= 0 for v in tolerances.values()):
         raise ValidationError("all tolerances must be positive")
-    options = dict(DEFAULT_OPTIONS)
-    options.update(raw.get("options", {}))
+    options = _section(raw, "options", DEFAULT_OPTIONS)
 
     tr = raw.get("t_range", {"t_min": 0.5, "t_max": 3.0, "samples": 40})
     try:
-        t_range = (float(tr["t_min"]), float(tr["t_max"]), int(tr["samples"]))
+        t_range = (
+            _number(tr["t_min"], "t_range.t_min"),
+            _number(tr["t_max"], "t_range.t_max"),
+            _number(tr["samples"], "t_range.samples", int),
+        )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"t_range must provide t_min, t_max, samples: {exc}") from exc
     if not (0.0 < t_range[0] < t_range[1]) or t_range[2] < 2:
@@ -189,12 +212,14 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
 
     alphas = raw.get("alphas")
     if alphas is not None:
-        alphas = [float(a) for a in alphas]
+        if not isinstance(alphas, list):
+            raise ValidationError("config alphas must be a list of numbers")
+        alphas = [_number(a, "alphas entry") for a in alphas]
         if sorted(alphas) != alphas:
             raise ValidationError("config alphas must be sorted ascending")
 
     out_dir = Path(out_override) if out_override else Path(raw.get("output_dir", "out"))
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+    seed = seed_override if seed_override is not None else _number(raw.get("seed", 0), "seed", int)
     return RunConfig(
         model=model,
         base=base,
@@ -426,24 +451,13 @@ def cmd_continue(cfg: RunConfig) -> dict:
 
     grid = Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
     i, j = point.pairs[0]
-    spec_grid = linearized_spectrum(cfg.model, sol.amplitude, grid.ny - 1, max(i + 2, 6))
-    ctx = make_branch_context(
-        cfg.model,
-        grid,
-        length,
-        sol.amplitude,
-        spec_grid,
-        i=i,
-        j=j,
-        tol=cfg.tolerances["newton_tol"],
-    )
-    t_bar_h = discrete_bifurcation_scaling(ctx, i, j)
+    ctx = make_branch_context(cfg.model, grid, length, sol.amplitude, i=i, j=j, tol=cfg.tolerances["newton_tol"])
     steps = int(cfg.options["branch_steps"])
     energy_ref = eval_energy(ctx.u_ref, point.t_bar, cfg.model, grid, length)
 
     results = {
         "t_bar": point.t_bar,
-        "t_bar_discrete": t_bar_h,
+        "t_bar_discrete": ctx.t_bar_discrete,
         "kernel_pair": [i, j],
         "energy_one_dim": energy_ref,
     }
@@ -504,7 +518,7 @@ def cmd_continue(cfg: RunConfig) -> dict:
             np.max(np.abs(minus[0].solution - refl)) / scale < 1e-6
         )
     if plus:
-        back = backtrack_branch(ctx, plus[0], t_bar_h, n_offsets=5)
+        back = backtrack_branch(ctx, plus[0], n_offsets=5)
         results["backtrack_distances"] = [bp.distance_to_1d for bp in back]
     if not plus and not minus:
         raise NoSolutionError("no bifurcating branch found on either half-branch")
@@ -526,19 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     level = os.environ.get("CYLBIF_LOG", "info").lower()
     if level not in ("error", "info", "debug"):
         level = "info"
     logging.basicConfig(level=getattr(logging, level.upper()), stream=sys.stderr, format="%(name)s: %(message)s")
-
-    positional = [a for a in argv if not a.startswith("-")]
-    if not positional or positional[0] not in SUBCOMMANDS:
-        print(
-            f"usage: cylbif {{{','.join(SUBCOMMANDS)}}} --config CONFIG [--out DIR] [--threads K] [--seed N]",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
 
     try:
         args = build_parser().parse_args(argv)

@@ -164,11 +164,11 @@ def model_from_dict(data: dict) -> NonlinearityModel:
     if kind == "lane_emden":
         try:
             return LaneEmden(p=float(data["p"]))
-        except KeyError as exc:
-            raise ValidationError("lane_emden model requires field 'p'") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError("lane_emden model requires a numeric field 'p'") from exc
     if kind == "cubic":
         try:
             return CubicFamily(c1=float(data["c1"]), c3=float(data["c3"]))
-        except KeyError as exc:
-            raise ValidationError("cubic model requires fields 'c1' and 'c3'") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError("cubic model requires numeric fields 'c1' and 'c3'") from exc
     raise ValidationError(f"unknown model type {kind!r}")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
-from scipy.interpolate import CubicSpline
 from scipy.sparse import linalg as spla
 
 from .errors import (
@@ -33,7 +32,8 @@ from .errors import (
     ValidationError,
 )
 from .nonlinearity import NonlinearityModel, eval_F, eval_f, eval_fprime
-from .sturm_liouville import SturmSpectrum
+from .ode_shooting import integrate_ivp
+from .sturm_liouville import SturmSpectrum, assemble_sl_operator, sl_eigenpairs
 from .morse_bifurcation import BifurcationPoint
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "embed_one_dim",
     "build_kernel_mode",
     "make_branch_context",
-    "discrete_bifurcation_scaling",
     "continue_branch",
     "backtrack_branch",
     "one_dimensionality_deviation",
@@ -134,16 +133,6 @@ def _neumann_block(n: int, c: float):
     return sparse.diags([off, diag, off], [-1, 0, 1], format="csr"), d
 
 
-def _mixed_block(m: int, c: float):
-    """Symmetrized 1D second-difference, Neumann at node 0, Dirichlet above node m-1."""
-    diag = np.full(m, 2.0 * c)
-    off = np.full(m - 1, -c)
-    off[0] = -c * math.sqrt(2.0)
-    d = np.ones(m)
-    d[0] = 1.0 / math.sqrt(2.0)
-    return sparse.diags([off, diag, off], [-1, 0, 1], format="csr"), d
-
-
 @dataclass
 class Linearized2D:
     """Symmetrized sparse operator D_t - f'(u) together with its weights.
@@ -171,9 +160,12 @@ def _laplacian_parts(grid: Grid2D, t: float, l_base: float):
     if not (np.isfinite(l_base) and l_base > 0.0):
         raise ValidationError(f"base length must be positive, got {l_base}")
     cx = 1.0 / ((t * l_base) ** 2 * grid.hx**2)
-    cy = 1.0 / grid.hy**2
     sx, dx = _neumann_block(grid.nx, cx)
-    sy, dy = _mixed_block(grid.ny - 1, cy)
+    # the height block is the 1D eigenproblem's stencil with zero potential
+    height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
+    sy = sparse.diags([height.off, height.diag, height.off], [-1, 0, 1], format="csr")
+    dy = np.ones(grid.ny - 1)
+    dy[0] = 1.0 / math.sqrt(2.0)
     s0 = sparse.kron(sy, sparse.identity(grid.nx), format="csr") + sparse.kron(
         sparse.identity(grid.ny - 1), sx, format="csr"
     )
@@ -363,15 +355,18 @@ class KernelMode:
     w: np.ndarray  # full (ny, nx) array
 
 
-def build_kernel_mode(
-    spec: SturmSpectrum, i: int, j: int, L: float, grid: Grid2D
-) -> KernelMode:
+def build_kernel_mode(spec: SturmSpectrum, i: int, j: int, grid: Grid2D) -> KernelMode:
     """Assemble the kernel direction for the (alpha_i, lambda_j) pair.
 
+    ``spec`` must be computed on the grid's own ny - 1 height intervals.
     The x'-factor cos(j pi x'/L) is expressed in the unit-square
     coordinate, so it reads cos(j pi X) on the grid.  j = 0 is only a
     kernel direction if alpha_i itself vanishes.
     """
+    if spec.grid_size != grid.ny - 1:
+        raise ValidationError(
+            f"spectrum has {spec.grid_size} height intervals, the 2D grid {grid.ny - 1}"
+        )
     if not 1 <= i <= len(spec.alphas):
         raise ValidationError(f"eigenfunction index i={i} outside computed range")
     if j < 0:
@@ -381,27 +376,22 @@ def build_kernel_mode(
             f"constant base mode with alpha_{i} = {spec.alphas[i - 1]:.6g} != 0 "
             "does not span a kernel direction"
         )
-    z = spec.eigenfunctions[i - 1]
-    if spec.grid_size == grid.ny - 1:
-        z_on_grid = z
-    else:
-        nodes = np.linspace(0.0, 1.0, spec.grid_size + 1)
-        z_on_grid = CubicSpline(nodes, z)(grid.y_nodes())
-        z_on_grid[-1] = 0.0
-    w = np.outer(z_on_grid, np.cos(j * math.pi * grid.x_nodes()))
+    w = np.outer(spec.eigenfunctions[i - 1], np.cos(j * math.pi * grid.x_nodes()))
     w /= _weighted_norm(w, grid)
     return KernelMode(i=i, j=j, w=w)
 
 
 @dataclass
 class BranchContext:
-    """Everything a branch continuation needs besides the target scaling."""
+    """Everything a branch continuation needs: the reference fixed point,
+    the kernel mode and the discrete dilation at which it is a kernel."""
 
     model: NonlinearityModel
     grid: Grid2D
     l_base: float
     u_ref: np.ndarray  # discrete height-only fixed point on the 2D grid
     kernel: KernelMode
+    t_bar_discrete: float  # the linearization at u_ref is singular here
     # the inf-norm residual floor is ~ |u| * (2/h^2) * eps, about 1e-10 on a
     # 200 x 200 grid, so the stopping tolerance keeps two decades of margin
     tol: float = 1e-8
@@ -424,50 +414,33 @@ class BranchContext:
         )
 
 
-def discrete_bifurcation_scaling(ctx: BranchContext, i: int, j: int) -> float:
-    """Dilation at which the discrete linearization at u_ref is singular.
-
-    The tensor structure of the stencil makes this exact: the x'-block
-    eigenvalue of mode cos(j pi X) scales as 1/t^2 with no discretization
-    error in t, so the kernel crossing sits at t^2 = xi_j(1) / (-mu_i)
-    where mu_i comes from the height block with the fixed point's own
-    potential.  Backtracking toward this value (rather than the continuum
-    scaling, which differs by O(h^2)) lets the branch be followed
-    arbitrarily close to the pitchfork.
-    """
-    from .sturm_liouville import assemble_sl_operator, sl_eigenpairs
-
-    grid = ctx.grid
-    if j < 1:
-        raise ValidationError("x' mode index must be >= 1 for a dilation-driven crossing")
-    q = eval_fprime(ctx.model, ctx.u_ref[:, 0])
-    spec = sl_eigenpairs(assemble_sl_operator(q, grid.ny - 1), k=i)
-    mu_i = float(spec.alphas[i - 1])
-    if mu_i >= 0.0:
-        raise ValidationError(f"height-block eigenvalue {i} is nonnegative ({mu_i:.6g}); no crossing")
-    xi_j = (2.0 / (ctx.l_base**2 * grid.hx**2)) * (1.0 - math.cos(j * math.pi * grid.hx))
-    return math.sqrt(xi_j / (-mu_i))
-
-
 def make_branch_context(
     model: NonlinearityModel,
     grid: Grid2D,
     l_base: float,
     amplitude: float,
-    spec: SturmSpectrum,
     i: int,
     j: int,
     tol: float = 1e-8,
     max_iters: int = 25,
 ) -> BranchContext:
-    """Prepare the reference fixed point and kernel mode for continuation.
+    """Prepare the reference fixed point, kernel mode and discrete crossing.
 
     The height-only initial guess is re-integrated at the grid's own
     y-resolution and polished by one Newton solve, so the stored reference
     is the exact discrete fixed point (the same object at every t).
-    """
-    from .ode_shooting import integrate_ivp  # local import avoids a cycle at module load
 
+    The linearization at u_ref is the tensor sum of the x'-block and the
+    height block with u_ref's own potential, so one eigensolve of the
+    height block gives both the kernel and where it occurs.  The x'-block
+    eigenvalue xi_j of cos(j pi X) scales as 1/t^2 with no discretization
+    error in t, so the crossing sits exactly at t^2 = xi_j(1) / (-mu_i),
+    with kernel z_i(y) cos(j pi X).  Backtracking toward this value (rather
+    than the continuum scaling, which differs by O(h^2)) lets the branch be
+    followed arbitrarily close to the pitchfork.
+    """
+    if j < 1:
+        raise ValidationError("x' mode index must be >= 1 for a dilation-driven crossing")
     u1d, _ = integrate_ivp(model, amplitude, grid.ny - 1)
     embedded = embed_one_dim(u1d, grid)
     seed = newton_solve(embedded, 1.0, model, grid, tol=tol, max_iters=max_iters, l_base=l_base)
@@ -475,13 +448,19 @@ def make_branch_context(
         raise NonConvergenceError(
             f"reference solve left the height-only subspace (deviation {seed.deviation:.3g})"
         )
-    kernel = build_kernel_mode(spec, i, j, l_base, grid)
+    q = eval_fprime(model, seed.solution[:, 0])
+    spec = sl_eigenpairs(assemble_sl_operator(q, grid.ny - 1), k=i)
+    mu_i = float(spec.alphas[i - 1])
+    if mu_i >= 0.0:
+        raise ValidationError(f"height-block eigenvalue {i} is nonnegative ({mu_i:.6g}); no crossing")
+    xi_j = (2.0 / (l_base**2 * grid.hx**2)) * (1.0 - math.cos(j * math.pi * grid.hx))
     return BranchContext(
         model=model,
         grid=grid,
         l_base=l_base,
         u_ref=seed.solution,
-        kernel=kernel,
+        kernel=build_kernel_mode(spec, i, j, grid),
+        t_bar_discrete=math.sqrt(xi_j / (-mu_i)),
         tol=tol,
         max_iters=max_iters,
     )
@@ -567,20 +546,17 @@ def continue_branch(
 def backtrack_branch(
     ctx: BranchContext,
     start: BranchPoint,
-    t_bar: float,
     n_offsets: int = 5,
     ratio: float = 0.12,
 ) -> list[BranchPoint]:
-    """Follow the branch back toward the bifurcation point.
+    """Follow the branch back toward the discrete bifurcation point.
 
-    From ``start`` at offset dt = start.t - t_bar, solves at offsets
-    dt * ratio**k for k = 1..n_offsets, each seeded from the previous
-    solution.  Along the true branch the distance to the height-only
-    solution shrinks monotonically to 0 like sqrt(offset); pass the
-    discrete scaling from :func:`discrete_bifurcation_scaling` as
-    ``t_bar``, otherwise the O(h^2) gap to the continuum value floors
-    the achievable distance.
+    From ``start`` at offset dt = start.t - ctx.t_bar_discrete, solves at
+    offsets dt * ratio**k for k = 1..n_offsets, each seeded from the
+    previous solution.  Along the true branch the distance to the
+    height-only solution shrinks monotonically to 0 like sqrt(offset).
     """
+    t_bar = ctx.t_bar_discrete
     dt = start.t - t_bar
     if dt == 0.0:
         raise ValidationError("start point must sit away from the bifurcation scaling")

@@ -23,7 +23,6 @@ from cylbif import (
     continue_branch,
     count_nodal_domains_2d,
     degeneracy_times,
-    discrete_bifurcation_scaling,
     embed_one_dim,
     find_one_dim_solution,
     ground_state_flag,
@@ -226,8 +225,7 @@ def test_criterion_09_local_bifurcation(cubic_n1):
         point = BifurcationPoint(t_bar=t_bar1, pairs=[(1, 1)], kernel_multiplicity=1, simple=True)
 
         grid = Grid2D(200, 200)
-        spec = linearized_spectrum(model, amplitude, grid.ny - 1, 6)
-        ctx = make_branch_context(model, grid, 1.0, amplitude, spec, i=1, j=1)
+        ctx = make_branch_context(model, grid, 1.0, amplitude, i=1, j=1)
 
         sides = {}
         for direction in (+1, -1):
@@ -249,8 +247,7 @@ def test_criterion_09_local_bifurcation(cubic_n1):
             assert bp.nodal_count_2d == 1
             assert bp.residual <= ctx.tol
 
-        t_bar_h = discrete_bifurcation_scaling(ctx, 1, 1)
-        back = backtrack_branch(ctx, found[0], t_bar_h, n_offsets=5)
+        back = backtrack_branch(ctx, found[0], n_offsets=5)
         dists = [bp.distance_to_1d for bp in back]
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-3

@@ -157,6 +157,32 @@ class TestContract:
         assert main(["morse", "--config", str(cfg)]) == 2
         cfg = write_config(tmp_path, bogus_key=1)
         assert main(["morse", "--config", str(cfg)]) == 2
+        # unknown keys inside the maps fail like unknown top-level keys
+        for section in (
+            {"options": {"branch_step": 3}},
+            {"grids": {"nz": 64}},
+            {"tolerances": {"newton_rtol": 1e-3}},
+        ):
+            cfg = write_config(tmp_path, **section)
+            assert main(["morse", "--config", str(cfg)]) == 2, section
+        # values of the wrong type fail validation instead of crashing
+        for bad in (
+            {"tolerances": {"newton_tol": "tiny"}},
+            {"grids": {"ode_M": "big"}},
+            {"grids": {"nx": float("nan")}},
+            {"tolerances": {"newton_tol": float("nan")}},
+            {"options": {"dump_solutions": "yes"}},
+            {"options": {"cutoff": None}},
+            {"t_range": {"t_min": "zero", "t_max": 3.0, "samples": 20}},
+            {"nodal_n": "one"},
+            {"alphas": [-5.0, "one"]},
+            {"alphas": 5.0},
+            {"seed": "lucky"},
+            {"model": {"type": "lane_emden", "p": "four"}},
+            {"base": {"type": "disk", "radius": "one"}},
+        ):
+            cfg = write_config(tmp_path, **bad)
+            assert main(["morse", "--config", str(cfg)]) == 2, bad
 
     def test_no_solution_exit_code(self, tmp_path):
         # c1 above (pi/2)^2 makes every trajectory oscillate before x = 1
@@ -188,6 +214,10 @@ class TestContract:
         other = tmp_path / "elsewhere"
         assert main(["base-eigs", "--config", str(cfg), "--out", str(other)]) == 0
         assert (other / "base-eigs.csv").exists()
+        # options may also come before the subcommand
+        moved = tmp_path / "moved"
+        assert main(["--config", str(cfg), "--out", str(moved), "base-eigs"]) == 0
+        assert (moved / "base-eigs.csv").read_bytes() == (other / "base-eigs.csv").read_bytes()
 
     def test_seed_recorded(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -203,12 +233,23 @@ class TestContract:
         assert summary["grids"]["nx"] == 64
 
     def test_deterministic_output_bytes(self, tmp_path):
-        cfg = write_config(tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32})
-        for subcommand in ("solve-1d", "verify-decomposition"):
+        cfg = write_config(
+            tmp_path,
+            grids={"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32},
+            options={"branch_steps": 3, "dump_solutions": False},
+        )
+        out = tmp_path / "out"
+        for subcommand, pattern in (
+            ("solve-1d", "solve-1d.csv"),
+            ("verify-decomposition", "verify-decomposition.csv"),
+            ("continue", "branch_*.csv"),
+        ):
             outputs = []
             for _ in range(2):
                 assert main([subcommand, "--config", str(cfg)]) == 0
-                outputs.append([(tmp_path / "out" / name).read_bytes() for name in (f"{subcommand}.csv", "summary.json")])
+                names = sorted(path.name for path in out.glob(pattern)) + ["summary.json"]
+                outputs.append({name: (out / name).read_bytes() for name in names})
+            assert len(outputs[0]) == (3 if subcommand == "continue" else 2), sorted(outputs[0])
             assert outputs[0] == outputs[1], subcommand
 
 

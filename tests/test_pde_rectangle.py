@@ -11,23 +11,24 @@ from cylbif import (
     NonConvergenceError,
     ValidationError,
     assemble_linearized,
+    assemble_sl_operator,
     backtrack_branch,
     build_kernel_mode,
     continue_branch,
     count_nodal_domains_2d,
-    discrete_bifurcation_scaling,
     embed_one_dim,
     eval_energy,
+    eval_fprime,
     integrate_ivp,
-    linearized_spectrum,
     make_branch_context,
     newton_solve,
     one_dimensionality_deviation,
+    sl_eigenpairs,
     smallest_eigenvalues,
 )
 from cylbif.errors import BranchNotFoundError
 from cylbif.morse_bifurcation import BifurcationPoint
-from cylbif.pde_rectangle import _laplacian_parts, _mixed_block, _neumann_block
+from cylbif.pde_rectangle import _neumann_block
 
 
 def mixed_laplacian_analytic(count):
@@ -52,10 +53,7 @@ def embedded_n1(cubic_model, cubic_solutions, grid64):
 
 @pytest.fixture(scope="module")
 def branch_ctx(cubic_model, cubic_solutions, grid64):
-    spec = linearized_spectrum(cubic_model, cubic_solutions[1].amplitude, grid64.ny - 1, 6)
-    return make_branch_context(
-        cubic_model, grid64, 1.0, cubic_solutions[1].amplitude, spec, i=1, j=1
-    )
+    return make_branch_context(cubic_model, grid64, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +98,6 @@ class TestOperator:
         op = assemble_linearized(emb, t, cubic_model, grid)
         dense = op.matrix.toarray()
         eigs2d = np.sort(np.linalg.eigvalsh(dense))
-
-        from cylbif import assemble_sl_operator, sl_eigenpairs
-        from cylbif.nonlinearity import eval_fprime
 
         q = eval_fprime(cubic_model, u1d)
         sy = assemble_sl_operator(q, grid.ny - 1)
@@ -214,12 +209,10 @@ class TestDiagnostics:
 
 class TestKernelMode:
     def test_free_mode_matches_cosines(self):
-        from cylbif import assemble_sl_operator, sl_eigenpairs
-
         grid = Grid2D(80, 80)
         m = grid.ny - 1
         spec = sl_eigenpairs(assemble_sl_operator(np.zeros(m + 1), m), 3)
-        mode = build_kernel_mode(spec, 1, 1, 1.0, grid)
+        mode = build_kernel_mode(spec, 1, 1, grid)
         x = grid.x_nodes()
         y = grid.y_nodes()
         exact = np.outer(np.cos(math.pi * y / 2), np.cos(math.pi * x))
@@ -235,23 +228,43 @@ class TestKernelMode:
         norm2 = grid64.hx * grid64.hy * np.einsum("i,j,ij->", wy, wx, w * w)
         assert norm2 == pytest.approx(1.0, rel=1e-12)
 
-    def test_constant_base_mode_rejected(self, cubic_model, cubic_solutions, grid64):
-        spec = linearized_spectrum(cubic_model, cubic_solutions[1].amplitude, grid64.ny - 1, 3)
+    def test_constant_base_mode_rejected(self, grid64):
+        m = grid64.ny - 1
+        spec = sl_eigenpairs(assemble_sl_operator(np.zeros(m + 1), m), 3)
         with pytest.raises(InvalidKernelError):
-            build_kernel_mode(spec, 1, 0, 1.0, grid64)
+            build_kernel_mode(spec, 1, 0, grid64)
+
+    def test_spectrum_on_another_grid_rejected(self, grid64):
+        spec = sl_eigenpairs(assemble_sl_operator(np.zeros(101), 100), 3)
+        with pytest.raises(ValidationError):
+            build_kernel_mode(spec, 1, 1, grid64)
+
+    def test_kernel_is_exact_at_discrete_crossing(self, branch_ctx, cubic_model, grid64):
+        # one height-block eigensolve at u_ref's potential gives both the mode
+        # and t_bar_discrete, so the mode is the discrete kernel there
+        op = assemble_linearized(branch_ctx.u_ref, branch_ctx.t_bar_discrete, cubic_model, grid64)
+        dof = branch_ctx.kernel.w[: grid64.ny - 1, :].ravel()
+        assert np.max(np.abs(op.apply(dof))) <= 1e-8
+
+    def test_context_rejects_pairs_without_crossing(self, cubic_model, cubic_solutions, grid64):
+        amplitude = cubic_solutions[1].amplitude
+        with pytest.raises(ValidationError):
+            make_branch_context(cubic_model, grid64, 1.0, amplitude, i=1, j=0)
+        # the single-domain solution has one negative height eigenvalue
+        with pytest.raises(ValidationError, match="nonnegative"):
+            make_branch_context(cubic_model, grid64, 1.0, amplitude, i=2, j=1)
 
     def test_kernel_residual_shrinks_at_second_order(self, cubic_model, cubic_solutions, cubic_alphas_n1):
+        # at the continuum scaling the discrete kernel is off by O(h^2)
         t_bar = math.pi / math.sqrt(-float(cubic_alphas_n1[0]))
         res = {}
         for nn in (60, 120):
             grid = Grid2D(nn, nn)
-            spec = linearized_spectrum(cubic_model, cubic_solutions[1].amplitude, grid.ny - 1, 3)
-            mode = build_kernel_mode(spec, 1, 1, 1.0, grid)
-            u1d, _ = integrate_ivp(cubic_model, cubic_solutions[1].amplitude, grid.ny - 1)
-            op = assemble_linearized(embed_one_dim(u1d, grid), t_bar, cubic_model, grid)
-            dof = mode.w[: grid.ny - 1, :].ravel()
+            ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
+            op = assemble_linearized(ctx.u_ref, t_bar, cubic_model, grid)
+            dof = ctx.kernel.w[: grid.ny - 1, :].ravel()
             res[nn] = float(np.max(np.abs(op.apply(dof))))
-            scale = abs(cubic_alphas_n1[0]) * 2.0 + float(np.max(spec.potential))
+            scale = abs(cubic_alphas_n1[0]) * 2.0 + float(np.max(eval_fprime(cubic_model, ctx.u_ref)))
             assert res[nn] <= 10.0 * (grid.hx**2 + grid.hy**2) * scale
         assert res[60] / res[120] == pytest.approx(4.0, rel=0.35)
 
@@ -282,9 +295,8 @@ class TestBranch:
         assert branch[-1].deviation > branch[0].deviation
 
     def test_backtrack_distance_shrinks_monotonically(self, branch_ctx, first_crossing):
-        t_bar_h = discrete_bifurcation_scaling(branch_ctx, 1, 1)
         start = continue_branch(branch_ctx, first_crossing, +1, steps=1)[0]
-        back = backtrack_branch(branch_ctx, start, t_bar_h, n_offsets=5)
+        back = backtrack_branch(branch_ctx, start, n_offsets=5)
         dists = [bp.distance_to_1d for bp in back]
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-3
@@ -296,13 +308,12 @@ class TestBranch:
         op = assemble_linearized(branch_ctx.u_ref, first_crossing.t_bar, cubic_model, grid64)
         vals = smallest_eigenvalues(op, 4)
         assert np.min(np.abs(vals)) <= 10.0 * (grid64.hx**2 + grid64.hy**2) * abs(first_crossing.t_bar) ** -2 * 100
-        t_bar_h = discrete_bifurcation_scaling(branch_ctx, 1, 1)
-        op_h = assemble_linearized(branch_ctx.u_ref, t_bar_h, cubic_model, grid64)
+        op_h = assemble_linearized(branch_ctx.u_ref, branch_ctx.t_bar_discrete, cubic_model, grid64)
         vals_h = smallest_eigenvalues(op_h, 4)
         assert np.min(np.abs(vals_h)) <= 1e-9
 
     def test_negative_count_changes_across_crossing(self, branch_ctx, cubic_model, grid64):
-        t_bar_h = discrete_bifurcation_scaling(branch_ctx, 1, 1)
+        t_bar_h = branch_ctx.t_bar_discrete
         counts = {}
         for t in (0.98 * t_bar_h, 1.02 * t_bar_h):
             op = assemble_linearized(branch_ctx.u_ref, t, cubic_model, grid64)
