@@ -95,7 +95,7 @@ def main():
                 f"  t = {bp.t:.6f}  deviation {bp.deviation:.3e}  "
                 f"distance {bp.distance_to_1d:.3e}  nodal {bp.nodal_count_2d}  energy {energy:.8f}"
             )
-        back = backtrack_branch(ctx, branch[0], n_offsets=5)
+        back = backtrack_branch(ctx, branch[0])
         dists = ", ".join(f"{bp.distance_to_1d:.2e}" for bp in back)
         print(f"  backtrack toward t = {ctx.t_bar_discrete:.8f}: distances {dists}")
 

@@ -9,7 +9,6 @@ from .errors import (
     DegenerateInputError,
     InsufficientSpectrumError,
     IntegrationOverflowError,
-    InvalidKernelError,
     NoSolutionError,
     NonConvergenceError,
     ResourceLimitError,
@@ -25,7 +24,6 @@ from .nonlinearity import (
     eval_f,
     eval_fprime,
     model_from_dict,
-    model_to_dict,
 )
 from .ode_shooting import (
     OneDimSolution,
@@ -73,11 +71,9 @@ from .pde_rectangle import (
     BranchContext,
     BranchPoint,
     Grid2D,
-    KernelMode,
     Linearized2D,
     assemble_linearized,
     backtrack_branch,
-    build_kernel_mode,
     continue_branch,
     count_nodal_domains_2d,
     embed_one_dim,

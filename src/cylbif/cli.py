@@ -132,14 +132,18 @@ class RunConfig:
 
 
 def _number(value, what: str, kind=float):
-    """``value`` as ``kind`` if it is a finite JSON number; anything else, booleans included, fails."""
+    """``value`` as ``kind`` if it is a finite JSON number, integral when ``kind`` is int;
+    anything else, booleans included, fails."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
     return kind(value)
 
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
-    """The defaults overridden by the map ``raw[name]``, whose keys and value types must match them."""
+    """The defaults overridden by the map ``raw[name]``, whose keys and value types must match them;
+    an integer default takes integral numbers only."""
     given = raw.get(name, {})
     if not isinstance(given, dict):
         raise ValidationError(f"{name} must be a JSON object")
@@ -151,7 +155,7 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
             if not isinstance(value, bool):
                 raise ValidationError(f"{name}.{key} must be true or false, got {value!r}")
         else:
-            _number(value, f"{name}.{key}")
+            _number(value, f"{name}.{key}", type(defaults[key]))
     return {**defaults, **given}
 
 
@@ -218,7 +222,10 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
         if sorted(alphas) != alphas:
             raise ValidationError("config alphas must be sorted ascending")
 
-    out_dir = Path(out_override) if out_override else Path(raw.get("output_dir", "out"))
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ValidationError(f"output_dir must be a string, got {output_dir!r}")
+    out_dir = Path(out_override or output_dir)
     seed = seed_override if seed_override is not None else _number(raw.get("seed", 0), "seed", int)
     return RunConfig(
         model=model,
@@ -500,8 +507,7 @@ def cmd_continue(cfg: RunConfig) -> dict:
                     dump_rows,
                 )
         if branch:
-            last_t = branch[-1].t
-            outcome = "reached_t_limit" if last_t + 1e-12 >= min(t_max, point.t_bar + steps * 1e-2 * point.t_bar) else "stalled"
+            outcome = "stalled" if len(branch) < steps else "reached_t_limit"
             if branch[-1].distance_to_1d < 10 * ctx.tol:
                 outcome = "returned_to_one_dimensional"
             results[f"outcome_{sign_name}"] = outcome
@@ -518,7 +524,7 @@ def cmd_continue(cfg: RunConfig) -> dict:
             np.max(np.abs(minus[0].solution - refl)) / scale < 1e-6
         )
     if plus:
-        back = backtrack_branch(ctx, plus[0], n_offsets=5)
+        back = backtrack_branch(ctx, plus[0])
         results["backtrack_distances"] = [bp.distance_to_1d for bp in back]
     if not plus and not minus:
         raise NoSolutionError("no bifurcating branch found on either half-branch")

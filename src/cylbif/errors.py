@@ -29,10 +29,6 @@ class InsufficientSpectrumError(ValidationError):
     """Too few eigenvalues were computed to decide the question."""
 
 
-class InvalidKernelError(ValidationError):
-    """Requested mode pair does not span a kernel direction."""
-
-
 class NonConvergenceError(CylbifError):
     """An iterative solve failed to reach its tolerance."""
 

@@ -38,6 +38,8 @@ __all__ = [
 
 #: relative tolerance for grouping coincident degeneracy scalings
 GROUP_REL_TOL = 1e-9
+#: alpha_i + lambda_j counts as zero below this multiple of max(1, |alpha_1|)
+ZERO_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class ComposedEntry:
 @dataclass
 class ComposedSpectrum:
     entries: list[ComposedEntry]
-    cutoff: float
 
     def values(self) -> np.ndarray:
         return np.array([e.value for e in self.entries])
@@ -70,7 +71,6 @@ class MorseReport:
     contributions: list[int]
     degenerate: bool
     zero_multiplicity: int
-    tol_zero: float
 
 
 @dataclass
@@ -122,13 +122,13 @@ def compose_spectrum(alphas, base: BaseSpectrum, cutoff: float) -> ComposedSpect
         ComposedEntry(value=float(values[k]), i=int(rows[k]) + 1, j=int(cols[k]), multiplicity=int(mults[cols[k]]))
         for k in np.lexsort((cols, rows, values))
     ]
-    return ComposedSpectrum(entries=entries, cutoff=float(cutoff))
+    return ComposedSpectrum(entries=entries)
 
 
-def _morse_counts(alphas, base: BaseSpectrum, t2: np.ndarray, tol_zero: float | None):
+def _morse_counts(alphas, base: BaseSpectrum, t2: np.ndarray):
     """Morse-formula terms on the base dilated by sqrt(t2), one row per entry of t2.
 
-    Returns (alphas, m_xn, tol_zero, contributions, zero multiplicities).
+    Returns (alphas, m_xn, contributions, zero multiplicities).
     lambda_j / t2 is the division ``scale_spectrum`` performs, so each row
     equals the counts on the scaled spectrum bit for bit.
     """
@@ -138,8 +138,7 @@ def _morse_counts(alphas, base: BaseSpectrum, t2: np.ndarray, tol_zero: float | 
             "need a positive eigenvalue witness to certify the 1D Morse index"
         )
     m_xn = int(np.count_nonzero(arr < 0.0))
-    if tol_zero is None:
-        tol_zero = 1e-8 * max(1.0, abs(float(arr[0])))
+    tol_zero = ZERO_REL_TOL * max(1.0, abs(float(arr[0])))
 
     short = base.cutoff / t2 < -float(arr[0])
     if m_xn > 0 and np.any(short):
@@ -162,16 +161,16 @@ def _morse_counts(alphas, base: BaseSpectrum, t2: np.ndarray, tol_zero: float | 
             contributions[rows, i] = (positive & (scaled < -float(arr[i]))) @ mults
         for a in arr:
             zero_mult[rows] += (np.abs(a + scaled) < tol_zero) @ mults
-    return arr, m_xn, float(tol_zero), contributions, zero_mult
+    return arr, m_xn, contributions, zero_mult
 
 
-def morse_index(alphas, base: BaseSpectrum, tol_zero: float | None = None) -> MorseReport:
+def morse_index(alphas, base: BaseSpectrum) -> MorseReport:
     """Evaluate the Morse-index formula with multiplicity-weighted counts.
 
     The result is cross-validated against the negative-entry count of the
     composed multiset; away from degeneracy the two must agree exactly.
     """
-    arr, m_xn, tol_zero, contributions, zero_mult = _morse_counts(alphas, base, np.ones(1), tol_zero)
+    arr, m_xn, contributions, zero_mult = _morse_counts(alphas, base, np.ones(1))
     contributions = [int(c) for c in contributions[0]]
     m = m_xn + sum(contributions)
     zero_mult = int(zero_mult[0])
@@ -190,7 +189,6 @@ def morse_index(alphas, base: BaseSpectrum, tol_zero: float | None = None) -> Mo
         contributions=contributions,
         degenerate=degenerate,
         zero_multiplicity=zero_mult,
-        tol_zero=tol_zero,
     )
 
 
@@ -265,7 +263,7 @@ def morse_vs_t(alphas, base: BaseSpectrum, t_grid) -> list[MorseSample]:
         raise ValidationError("t_grid must be finite, positive and strictly ascending")
     # t**2 on Python floats, as scale_spectrum squares its factor
     t2 = np.array([float(t) ** 2 for t in ts])
-    _, m_xn, _, contributions, zero_mult = _morse_counts(alphas, base, t2, None)
+    _, m_xn, contributions, zero_mult = _morse_counts(alphas, base, t2)
     return [
         MorseSample(t=float(t), m=m_xn + int(c), degenerate=bool(z > 0))
         for t, c, z in zip(ts, contributions.sum(axis=1), zero_mult)

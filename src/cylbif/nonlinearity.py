@@ -29,7 +29,6 @@ __all__ = [
     "eval_F",
     "check_hypotheses",
     "model_from_dict",
-    "model_to_dict",
 ]
 
 
@@ -148,12 +147,6 @@ def default_hypothesis_samples() -> list[float]:
     """Log-spaced sample grid on [1e-3, 1e3], both signs."""
     grid = np.logspace(-3.0, 3.0, 13)
     return [float(s) for s in np.concatenate([-grid[::-1], grid])]
-
-
-def model_to_dict(model: NonlinearityModel) -> dict:
-    if isinstance(model, LaneEmden):
-        return {"type": "lane_emden", "p": model.p}
-    return {"type": "cubic", "c1": model.c1, "c3": model.c3}
 
 
 def model_from_dict(data: dict) -> NonlinearityModel:

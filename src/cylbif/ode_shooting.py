@@ -43,6 +43,8 @@ __all__ = [
 
 #: relative threshold used when counting sign changes of a sampled function
 SIGN_CHANGE_REL_TOL = 1e-8
+#: refinement budget of the window narrowing and of the terminal bisection
+MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class ShootingConfig:
     amplitude_bracket: tuple[float, float] = (0.05, 200.0)
     tol_amplitude: float = 1e-12
     tol_terminal: float = 1e-10
-    max_bisect: int = 200
 
     def __post_init__(self):
         low, high = self.amplitude_bracket
@@ -63,8 +64,6 @@ class ShootingConfig:
             raise ValidationError(f"amplitude bracket must satisfy 0 < low < high, got {self.amplitude_bracket}")
         if min(self.tol_amplitude, self.tol_terminal) <= 0.0:
             raise ValidationError("shooting tolerances must be positive")
-        if self.max_bisect < 1:
-            raise ValidationError("max_bisect must be >= 1")
 
 
 @dataclass
@@ -217,10 +216,10 @@ def find_one_dim_solution(
         else:
             a_hi, c_hi = mid, c_mid
         iters += 1
-        if iters > config.max_bisect:
+        if iters > MAX_BISECT:
             raise NonConvergenceError(
                 f"could not isolate the count-{n - 1}/{n} amplitude window "
-                f"within {config.max_bisect} refinements"
+                f"within {MAX_BISECT} refinements"
             )
 
     # bisect the terminal value at full resolution
@@ -237,7 +236,7 @@ def find_one_dim_solution(
                 "refine the scan resolution"
             )
         a_star = None
-        for _ in range(config.max_bisect):
+        for _ in range(MAX_BISECT):
             mid = 0.5 * (a_lo + a_hi)
             _, t_mid = _classify(model, mid, config.steps)
             if abs(t_mid) <= config.tol_terminal:
@@ -252,7 +251,7 @@ def find_one_dim_solution(
                 break
         if a_star is None:
             raise NonConvergenceError(
-                f"terminal bisection did not converge in {config.max_bisect} iterations",
+                f"terminal bisection did not converge in {MAX_BISECT} iterations",
                 residual=abs(t_lo),
             )
 

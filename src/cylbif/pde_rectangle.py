@@ -27,26 +27,23 @@ from scipy.sparse import linalg as spla
 from .errors import (
     BranchNotFoundError,
     DegenerateInputError,
-    InvalidKernelError,
     NonConvergenceError,
     ValidationError,
 )
 from .nonlinearity import NonlinearityModel, eval_F, eval_f, eval_fprime
 from .ode_shooting import integrate_ivp
-from .sturm_liouville import SturmSpectrum, assemble_sl_operator, sl_eigenpairs
+from .sturm_liouville import assemble_sl_operator, sl_eigenpairs
 from .morse_bifurcation import BifurcationPoint
 
 __all__ = [
     "Grid2D",
     "Linearized2D",
     "BranchPoint",
-    "KernelMode",
     "BranchContext",
     "assemble_linearized",
     "smallest_eigenvalues",
     "newton_solve",
     "embed_one_dim",
-    "build_kernel_mode",
     "make_branch_context",
     "continue_branch",
     "backtrack_branch",
@@ -59,6 +56,13 @@ log = logging.getLogger("cylbif.pde")
 
 #: default relative threshold for 2D nodal counting
 NODAL_REL_TOL_2D = 1e-6
+#: Newton iteration budget of every branch-stage solve
+BRANCH_MAX_ITERS = 25
+#: first continuation step, relative to the degeneracy scaling
+FIRST_STEP_REL = 1e-2
+#: backtracking solves at offsets dt * BACKTRACK_RATIO**k, k = 1..BACKTRACK_OFFSETS
+BACKTRACK_OFFSETS = 5
+BACKTRACK_RATIO = 0.12
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -145,9 +149,6 @@ class Linearized2D:
 
     matrix: sparse.csr_matrix
     dvec: np.ndarray
-    grid: Grid2D
-    t: float
-    l_base: float
     sigma_floor: float
 
     def apply(self, dof: np.ndarray) -> np.ndarray:
@@ -181,14 +182,7 @@ def assemble_linearized(
     s0, dvec = _laplacian_parts(grid, t, l_base)
     q = eval_fprime(model, _dof_from_full(full, grid))
     matrix = (s0 - sparse.diags(q)).tocsr()
-    return Linearized2D(
-        matrix=matrix,
-        dvec=dvec,
-        grid=grid,
-        t=t,
-        l_base=l_base,
-        sigma_floor=-max(0.0, float(np.max(q))) - 1.0,
-    )
+    return Linearized2D(matrix=matrix, dvec=dvec, sigma_floor=-max(0.0, float(np.max(q))) - 1.0)
 
 
 def smallest_eigenvalues(operator: Linearized2D, k: int, maxiter: int | None = None) -> np.ndarray:
@@ -347,41 +341,6 @@ def eval_energy(u, t: float, model: NonlinearityModel, grid: Grid2D, l_base: flo
 
 
 @dataclass
-class KernelMode:
-    """Tensor-product kernel direction z_i(y) * cos(j pi x'), unit norm."""
-
-    i: int
-    j: int
-    w: np.ndarray  # full (ny, nx) array
-
-
-def build_kernel_mode(spec: SturmSpectrum, i: int, j: int, grid: Grid2D) -> KernelMode:
-    """Assemble the kernel direction for the (alpha_i, lambda_j) pair.
-
-    ``spec`` must be computed on the grid's own ny - 1 height intervals.
-    The x'-factor cos(j pi x'/L) is expressed in the unit-square
-    coordinate, so it reads cos(j pi X) on the grid.  j = 0 is only a
-    kernel direction if alpha_i itself vanishes.
-    """
-    if spec.grid_size != grid.ny - 1:
-        raise ValidationError(
-            f"spectrum has {spec.grid_size} height intervals, the 2D grid {grid.ny - 1}"
-        )
-    if not 1 <= i <= len(spec.alphas):
-        raise ValidationError(f"eigenfunction index i={i} outside computed range")
-    if j < 0:
-        raise ValidationError("base mode index j must be >= 0")
-    if j == 0 and abs(float(spec.alphas[i - 1])) > 1e-12:
-        raise InvalidKernelError(
-            f"constant base mode with alpha_{i} = {spec.alphas[i - 1]:.6g} != 0 "
-            "does not span a kernel direction"
-        )
-    w = np.outer(spec.eigenfunctions[i - 1], np.cos(j * math.pi * grid.x_nodes()))
-    w /= _weighted_norm(w, grid)
-    return KernelMode(i=i, j=j, w=w)
-
-
-@dataclass
 class BranchContext:
     """Everything a branch continuation needs: the reference fixed point,
     the kernel mode and the discrete dilation at which it is a kernel."""
@@ -390,12 +349,9 @@ class BranchContext:
     grid: Grid2D
     l_base: float
     u_ref: np.ndarray  # discrete height-only fixed point on the 2D grid
-    kernel: KernelMode
+    kernel: np.ndarray  # unit-norm (ny, nx) mode z_i(y) cos(j pi x'), Dirichlet row included
     t_bar_discrete: float  # the linearization at u_ref is singular here
-    # the inf-norm residual floor is ~ |u| * (2/h^2) * eps, about 1e-10 on a
-    # 200 x 200 grid, so the stopping tolerance keeps two decades of margin
-    tol: float = 1e-8
-    max_iters: int = 25
+    tol: float
 
     @property
     def ref_norm(self) -> float:
@@ -408,7 +364,7 @@ class BranchContext:
             self.model,
             self.grid,
             tol=self.tol,
-            max_iters=self.max_iters,
+            max_iters=BRANCH_MAX_ITERS,
             l_base=self.l_base,
             reference_1d=self.u_ref,
         )
@@ -422,7 +378,6 @@ def make_branch_context(
     i: int,
     j: int,
     tol: float = 1e-8,
-    max_iters: int = 25,
 ) -> BranchContext:
     """Prepare the reference fixed point, kernel mode and discrete crossing.
 
@@ -435,15 +390,17 @@ def make_branch_context(
     height block gives both the kernel and where it occurs.  The x'-block
     eigenvalue xi_j of cos(j pi X) scales as 1/t^2 with no discretization
     error in t, so the crossing sits exactly at t^2 = xi_j(1) / (-mu_i),
-    with kernel z_i(y) cos(j pi X).  Backtracking toward this value (rather
-    than the continuum scaling, which differs by O(h^2)) lets the branch be
-    followed arbitrarily close to the pitchfork.
+    with kernel z_i(y) cos(j pi X), i.e. cos(j pi x'/L) on the unit square.
+    Backtracking toward this value (rather than the continuum scaling, which
+    differs by O(h^2)) lets the branch be followed arbitrarily close to the
+    pitchfork.  The default ``tol`` keeps two decades of margin above the
+    inf-norm residual floor ~ |u| * (2/h^2) * eps, about 1e-10 at 200 x 200.
     """
     if j < 1:
         raise ValidationError("x' mode index must be >= 1 for a dilation-driven crossing")
     u1d, _ = integrate_ivp(model, amplitude, grid.ny - 1)
     embedded = embed_one_dim(u1d, grid)
-    seed = newton_solve(embedded, 1.0, model, grid, tol=tol, max_iters=max_iters, l_base=l_base)
+    seed = newton_solve(embedded, 1.0, model, grid, tol=tol, max_iters=BRANCH_MAX_ITERS, l_base=l_base)
     if seed.deviation > 1e-8:
         raise NonConvergenceError(
             f"reference solve left the height-only subspace (deviation {seed.deviation:.3g})"
@@ -454,15 +411,16 @@ def make_branch_context(
     if mu_i >= 0.0:
         raise ValidationError(f"height-block eigenvalue {i} is nonnegative ({mu_i:.6g}); no crossing")
     xi_j = (2.0 / (l_base**2 * grid.hx**2)) * (1.0 - math.cos(j * math.pi * grid.hx))
+    kernel = np.outer(spec.eigenfunctions[i - 1], np.cos(j * math.pi * grid.x_nodes()))
+    kernel /= _weighted_norm(kernel, grid)
     return BranchContext(
         model=model,
         grid=grid,
         l_base=l_base,
         u_ref=seed.solution,
-        kernel=build_kernel_mode(spec, i, j, grid),
+        kernel=kernel,
         t_bar_discrete=math.sqrt(xi_j / (-mu_i)),
         tol=tol,
-        max_iters=max_iters,
     )
 
 
@@ -471,14 +429,13 @@ def continue_branch(
     point: BifurcationPoint,
     direction: int,
     steps: int,
-    dt0: float | None = None,
     eps0: float | None = None,
 ) -> list[BranchPoint]:
     """Switch onto the bifurcating branch at a simple point and follow it.
 
     The first solve starts from u_ref + eps * w at t = t_bar + direction *
-    dt0, escalating eps over {1x, 2x, 4x} if Newton falls back onto the
-    height-only solution.  The default eps0 is 0.1 * |u_ref|; near the
+    dt0, dt0 = FIRST_STEP_REL * t_bar, escalating eps over {1x, 2x, 4x} if
+    Newton falls back onto the height-only solution.  The default eps0 is 0.1 * |u_ref|; near the
     pitchfork the new solution sits at amplitude ~sqrt(dt) and a guess
     below roughly 0.6 of that amplitude contracts back to the trivial
     branch, so the perturbation has to be commensurate with the branch,
@@ -496,8 +453,7 @@ def continue_branch(
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     t_bar = point.t_bar
-    if dt0 is None:
-        dt0 = 1e-2 * t_bar
+    dt0 = FIRST_STEP_REL * t_bar
     if eps0 is None:
         eps0 = 1e-1 * ctx.ref_norm
     fallback_threshold = 10.0 * ctx.tol
@@ -505,7 +461,7 @@ def continue_branch(
     branch: list[BranchPoint] = []
     t1 = t_bar + direction * dt0
     for eps in (eps0, 2.0 * eps0, 4.0 * eps0):
-        guess = ctx.u_ref + eps * ctx.kernel.w
+        guess = ctx.u_ref + eps * ctx.kernel
         try:
             bp = ctx.solve(guess, t1)
         except NonConvergenceError:
@@ -543,18 +499,13 @@ def continue_branch(
     return branch
 
 
-def backtrack_branch(
-    ctx: BranchContext,
-    start: BranchPoint,
-    n_offsets: int = 5,
-    ratio: float = 0.12,
-) -> list[BranchPoint]:
+def backtrack_branch(ctx: BranchContext, start: BranchPoint) -> list[BranchPoint]:
     """Follow the branch back toward the discrete bifurcation point.
 
     From ``start`` at offset dt = start.t - ctx.t_bar_discrete, solves at
-    offsets dt * ratio**k for k = 1..n_offsets, each seeded from the
-    previous solution.  Along the true branch the distance to the
-    height-only solution shrinks monotonically to 0 like sqrt(offset).
+    offsets dt * BACKTRACK_RATIO**k for k = 1..BACKTRACK_OFFSETS, each
+    seeded from the previous solution.  Along the true branch the distance
+    to the height-only solution shrinks monotonically to 0 like sqrt(offset).
     """
     t_bar = ctx.t_bar_discrete
     dt = start.t - t_bar
@@ -562,8 +513,8 @@ def backtrack_branch(
         raise ValidationError("start point must sit away from the bifurcation scaling")
     out = []
     seed = start.solution
-    for k in range(1, n_offsets + 1):
-        t_k = t_bar + dt * ratio**k
+    for k in range(1, BACKTRACK_OFFSETS + 1):
+        t_k = t_bar + dt * BACKTRACK_RATIO**k
         bp = ctx.solve(seed, t_k)
         out.append(bp)
         seed = bp.solution

@@ -163,15 +163,15 @@ def linearized_spectrum(
     return sl_eigenpairs(assemble_sl_operator(q, grid_size), k)
 
 
-def richardson_extrapolate(values, ratio: float = 2.0, order: int = 2) -> float:
-    """Eliminate leading error terms h^order, h^(order+2), ... from a
-    refinement sequence listed coarsest first with grid ratio ``ratio``."""
+def richardson_extrapolate(values) -> float:
+    """Eliminate the leading error terms h^2, h^4, ... of the second-order
+    scheme from a refinement sequence listed coarsest first, halving h."""
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise ValidationError("richardson extrapolation needs at least two values")
-    p = order
+    p = 2
     while len(vals) > 1:
-        factor = ratio**p
+        factor = 2.0**p
         vals = [(factor * fine - coarse) / (factor - 1.0) for coarse, fine in zip(vals, vals[1:])]
         p += 2
     return vals[0]

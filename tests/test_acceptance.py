@@ -231,9 +231,7 @@ def test_criterion_09_local_bifurcation(cubic_n1):
         for direction in (+1, -1):
             t_side = t_bar1 * (1.0 + direction * 0.01)
             try:
-                sides[direction] = continue_branch(
-                    ctx, point, direction, steps=1, dt0=0.01 * t_bar1
-                )[0]
+                sides[direction] = continue_branch(ctx, point, direction, steps=1)[0]
             except BranchNotFoundError:
                 # Newton still converges at this offset, onto the trivial branch
                 fallback = ctx.solve(ctx.u_ref, t_side)
@@ -247,7 +245,7 @@ def test_criterion_09_local_bifurcation(cubic_n1):
             assert bp.nodal_count_2d == 1
             assert bp.residual <= ctx.tol
 
-        back = backtrack_branch(ctx, found[0], n_offsets=5)
+        back = backtrack_branch(ctx, found[0])
         dists = [bp.distance_to_1d for bp in back]
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-3

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+import cylbif.pde_rectangle as pde
 from cylbif.cli import main
+from cylbif.errors import NonConvergenceError
 from oracles import ellipk_agm
 
 BASE_CONFIG = {
@@ -180,9 +182,21 @@ class TestContract:
             {"seed": "lucky"},
             {"model": {"type": "lane_emden", "p": "four"}},
             {"base": {"type": "disk", "radius": "one"}},
+            {"output_dir": 5},
+            # integer entries take integral numbers only instead of truncating
+            {"grids": {"nx": 40.7}},
+            {"options": {"branch_steps": 2.5}},
+            {"options": {"k_eigs": 12.9}},
+            {"options": {"max_modes": 1000.5}},
+            {"t_range": {"t_min": 0.5, "t_max": 3.0, "samples": 40.9}},
+            {"nodal_n": 1.5},
+            {"seed": 0.5},
         ):
             cfg = write_config(tmp_path, **bad)
             assert main(["morse", "--config", str(cfg)]) == 2, bad
+        # integral floats stay accepted
+        cfg = write_config(tmp_path, grids={"nx": 64.0}, options={"k_eigs": 12.0}, nodal_n=1.0)
+        assert main(["base-eigs", "--config", str(cfg)]) == 0
 
     def test_no_solution_exit_code(self, tmp_path):
         # c1 above (pi/2)^2 makes every trajectory oscillate before x = 1
@@ -198,6 +212,31 @@ class TestContract:
             options={"branch_steps": 1, "dump_solutions": False},
         )
         assert main(["continue", "--config", str(cfg)]) == 3
+
+    def test_continue_outcome_after_recovered_halving(self, tmp_path, monkeypatch):
+        # one failed continuation solve halves the step; the half-branch still
+        # collects every requested point, so it did not stall
+        real_solve = pde.newton_solve
+        branch_solves = 0
+
+        def fail_once(*args, **kwargs):
+            nonlocal branch_solves
+            if kwargs.get("reference_1d") is not None:  # solves on the branch, not the reference
+                branch_solves += 1
+                if branch_solves == 3:
+                    raise NonConvergenceError("injected failure")
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "newton_solve", fail_once)
+        cfg = write_config(
+            tmp_path,
+            grids={"ode_M": 1200, "eig_M": 1600, "nx": 40, "ny": 40},
+            options={"branch_steps": 4, "dump_solutions": False},
+        )
+        assert main(["continue", "--config", str(cfg)]) == 0
+        results = read_summary(tmp_path)["results"]
+        assert results["points_plus"] == 4
+        assert results["outcome_plus"] == "reached_t_limit"
 
     def test_continue_without_negative_alphas_has_no_crossing(self, tmp_path, caplog):
         # no alpha_i < 0 means no degeneracy scaling, and the base cutoff must stay positive

@@ -14,7 +14,6 @@ from cylbif import (
     eval_f,
     eval_fprime,
     model_from_dict,
-    model_to_dict,
 )
 from cylbif.nonlinearity import default_hypothesis_samples
 
@@ -62,8 +61,8 @@ class TestConstruction:
         assert report.superlinear_failures == [1.0]
 
     def test_serialization_round_trip(self):
-        for model in MODELS:
-            assert model_from_dict(model_to_dict(model)) == model
+        assert model_from_dict({"type": "lane_emden", "p": 3.0}) == LaneEmden(p=3.0)
+        assert model_from_dict({"type": "cubic", "c1": 1.0, "c3": 2}) == CubicFamily(c1=1.0, c3=2.0)
         with pytest.raises(ValidationError):
             model_from_dict({"type": "pentic"})
         with pytest.raises(ValidationError):

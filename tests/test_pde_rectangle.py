@@ -6,14 +6,12 @@ import pytest
 from cylbif import (
     DegenerateInputError,
     Grid2D,
-    InvalidKernelError,
     LaneEmden,
     NonConvergenceError,
     ValidationError,
     assemble_linearized,
     assemble_sl_operator,
     backtrack_branch,
-    build_kernel_mode,
     continue_branch,
     count_nodal_domains_2d,
     embed_one_dim,
@@ -23,7 +21,6 @@ from cylbif import (
     make_branch_context,
     newton_solve,
     one_dimensionality_deviation,
-    sl_eigenpairs,
     smallest_eigenvalues,
 )
 from cylbif.errors import BranchNotFoundError
@@ -177,7 +174,7 @@ class TestDiagnostics:
         assert one_dimensionality_deviation(u, grid64) == pytest.approx(1.0, abs=1e-12)
 
     def test_deviation_first_order_in_perturbation(self, branch_ctx, grid64):
-        u = branch_ctx.u_ref + 0.1 * branch_ctx.kernel.w
+        u = branch_ctx.u_ref + 0.1 * branch_ctx.kernel
         norm_u = math.sqrt(branch_ctx.ref_norm**2 + 0.01)
         assert one_dimensionality_deviation(u, grid64) == pytest.approx(0.1 / norm_u, rel=0.02)
 
@@ -208,19 +205,8 @@ class TestDiagnostics:
 
 
 class TestKernelMode:
-    def test_free_mode_matches_cosines(self):
-        grid = Grid2D(80, 80)
-        m = grid.ny - 1
-        spec = sl_eigenpairs(assemble_sl_operator(np.zeros(m + 1), m), 3)
-        mode = build_kernel_mode(spec, 1, 1, grid)
-        x = grid.x_nodes()
-        y = grid.y_nodes()
-        exact = np.outer(np.cos(math.pi * y / 2), np.cos(math.pi * x))
-        exact /= math.sqrt(0.25)  # unit trapezoid L2 norm of the product mode
-        assert np.max(np.abs(mode.w - exact)) < 2e-3
-
     def test_unit_norm(self, branch_ctx, grid64):
-        w = branch_ctx.kernel.w
+        w = branch_ctx.kernel
         wx = np.ones(grid64.nx)
         wx[0] = wx[-1] = 0.5
         wy = np.ones(grid64.ny)
@@ -228,22 +214,11 @@ class TestKernelMode:
         norm2 = grid64.hx * grid64.hy * np.einsum("i,j,ij->", wy, wx, w * w)
         assert norm2 == pytest.approx(1.0, rel=1e-12)
 
-    def test_constant_base_mode_rejected(self, grid64):
-        m = grid64.ny - 1
-        spec = sl_eigenpairs(assemble_sl_operator(np.zeros(m + 1), m), 3)
-        with pytest.raises(InvalidKernelError):
-            build_kernel_mode(spec, 1, 0, grid64)
-
-    def test_spectrum_on_another_grid_rejected(self, grid64):
-        spec = sl_eigenpairs(assemble_sl_operator(np.zeros(101), 100), 3)
-        with pytest.raises(ValidationError):
-            build_kernel_mode(spec, 1, 1, grid64)
-
     def test_kernel_is_exact_at_discrete_crossing(self, branch_ctx, cubic_model, grid64):
         # one height-block eigensolve at u_ref's potential gives both the mode
         # and t_bar_discrete, so the mode is the discrete kernel there
         op = assemble_linearized(branch_ctx.u_ref, branch_ctx.t_bar_discrete, cubic_model, grid64)
-        dof = branch_ctx.kernel.w[: grid64.ny - 1, :].ravel()
+        dof = branch_ctx.kernel[: grid64.ny - 1, :].ravel()
         assert np.max(np.abs(op.apply(dof))) <= 1e-8
 
     def test_context_rejects_pairs_without_crossing(self, cubic_model, cubic_solutions, grid64):
@@ -262,7 +237,7 @@ class TestKernelMode:
             grid = Grid2D(nn, nn)
             ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
             op = assemble_linearized(ctx.u_ref, t_bar, cubic_model, grid)
-            dof = ctx.kernel.w[: grid.ny - 1, :].ravel()
+            dof = ctx.kernel[: grid.ny - 1, :].ravel()
             res[nn] = float(np.max(np.abs(op.apply(dof))))
             scale = abs(cubic_alphas_n1[0]) * 2.0 + float(np.max(eval_fprime(cubic_model, ctx.u_ref)))
             assert res[nn] <= 10.0 * (grid.hx**2 + grid.hy**2) * scale
@@ -296,7 +271,7 @@ class TestBranch:
 
     def test_backtrack_distance_shrinks_monotonically(self, branch_ctx, first_crossing):
         start = continue_branch(branch_ctx, first_crossing, +1, steps=1)[0]
-        back = backtrack_branch(branch_ctx, start, n_offsets=5)
+        back = backtrack_branch(branch_ctx, start)
         dists = [bp.distance_to_1d for bp in back]
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-3
