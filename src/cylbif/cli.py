@@ -557,10 +557,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         if args.threads < 1:
             raise ValidationError("--threads must be >= 1")
+        cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         log.info("running %s into %s", args.subcommand, cfg.output_dir)
         if args.subcommand == "check-f":
             results = cmd_check_f(cfg)

@@ -14,7 +14,6 @@ lambda_j > 0) produces the degeneracy scaling t = sqrt(lambda_j / -alpha_i).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -203,8 +202,8 @@ def degeneracy_times(alphas, base: BaseSpectrum, t_max: float) -> list[Bifurcati
     arr = _check_sorted(alphas)
     if not (np.isfinite(t_max) and t_max > 0.0):
         raise ValidationError(f"t_max must be positive, got {t_max}")
-    negatives = arr[arr < 0.0]
-    if negatives.size == 0:
+    neg = np.flatnonzero(arr < 0.0)
+    if neg.size == 0:
         return []
     needed = -float(arr[0]) * t_max**2
     if base.cutoff < needed:
@@ -213,17 +212,15 @@ def degeneracy_times(alphas, base: BaseSpectrum, t_max: float) -> list[Bifurcati
             f"need eigenvalues up to {needed}"
         )
 
-    events = []  # (t, i, j, mult)
-    for i, a in enumerate(arr, start=1):
-        if a >= 0.0:
-            continue
-        for j, (lam, mult) in enumerate(zip(base.lambdas, base.multiplicities)):
-            if lam <= 0.0:
-                continue
-            t = math.sqrt(float(lam) / (-float(a)))
-            if t <= t_max * (1.0 + 1e-12):
-                events.append((t, i, j, int(mult)))
-    events.sort()
+    # every (alpha_i < 0, lambda_j > 0) pair at once, ordered by (t, i, j)
+    lams = np.asarray(base.lambdas, dtype=float)
+    pos = np.flatnonzero(lams > 0.0)
+    ts = np.sqrt(lams[pos] / -arr[neg][:, None])
+    rows, cols = np.nonzero(ts <= t_max * (1.0 + 1e-12))
+    ts, i_idx, j_idx = ts[rows, cols], neg[rows] + 1, pos[cols]
+    order = np.lexsort((j_idx, i_idx, ts))
+    mults = np.asarray(base.multiplicities)[j_idx[order]]
+    events = zip(ts[order].tolist(), i_idx[order].tolist(), j_idx[order].tolist(), mults.tolist())
 
     points: list[BifurcationPoint] = []
     for t, i, j, mult in events:

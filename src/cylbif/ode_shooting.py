@@ -203,10 +203,10 @@ def find_one_dim_solution(
             f"[{low}, {high}] (largest count {prev[1] if prev else 'n/a'})"
         )
 
-    # narrow until the bracket endpoints sit in adjacent count classes
+    # narrow until the bracket endpoints sit in adjacent count classes;
+    # the scan has classified both ends already
     a_lo, a_hi = bracket
-    c_lo, _ = _classify(model, a_lo, scan_steps)
-    c_hi, _ = _classify(model, a_hi, scan_steps)
+    c_lo, c_hi = prev[1], changes
     iters = 0
     while not (c_lo == n - 1 and c_hi == n):
         mid = 0.5 * (a_lo + a_hi)
@@ -284,6 +284,6 @@ def residual_check(sol: OneDimSolution, model: NonlinearityModel) -> float:
         raise ValidationError("residual check needs at least 5 grid nodes")
     h = sol.grid[1] - sol.grid[0]
     d2 = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
-    defect = np.max(np.abs(-d2 - eval_f(model, u[1:-1]))) if m > 1 else 0.0
+    defect = np.max(np.abs(-d2 - eval_f(model, u[1:-1])))
     sol.residual = float(defect)
     return sol.residual

@@ -257,6 +257,7 @@ def newton_solve(
                 f"newton did not reach tol {tol} in {max_iters} iterations", residual=rnorm
             )
         jac = (s0 - sparse.diags(eval_fprime(model, u))).tocsc()
+        lu = None  # free the previous factor first, so that one LU is alive at a time
         try:
             lu = spla.splu(jac)
         except RuntimeError as exc:  # exactly singular at a bifurcation point

@@ -10,7 +10,7 @@ import pytest
 import cylbif.pde_rectangle as pde
 from cylbif.cli import main
 from cylbif.errors import NonConvergenceError
-from oracles import ellipk_agm
+from oracles import brute_force_negative_count, ellipk_agm, jprime_zero
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -110,6 +110,48 @@ class TestSubcommands:
         expected = [j * math.pi / math.sqrt(5.0) for j in (1, 2, 3)]
         assert [float(r["t_bar"]) for r in rows] == pytest.approx(expected, rel=1e-12)
         assert all(r["simple"] == "true" for r in rows)
+
+    def test_disk_base_morse_and_bifurcation_points(self, tmp_path):
+        # unit disk: lambda = j'_{nu,k}^2, twice for nu >= 1 (cos and sin modes)
+        alphas = [-20.0, -6.0, 3.0]
+        t_max = 2.0
+        modes = [(0.0, 1)]
+        for nu in range(10):
+            for k in range(1, 10):
+                lam = jprime_zero(nu, k) ** 2
+                if lam > 100.0:
+                    break
+                modes.append((lam, 1 if nu == 0 else 2))
+        modes.sort()
+        lambdas = [lam for lam, _ in modes]
+        mults = [mult for _, mult in modes]
+
+        cfg = write_config(
+            tmp_path,
+            base={"type": "disk", "radius": 1.0},
+            alphas=alphas,
+            t_range={"t_min": 0.5, "t_max": t_max, "samples": 7},
+        )
+        assert main(["morse", "--config", str(cfg)]) == 0
+        rows = read_csv_rows(tmp_path / "out" / "morse.csv")
+        assert len(rows) == 7
+        for row in rows:
+            t = float(row["t"])
+            expected = brute_force_negative_count(alphas, [lam / t**2 for lam in lambdas], mults)
+            assert (int(row["m"]), row["degenerate"]) == (expected, "false"), t
+
+        assert main(["bifurcation-points", "--config", str(cfg)]) == 0
+        rows = read_csv_rows(tmp_path / "out" / "bifurcation-points.csv")
+        expected = sorted(
+            (math.sqrt(lam / -a), i, j)
+            for i, a in enumerate(alphas, start=1)
+            if a < 0
+            for j, lam in enumerate(lambdas)
+            if 0 < lam <= -a * t_max**2
+        )
+        assert [(int(r["i"]), int(r["j"])) for r in rows] == [(i, j) for _, i, j in expected]
+        assert [float(r["t_bar"]) for r in rows] == pytest.approx([t for t, _, _ in expected], rel=1e-10)
+        assert [int(r["multiplicity"]) for r in rows] == [mults[j] for _, _, j in expected]
 
     def test_verify_decomposition(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -243,6 +285,12 @@ class TestContract:
         cfg = write_config(tmp_path, alphas=[0.5, 3.0])
         assert main(["continue", "--config", str(cfg)]) == 4
         assert "no simple degeneracy scaling" in caplog.text
+
+    def test_bad_threads_creates_no_output_dir(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "never"
+        assert main(["base-eigs", "--config", str(cfg), "--threads", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_verify_decomposition_needs_interval_base(self, tmp_path):
         cfg = write_config(tmp_path, base={"type": "disk", "radius": 1.0})

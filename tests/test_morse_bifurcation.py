@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,29 @@ class TestDegeneracyTimes:
         merged = [p for p in points if len(p.pairs) > 1]
         assert merged and merged[0].kernel_multiplicity == 2
         assert not merged[0].simple
+
+    @pytest.mark.parametrize(
+        "domain, alphas, t_max",
+        [(Disk(1.0), [-40.0, -12.5, 3.0], 3.0), (Rectangle(1.0, 0.5), [-9.0, -1.0, 2.0], 4.0)],
+    )
+    def test_pair_table_equals_pair_loop(self, domain, alphas, t_max):
+        # the scalar double loop over (i, j) is the reference; the same IEEE
+        # division and sqrt give the same bits, so the match is exact
+        base = neumann_eigenvalues(domain, cutoff=1.05 * -alphas[0] * t_max**2)
+        events = sorted(
+            (math.sqrt(lam / -a), i, j)
+            for i, a in enumerate(alphas, start=1)
+            if a < 0.0
+            for j, lam in enumerate(base.lambdas)
+            if lam > 0.0 and math.sqrt(lam / -a) <= t_max * (1.0 + 1e-12)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the rectangle case has coincident pairs
+            points = degeneracy_times(alphas, base, t_max)
+        assert [pair for p in points for pair in p.pairs] == [(i, j) for _, i, j in events]
+        starts = np.cumsum([0] + [len(p.pairs) for p in points])[:-1]
+        assert [p.t_bar for p in points] == [events[k][0] for k in starts]
+        assert any(len(p.pairs) > 1 for p in points) == isinstance(domain, Rectangle)
 
 
 class TestMorseSweep:
