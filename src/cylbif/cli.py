@@ -493,14 +493,10 @@ def cmd_continue(cfg: RunConfig) -> dict:
             rows,
         )
         if cfg.options["dump_solutions"]:
-            xs = grid.x_nodes()
-            ys = grid.y_nodes()
+            xs = [_fmt(x) for x in grid.x_nodes()]
+            ys = [_fmt(y) for y in grid.y_nodes()]
             for idx, bp in enumerate(branch):
-                dump_rows = (
-                    (xs[ix], ys[iy], bp.solution[iy, ix])
-                    for iy in range(grid.ny)
-                    for ix in range(grid.nx)
-                )
+                dump_rows = zip(xs * grid.ny, (y for y in ys for _ in xs), bp.solution.ravel())
                 write_csv(
                     cfg.output_dir / f"solution_{sign_name}_{k_index}_{idx}.csv",
                     ["xprime", "xn", "u"],

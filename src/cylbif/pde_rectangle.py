@@ -11,7 +11,9 @@ ghost nodes on the Neumann sides; half-weight similarity scaling restores
 symmetry exactly as in the one-dimensional eigenproblem.  Because the
 x'-independent functions are preserved by the stencil, the solution of
 the height-only problem is a fixed point of D_t u = f(u) at every t, and
-branch detection can compare against that stored fixed point.
+branch detection can compare against that stored fixed point.  Newton
+solves with GMRES, preconditioned by the Jacobian's tensor-sum part at the
+x'-averaged potential, which is the exact Jacobian at height-only states.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
+from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.sparse import linalg as spla
 
 from .errors import (
@@ -63,6 +66,13 @@ FIRST_STEP_REL = 1e-2
 #: backtracking solves at offsets dt * BACKTRACK_RATIO**k, k = 1..BACKTRACK_OFFSETS
 BACKTRACK_OFFSETS = 5
 BACKTRACK_RATIO = 0.12
+#: Eisenstat-Walker forcing (choice 2) of the Newton steps; eta_0 is the cap
+FORCING_GAMMA = 0.9
+FORCING_ETA_MAX = 0.1
+#: absolute GMRES floor on the symmetrized residual, relative to the Newton tol
+KRYLOV_FLOOR_REL = 0.05
+#: GMRES restart length and inner-iteration cap of one linear solve
+KRYLOV_RESTART, KRYLOV_MAX_ITERS = 50, 100
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -102,16 +112,6 @@ def _as_full(u, grid: Grid2D) -> np.ndarray:
     if arr.shape != (grid.ny, grid.nx):
         raise ValidationError(f"expected array of shape {(grid.ny, grid.nx)}, got {arr.shape}")
     return arr
-
-
-def _dof_from_full(u: np.ndarray, grid: Grid2D) -> np.ndarray:
-    return u[: grid.ny - 1, :].ravel().copy()
-
-
-def _full_from_dof(dof: np.ndarray, grid: Grid2D) -> np.ndarray:
-    full = np.zeros((grid.ny, grid.nx))
-    full[: grid.ny - 1, :] = dof.reshape(grid.ny - 1, grid.nx)
-    return full
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
@@ -167,11 +167,30 @@ def _laplacian_parts(grid: Grid2D, t: float, l_base: float):
     sy = sparse.diags([height.off, height.diag, height.off], [-1, 0, 1], format="csr")
     dy = np.ones(grid.ny - 1)
     dy[0] = 1.0 / math.sqrt(2.0)
-    s0 = sparse.kron(sy, sparse.identity(grid.nx), format="csr") + sparse.kron(
-        sparse.identity(grid.ny - 1), sx, format="csr"
-    )
+    s0 = sparse.kronsum(sx, sy, format="csr")  # I (x) S_x + S_y (x) I
     dvec = np.kron(dy, dx)
-    return s0, dvec
+    return s0, dvec, sx
+
+
+def _separable_solver(modes, q: np.ndarray, grid: Grid2D):
+    """Solver for I (x) S_x + (S_y - diag qbar) (x) I, qbar the x'-average of q, given
+    the eigenpairs ``modes`` of S_x (fast diagonalization: in the x'-modes it is one
+    tridiagonal height system per mode, factored together as one block-diagonal matrix)."""
+    lam, vecs = modes
+    rows = grid.ny - 1
+    wx = _trapezoid_weights(grid.nx)
+    qbar = (q.reshape(rows, grid.nx) @ wx) / wx.sum()
+    height = assemble_sl_operator(np.append(qbar, 0.0), rows)
+    off = np.tile(np.append(height.off, 0.0), grid.nx)[:-1]
+    *factor, info = lapack.dgttrf(off, (lam[:, None] + height.diag).ravel(), off)
+    if info != 0:
+        raise NonConvergenceError("separable preconditioner is singular")
+
+    def solve(b):
+        z = lapack.dgttrs(*factor, (b.reshape(rows, grid.nx) @ vecs).T.ravel())[0]
+        return (vecs @ z.reshape(grid.nx, rows)).T.ravel()
+
+    return solve
 
 
 def assemble_linearized(
@@ -179,15 +198,16 @@ def assemble_linearized(
 ) -> Linearized2D:
     """Five-point discretization of D_t - f'(u) on the unit square."""
     full = _as_full(u, grid)
-    s0, dvec = _laplacian_parts(grid, t, l_base)
-    q = eval_fprime(model, _dof_from_full(full, grid))
+    s0, dvec, _ = _laplacian_parts(grid, t, l_base)
+    q = eval_fprime(model, full[:-1].ravel())
     matrix = (s0 - sparse.diags(q)).tocsr()
     return Linearized2D(matrix=matrix, dvec=dvec, sigma_floor=-max(0.0, float(np.max(q))) - 1.0)
 
 
 def smallest_eigenvalues(operator: Linearized2D, k: int, maxiter: int | None = None) -> np.ndarray:
     """k smallest eigenvalues via shift-invert Lanczos below the spectrum,
-    started from a fixed-seed random vector so that repeated calls agree."""
+    started from a fixed-seed random vector so that repeated calls agree; its sparse
+    LU of the shift makes it the direct check of the sum-set decomposition."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     try:
@@ -231,7 +251,8 @@ def newton_solve(
     l_base: float = 1.0,
     reference_1d: np.ndarray | None = None,
 ) -> BranchPoint:
-    """Newton iteration on R(u) = D_t u - f(u) with sparse direct solves.
+    """Inexact Newton iteration on R(u) = D_t u - f(u) with preconditioned GMRES
+    solves; a solve that reaches KRYLOV_MAX_ITERS raises NonConvergenceError.
 
     ``reference_1d`` (full-grid array) fixes the yardstick for
     ``distance_to_1d``; without it the distance is reported as NaN.
@@ -241,8 +262,9 @@ def newton_solve(
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
     full = _as_full(initial, grid)
-    s0, dvec = _laplacian_parts(grid, t, l_base)
-    u = _dof_from_full(full, grid)
+    s0, dvec, sx = _laplacian_parts(grid, t, l_base)
+    modes = eigh_tridiagonal(sx.diagonal(), sx.diagonal(1))
+    u = full[:-1].ravel()  # the unknowns: every row but the Dirichlet one
 
     def residual_vec(vec):
         return (s0 @ (dvec * vec)) / dvec - eval_f(model, vec)
@@ -250,27 +272,46 @@ def newton_solve(
     r = residual_vec(u)
     rnorm = float(np.max(np.abs(r)))
     r0 = max(rnorm, 1.0)
-    iters = 0
-    while rnorm > tol:
-        if iters >= max_iters:
-            raise NonConvergenceError(
-                f"newton did not reach tol {tol} in {max_iters} iterations", residual=rnorm
+    iters = krylov_iters = 0
+    try:
+        while rnorm > tol:
+            if iters >= max_iters:
+                raise NonConvergenceError(
+                    f"newton did not reach tol {tol} in {max_iters} iterations", residual=rnorm
+                )
+            b = dvec * r
+            bnorm = float(np.linalg.norm(b))
+            # the usual safeguard max(eta, gamma * eta_prev**2) only acts above 0.1, which
+            # the cap rules out; eta <= |b| keeps the last steps quadratic, since near the
+            # pitchfork a loose solve leaves an error along the near-kernel that |R| hides
+            ratio = bnorm / bnorm_prev if iters else 1.0
+            eta, bnorm_prev = min(FORCING_ETA_MAX, FORCING_GAMMA * ratio**2, bnorm), bnorm
+            q = eval_fprime(model, u)
+            jac = s0 - sparse.diags(q)
+            precond = _separable_solver(modes, q, grid)
+            residuals = []  # right preconditioning: GMRES minimizes the true linear residual
+            z, info = spla.gmres(
+                spla.LinearOperator(s0.shape, matvec=lambda v: jac @ precond(v), dtype=float), -b,
+                rtol=eta, atol=KRYLOV_FLOOR_REL * tol, restart=KRYLOV_RESTART,
+                maxiter=KRYLOV_MAX_ITERS // KRYLOV_RESTART, callback=residuals.append, callback_type="pr_norm",
             )
-        jac = (s0 - sparse.diags(eval_fprime(model, u))).tocsc()
-        lu = None  # free the previous factor first, so that one LU is alive at a time
-        try:
-            lu = spla.splu(jac)
-        except RuntimeError as exc:  # exactly singular at a bifurcation point
-            raise NonConvergenceError(f"jacobian factorization failed: {exc}") from exc
-        y = lu.solve(-(dvec * r))
-        u = u + y / dvec
-        r = residual_vec(u)
-        rnorm = float(np.max(np.abs(r)))
-        iters += 1
-        if not np.isfinite(rnorm) or rnorm > 1e8 * r0:
-            raise NonConvergenceError(f"newton diverged (residual {rnorm})", residual=rnorm)
+            krylov_iters += len(residuals)
+            if info != 0:
+                log.debug("gmres stalled at t = %.8g after %d iterations", t, len(residuals))
+                raise NonConvergenceError(f"gmres stalled after {len(residuals)} iterations", residual=rnorm)
+            u = u + precond(z) / dvec
+            r = residual_vec(u)
+            rnorm = float(np.max(np.abs(r)))
+            iters += 1
+            if not np.isfinite(rnorm) or rnorm > 1e8 * r0:
+                raise NonConvergenceError(f"newton diverged (residual {rnorm})", residual=rnorm)
+    finally:
+        log.debug(
+            "newton t = %.8g: %d iterations, %d krylov iterations, residual %.3g", t, iters, krylov_iters, rnorm
+        )
 
-    solution = _full_from_dof(u, grid)
+    solution = np.zeros((grid.ny, grid.nx))
+    solution[:-1] = u.reshape(grid.ny - 1, grid.nx)
     if np.any(solution):
         deviation = one_dimensionality_deviation(solution, grid)
         nodal = count_nodal_domains_2d(

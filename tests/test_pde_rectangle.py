@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from cylbif import (
     DegenerateInputError,
@@ -16,6 +19,7 @@ from cylbif import (
     count_nodal_domains_2d,
     embed_one_dim,
     eval_energy,
+    eval_f,
     eval_fprime,
     integrate_ivp,
     make_branch_context,
@@ -25,7 +29,31 @@ from cylbif import (
 )
 from cylbif.errors import BranchNotFoundError
 from cylbif.morse_bifurcation import BifurcationPoint
-from cylbif.pde_rectangle import _neumann_block
+from cylbif.pde_rectangle import _laplacian_parts, _neumann_block, _separable_solver
+
+
+def weighted_norm(u, grid):
+    wx = np.ones(grid.nx)
+    wx[0] = wx[-1] = 0.5
+    wy = np.ones(grid.ny)
+    wy[0] = wy[-1] = 0.5
+    return math.sqrt(grid.hx * grid.hy * np.einsum("i,j,ij->", wy, wx, u * u))
+
+
+def direct_newton(initial, t, model, grid, tol):
+    """Exact Newton with one sparse LU per step: the reference for the Krylov solves."""
+    # f'(0) = 0 for both families, so the operator at u = 0 is the bare D_t
+    lap = assemble_linearized(np.zeros((grid.ny, grid.nx)), t, model, grid)
+    v = initial[:-1].ravel().copy()
+    for _ in range(25):
+        r = lap.apply(v) - eval_f(model, v)
+        if np.max(np.abs(r)) <= tol:
+            full = np.zeros((grid.ny, grid.nx))
+            full[:-1] = v.reshape(grid.ny - 1, grid.nx)
+            return full
+        jac = (lap.matrix - sparse.diags(eval_fprime(model, v))).tocsc()
+        v = v + splu(jac).solve(-(lap.dvec * r)) / lap.dvec
+    raise AssertionError("reference Newton did not converge")
 
 
 def mixed_laplacian_analytic(count):
@@ -147,6 +175,37 @@ class TestNewton:
         rough = embed_one_dim(u1d, grid64) * 1.8
         with pytest.raises(NonConvergenceError):
             newton_solve(rough, 1.0, cubic_model, grid64, tol=1e-12, max_iters=1)
+
+    def test_branch_point_matches_direct_newton(self, cubic_model, cubic_solutions, first_crossing):
+        grid = Grid2D(48, 48)
+        ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
+        guess = ctx.u_ref + 0.1 * ctx.ref_norm * ctx.kernel
+        t = 1.01 * first_crossing.t_bar
+        bp = newton_solve(guess, t, cubic_model, grid, tol=1e-8, max_iters=25, reference_1d=ctx.u_ref)
+        ref = direct_newton(guess, t, cubic_model, grid, tol=1e-8)
+        assert bp.distance_to_1d > 1e-3
+        assert weighted_norm(bp.solution - ref, grid) / weighted_norm(ref, grid) <= 1e-8
+
+    def test_separable_solve_is_exact_at_height_only(self, branch_ctx, cubic_model, grid64):
+        # at a height-only state the preconditioner is the Jacobian itself
+        t = 1.3
+        op = assemble_linearized(branch_ctx.u_ref, t, cubic_model, grid64)
+        q = eval_fprime(cubic_model, branch_ctx.u_ref[:-1].ravel())
+        sx = _laplacian_parts(grid64, t, 1.0)[2].toarray()
+        solve = _separable_solver(np.linalg.eigh(sx), q, grid64)
+        b = np.random.default_rng(0).standard_normal(grid64.ndof)
+        ref = splu(op.matrix.tocsc()).solve(b)
+        assert np.max(np.abs(solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_wrong_side_guess_hits_stall_cap(self, branch_ctx, first_crossing, caplog):
+        # below t_bar no branch exists; a kick far outside the switching range
+        # leaves every linear solve stalled, and the iteration cap ends the solve
+        guess = branch_ctx.u_ref + 1.6 * branch_ctx.ref_norm * branch_ctx.kernel
+        with caplog.at_level(logging.DEBUG, logger="cylbif.pde"):
+            with pytest.raises(NonConvergenceError, match="gmres"):
+                branch_ctx.solve(guess, 0.99 * first_crossing.t_bar)
+        assert "gmres stalled" in caplog.text
+        assert "krylov iterations" in caplog.text
 
     def test_validation(self, cubic_model, grid64):
         with pytest.raises(ValidationError):
