@@ -66,7 +66,6 @@ from .pde_rectangle import (
 from .sturm_liouville import (
     extrapolated_alphas,
     linearized_spectrum,
-    nondegeneracy_margin,
     one_dim_morse,
     oscillation_check,
 )
@@ -336,7 +335,9 @@ def cmd_spectrum_1d(cfg: RunConfig) -> dict:
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
     k = int(cfg.options["k_eigs"])
     spec = linearized_spectrum(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
-    rows = [(i + 1, spec.alphas[i], int(spec.zero_counts[i])) for i in range(k)]
+    # the chain's alphas; zero counts and eigenfunctions are those of the eig_M grid
+    alphas = extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
+    rows = [(i + 1, alphas[i], int(spec.zero_counts[i])) for i in range(k)]
     write_csv(cfg.output_dir / "spectrum-1d.csv", ["i", "alpha_i", "zero_count_i"], rows)
     if cfg.options["emit_eigenfunctions"]:
         nodes = np.linspace(0.0, 1.0, spec.grid_size + 1)
@@ -348,9 +349,9 @@ def cmd_spectrum_1d(cfg: RunConfig) -> dict:
             )
     return {
         "amplitude": sol.amplitude,
-        "alphas": list(spec.alphas),
+        "alphas": list(alphas),
         "m_xn": one_dim_morse(spec),
-        "nondegeneracy_margin": nondegeneracy_margin(spec),
+        "nondegeneracy_margin": float(np.min(np.abs(alphas))),
         "oscillation_ok": oscillation_check(spec),
     }
 

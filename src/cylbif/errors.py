@@ -46,7 +46,7 @@ class IntegrationOverflowError(NonConvergenceError):
 
 
 class NoSolutionError(CylbifError):
-    """No admissible solution was found in the search window."""
+    """No admissible solution or branch exists, or its amplitude is not representable."""
 
 
 class BranchNotFoundError(NoSolutionError):

@@ -1,18 +1,17 @@
 """Shooting solver for -u'' = f(u) on (0,1) with u'(0) = u(1) = 0.
 
-The initial-value problem u(0) = a, u'(0) = 0 is integrated with classical
-fixed-step RK4; the amplitude a is then located by a geometric scan that
-classifies trajectories by their interior sign-change count, followed by
-bisection of the terminal value u(1; a) inside the window whose count is
-exactly n-1.  Sign-changing solutions with any prescribed number of nodal
-domains n >= 1 are reachable this way because the terminal value flips sign
-between consecutive quarter-period counts.
+The solution with n nodal domains spans 2n - 1 quarter periods of u'' = -f(u),
+so its amplitude solves (2n - 1) T(a) = 1 for the time map
+T(a) = int_0^a du / sqrt(2 (F(a) - F(u))), which decreases strictly because
+f(s)/s increases (Chicone 1987).  That root is polished on the RK4 grid:
+u(0) = a, u'(0) = 0 is integrated with classical fixed-step RK4 and the
+terminal value u(1; a) bisected in a tight bracket around it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,9 @@ from .nonlinearity import (
     NonlinearityModel,
     check_hypotheses,
     default_hypothesis_samples,
+    eval_F,
     eval_f,
+    eval_fprime,
 )
 
 __all__ = [
@@ -43,25 +44,21 @@ __all__ = [
 
 #: relative threshold used when counting sign changes of a sampled function
 SIGN_CHANGE_REL_TOL = 1e-8
-#: refinement budget of the window narrowing and of the terminal bisection
+#: iteration budget of the terminal bisection
 MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Discretization and search parameters for the amplitude shooting."""
+    """Discretization and tolerances of the amplitude shooting."""
 
     steps: int = 2000
-    amplitude_bracket: tuple[float, float] = (0.05, 200.0)
     tol_amplitude: float = 1e-12
     tol_terminal: float = 1e-10
 
     def __post_init__(self):
-        low, high = self.amplitude_bracket
         if self.steps < 100:
             raise ValidationError(f"ShootingConfig.steps must be >= 100, got {self.steps}")
-        if not 0.0 < low < high:
-            raise ValidationError(f"amplitude bracket must satisfy 0 < low < high, got {self.amplitude_bracket}")
         if min(self.tol_amplitude, self.tol_terminal) <= 0.0:
             raise ValidationError("shooting tolerances must be positive")
 
@@ -148,12 +145,43 @@ def count_nodal_domains_1d(values, tol: float) -> int:
     return 1 + int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def _classify(model: NonlinearityModel, amplitude: float, steps: int):
-    """Return (interior sign changes, terminal value) for one amplitude."""
-    u, _ = integrate_ivp(model, amplitude, steps)
-    tol = SIGN_CHANGE_REL_TOL * float(np.max(np.abs(u)))
-    changes = count_nodal_domains_1d(u, tol) - 1
-    return changes, float(u[-1])
+def _time_map_amplitude(model: NonlinearityModel, n: int) -> float:
+    """Root of (2n - 1) T(a) = 1: Gauss-Legendre quadrature of T after
+    u = a cos(phi), whose integrand is bounded, and bisection in log a on a
+    bracket widened by doubling from a = 1.  T(0+) = pi / (2 sqrt(f'(0))).
+    """
+    slope = float(eval_fprime(model, 0.0))
+    bound = ((2 * n - 1) * math.pi / 2.0) ** 2
+    if slope >= bound:
+        raise NoSolutionError(
+            f"f'(0) = {slope:.6g} >= ((2n - 1) pi/2)^2 = {bound:.6g}: T(a) < T(0+) <= 1/(2n - 1) "
+            f"for every amplitude, so no solution has n = {n} nodal domains"
+        )
+    x, w = np.polynomial.legendre.leggauss(64)
+    phi = 0.25 * math.pi * (x + 1.0)
+
+    def below_root(a: float) -> bool:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            drop = eval_F(model, a) - eval_F(model, a * np.cos(phi))
+            if not np.all(np.isfinite(drop)):
+                raise NoSolutionError(
+                    f"F(a) overflows at a = {a:.6g} while (2n - 1) T(a) > 1 for n = {n}: "
+                    "the amplitude lies beyond the float range"
+                )
+            period = 0.25 * math.pi * float(np.dot(w, a * np.sin(phi) / np.sqrt(2.0 * drop)))
+        return (2 * n - 1) * period > 1.0
+
+    lo = hi = 1.0
+    while below_root(hi):
+        lo, hi = hi, 2.0 * hi
+    while not below_root(lo):
+        if lo < 1e-150:
+            raise NoSolutionError(f"(2n - 1) T(a) <= 1 down to a = {lo:.3g}: f'(0) sits at the bound {bound:.6g}")
+        lo, hi = 0.5 * lo, lo
+    for _ in range(60):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = (mid, hi) if below_root(mid) else (lo, mid)
+    return math.sqrt(lo) * math.sqrt(hi)
 
 
 def find_one_dim_solution(
@@ -161,10 +189,10 @@ def find_one_dim_solution(
 ) -> OneDimSolution:
     """Shoot for the solution with exactly ``n`` nodal domains.
 
-    The amplitude window is scanned geometrically (factor 1.25) and each
-    trajectory is classified by its interior sign-change count; the window
-    boundary between counts n-1 and n is narrowed first, then the terminal
-    value is bisected inside it.
+    The time map gives the exact amplitude a0.  The RK4 terminal value
+    u(1; a) is bracketed by a0 (1 +- delta), delta growing tenfold from 1e-9
+    until it changes sign, and bisected; the nodal count and the residual of
+    the result are checked.
     """
     if n < 1:
         raise ValidationError(f"nodal count must be >= 1, got {n}")
@@ -177,83 +205,39 @@ def find_one_dim_solution(
             f"(first offenders {report.superlinear_failures[:2] + report.sign_failures[:2]})"
         )
 
-    low, high = config.amplitude_bracket
-    # classification is cheap at a coarser resolution; only the final
-    # terminal-value bisection needs the configured step count
-    scan_steps = min(config.steps, 600)
+    def terminal(a: float) -> float:
+        return float(integrate_ivp(model, a, config.steps)[0][-1])
 
-    a = low
-    prev = None  # (amplitude, changes)
-    bracket = None
-    while a <= high * 1.0000001:
-        changes, _ = _classify(model, a, scan_steps)
-        if prev is not None and prev[1] <= n - 1 and changes >= n:
-            bracket = (prev[0], a)
+    a0 = _time_map_amplitude(model, n)
+    delta = 1e-9
+    while True:
+        a_lo, a_hi = a0 * (1.0 - delta), a0 * (1.0 + delta)
+        t_lo = terminal(a_lo)
+        if t_lo * terminal(a_hi) <= 0.0:
             break
-        if prev is None and changes >= n:
-            raise NoSolutionError(
-                f"scan start {low} already has {changes} sign changes; "
-                f"no amplitude window with {n - 1} remains above it"
+        if delta >= 0.1:
+            raise NonConvergenceError(
+                f"u(1; a) keeps its sign on a0 (1 +- {delta:g}) around the time-map amplitude "
+                f"a0 = {a0!r}; {config.steps} RK4 steps are too coarse for {n} nodal domains"
             )
-        prev = (a, changes)
-        a *= 1.25
-    if bracket is None:
-        raise NoSolutionError(
-            f"no amplitude with {n} nodal domains found in "
-            f"[{low}, {high}] (largest count {prev[1] if prev else 'n/a'})"
-        )
+        delta *= 10.0
 
-    # narrow until the bracket endpoints sit in adjacent count classes;
-    # the scan has classified both ends already
-    a_lo, a_hi = bracket
-    c_lo, c_hi = prev[1], changes
-    iters = 0
-    while not (c_lo == n - 1 and c_hi == n):
-        mid = 0.5 * (a_lo + a_hi)
-        c_mid, _ = _classify(model, mid, scan_steps)
-        if c_mid <= n - 1:
-            a_lo, c_lo = mid, c_mid
+    for _ in range(MAX_BISECT):
+        a_star = 0.5 * (a_lo + a_hi)
+        t_mid = terminal(a_star)
+        if abs(t_mid) <= config.tol_terminal:
+            break
+        if (t_mid < 0.0) == (t_lo < 0.0):
+            a_lo, t_lo = a_star, t_mid
         else:
-            a_hi, c_hi = mid, c_mid
-        iters += 1
-        if iters > MAX_BISECT:
-            raise NonConvergenceError(
-                f"could not isolate the count-{n - 1}/{n} amplitude window "
-                f"within {MAX_BISECT} refinements"
-            )
-
-    # bisect the terminal value at full resolution
-    _, t_lo = _classify(model, a_lo, config.steps)
-    _, t_hi = _classify(model, a_hi, config.steps)
-    if t_lo == 0.0:
-        a_star = a_lo
-    elif t_hi == 0.0:
-        a_star = a_hi
+            a_hi = a_star
+        if a_hi - a_lo <= config.tol_amplitude * max(1.0, a_hi):
+            a_star = 0.5 * (a_lo + a_hi)
+            break
     else:
-        if math.copysign(1.0, t_lo) == math.copysign(1.0, t_hi):
-            raise NonConvergenceError(
-                "terminal value does not change sign across the isolated window; "
-                "refine the scan resolution"
-            )
-        a_star = None
-        for _ in range(MAX_BISECT):
-            mid = 0.5 * (a_lo + a_hi)
-            _, t_mid = _classify(model, mid, config.steps)
-            if abs(t_mid) <= config.tol_terminal:
-                a_star = mid
-                break
-            if math.copysign(1.0, t_mid) == math.copysign(1.0, t_lo):
-                a_lo, t_lo = mid, t_mid
-            else:
-                a_hi, t_hi = mid, t_mid
-            if a_hi - a_lo <= config.tol_amplitude * max(1.0, a_hi):
-                a_star = 0.5 * (a_lo + a_hi)
-                break
-        if a_star is None:
-            raise NonConvergenceError(
-                f"terminal bisection did not converge in {MAX_BISECT} iterations",
-                residual=abs(t_lo),
-            )
+        raise NonConvergenceError(
+            f"terminal bisection did not converge in {MAX_BISECT} iterations", residual=abs(t_lo)
+        )
 
     u, du = integrate_ivp(model, a_star, config.steps)
     tol = SIGN_CHANGE_REL_TOL * float(np.max(np.abs(u)))

@@ -538,6 +538,7 @@ def continue_branch(
                 break
             continue
         branch.append(bp)
+        halvings = 0
     return branch
 
 

@@ -5,6 +5,8 @@ These deliberately avoid the code paths they are meant to check:
 * the complete elliptic integral is evaluated by the arithmetic-geometric
   mean, and the Jacobi cn function through its theta-quotient with the
   nome obtained from the AGM (no ODE integration anywhere);
+* Lane-Emden shooting amplitudes come from the closed-form time map, a Beta
+  function (no quadrature);
 * Bessel functions are summed from the defining power series in log form
   and their derivative zeros located by plain bisection (no scipy.special);
 * Morse counts are brute-forced over all mode pairs.
@@ -28,6 +30,24 @@ def ellipk_agm(m: float) -> float:
     if not 0.0 <= m < 1.0:
         raise ValueError(f"parameter must be in [0, 1), got {m}")
     return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - m)))
+
+
+def lane_emden_amplitude(p: float, n: int) -> float:
+    """u(0) of the n-domain solution of -u'' = |u|^(p-2) u, u'(0) = u(1) = 0.
+
+    The quarter period from amplitude a is sqrt(p/2) a^(1 - p/2) B(1/p, 1/2) / p,
+    and n nodal domains take 2n - 1 quarter periods on [0, 1].
+    """
+    log_beta = math.lgamma(1.0 / p) + math.lgamma(0.5) - math.lgamma(1.0 / p + 0.5)
+    log_scale = math.log(2 * n - 1) + 0.5 * math.log(p / 2.0) + log_beta - math.log(p)
+    return math.exp(2.0 * log_scale / (p - 2.0))
+
+
+def cubic_quarter_period(c1: float, c3: float, a: float) -> float:
+    """Quarter period of u'' = -(c1 u + c3 u^3) from amplitude a: K(m) / sqrt(c1 + c3 a^2)
+    with m = c3 a^2 / (2 (c1 + c3 a^2))."""
+    s = c1 + c3 * a * a
+    return ellipk_agm(0.5 * c3 * a * a / s) / math.sqrt(s)
 
 
 def _theta2(v: float, q: float) -> float:

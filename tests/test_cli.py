@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cylbif.pde_rectangle as pde
+from cylbif import LaneEmden, extrapolated_alphas
 from cylbif.cli import main
 from cylbif.errors import NonConvergenceError
 from oracles import brute_force_negative_count, ellipk_agm, jprime_zero
@@ -65,6 +68,17 @@ class TestSubcommands:
         rows = read_csv_rows(tmp_path / "out" / "solve-1d.csv")
         assert list(rows[0]) == ["x", "u", "uprime"]
         assert float(rows[0]["u"]) == pytest.approx(summary["results"]["amplitude"], rel=1e-12)
+
+    def test_spectrum_1d_writes_the_chain_alphas(self, tmp_path):
+        # the same Richardson-extrapolated alphas that morse and continue compose
+        cfg = write_config(tmp_path, options={"k_eigs": 6})
+        assert main(["spectrum-1d", "--config", str(cfg)]) == 0
+        results = read_summary(tmp_path)["results"]
+        expected = extrapolated_alphas(LaneEmden(4.0), results["amplitude"], 1600, 6)
+        rows = read_csv_rows(tmp_path / "out" / "spectrum-1d.csv")
+        assert [float(r["alpha_i"]) for r in rows] == list(expected)
+        assert results["alphas"] == list(expected)
+        assert results["nondegeneracy_margin"] == float(np.min(np.abs(expected)))
 
     def test_spectrum_1d_with_eigenfunctions(self, tmp_path):
         cfg = write_config(tmp_path, options={"k_eigs": 4, "emit_eigenfunctions": True})
@@ -245,6 +259,12 @@ class TestContract:
         cfg = write_config(tmp_path, model={"type": "cubic", "c1": 10.0, "c3": 1.0})
         assert main(["solve-1d", "--config", str(cfg)]) == 4
 
+    def test_amplitude_beyond_float_range_exit_code(self, tmp_path, caplog):
+        # the p = 2.001 amplitude is about exp(903); the search stops where F(a) overflows
+        cfg = write_config(tmp_path, model={"type": "lane_emden", "p": 2.001})
+        assert main(["solve-1d", "--config", str(cfg)]) == 4
+        assert "beyond the float range" in caplog.text
+
     def test_nonconvergence_exit_code(self, tmp_path):
         # a tolerance below the residual rounding floor cannot be met
         cfg = write_config(
@@ -278,6 +298,35 @@ class TestContract:
         assert main(["continue", "--config", str(cfg)]) == 0
         results = read_summary(tmp_path)["results"]
         assert results["points_plus"] == 4
+        assert results["outcome_plus"] == "reached_t_limit"
+
+    def test_continue_caps_halvings_per_step(self, tmp_path, monkeypatch):
+        # four failed solves at each of two steps halve the step 8 times in
+        # all, but at most 6 times per step is the cap, so nothing stalls
+        real_solve = pde.newton_solve
+        accepted = 0
+        failed = {}
+
+        def flaky(*args, **kwargs):
+            nonlocal accepted
+            on_branch = kwargs.get("reference_1d") is not None
+            if on_branch and accepted in (2, 4) and failed.get(accepted, 0) < 4:
+                failed[accepted] = failed.get(accepted, 0) + 1
+                raise NonConvergenceError("injected failure")
+            bp = real_solve(*args, **kwargs)
+            accepted += on_branch
+            return bp
+
+        monkeypatch.setattr(pde, "newton_solve", flaky)
+        cfg = write_config(
+            tmp_path,
+            grids={"ode_M": 1200, "eig_M": 1600, "nx": 40, "ny": 40},
+            options={"branch_steps": 6, "dump_solutions": False},
+        )
+        assert main(["continue", "--config", str(cfg)]) == 0
+        assert failed == {2: 4, 4: 4}
+        results = read_summary(tmp_path)["results"]
+        assert results["points_plus"] == 6
         assert results["outcome_plus"] == "reached_t_limit"
 
     def test_continue_without_negative_alphas_has_no_crossing(self, tmp_path, caplog):
@@ -342,7 +391,9 @@ class TestContract:
 
 def test_installed_entry_point_and_log_env(tmp_path):
     cfg = write_config(tmp_path)
-    env = dict(os.environ, CYLBIF_LOG="debug")
+    # the package's own directory first, so that a checkout runs without an install
+    paths = [str(Path(pde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, CYLBIF_LOG="debug", PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "cylbif", "base-eigs", "--config", str(cfg)],
         capture_output=True,

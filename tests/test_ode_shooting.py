@@ -10,6 +10,7 @@ from cylbif import (
     IntegrationOverflowError,
     LaneEmden,
     NoSolutionError,
+    NonConvergenceError,
     OneDimSolution,
     ShootingConfig,
     ValidationError,
@@ -19,7 +20,7 @@ from cylbif import (
     integrate_ivp,
     residual_check,
 )
-from oracles import ellipk_agm, jacobi_cn
+from oracles import cubic_quarter_period, ellipk_agm, jacobi_cn, lane_emden_amplitude
 
 K_HALF = ellipk_agm(0.5)
 
@@ -129,11 +130,6 @@ class TestAmplitudeSearch:
         order = math.log2(errors[0] / errors[1])
         assert 3.0 < order < 5.0
 
-    def test_no_bracket_raises(self, cubic_model):
-        cfg = ShootingConfig(amplitude_bracket=(1e-6, 1e-5))
-        with pytest.raises(NoSolutionError):
-            find_one_dim_solution(cubic_model, 1, cfg)
-
     def test_inadmissible_model_rejected(self):
         with pytest.raises(ValidationError):
             find_one_dim_solution(LaneEmden(1.5), 1)
@@ -142,6 +138,38 @@ class TestAmplitudeSearch:
         # with c1 > (pi/2)^2 every trajectory oscillates before x = 1
         with pytest.raises(NoSolutionError):
             find_one_dim_solution(CubicFamily(c1=10.0, c3=1.0), 1)
+
+    @pytest.mark.parametrize("p, n", [(2.05, 1), (2.5, 2), (6.0, 3)])
+    def test_lane_emden_amplitudes_match_closed_form(self, p, n):
+        # amplitudes 8.5e7, 594 and 3.2: large ones need no preset search window
+        sol = find_one_dim_solution(LaneEmden(p), n)
+        assert sol.nodal_count == n
+        assert sol.amplitude == pytest.approx(lane_emden_amplitude(p, n), rel=1e-8)
+
+    def test_stiff_cubic_amplitude_matches_elliptic_quarter_period(self):
+        # f = c3 u^3 scales the p = 4 amplitude by 1/sqrt(c3)
+        sol = find_one_dim_solution(CubicFamily(c1=0.0, c3=1e4), 1)
+        assert sol.amplitude == pytest.approx(K_HALF / 100.0, rel=1e-8)
+
+    def test_linear_part_at_the_time_map_bound(self):
+        # T(0+) = pi / (2 sqrt(c1)) < 1 rules out n = 1 for c1 = 3 > (pi/2)^2,
+        # while three quarter periods still fit below (3 pi/2)^2
+        model = CubicFamily(c1=3.0, c3=1.0)
+        with pytest.raises(NoSolutionError, match=r"\(\(2n - 1\) pi/2\)\^2 = 2\.4674"):
+            find_one_dim_solution(model, 1)
+        sol = find_one_dim_solution(model, 2)
+        assert sol.nodal_count == 2
+        assert 3.0 * cubic_quarter_period(3.0, 1.0, sol.amplitude) == pytest.approx(1.0, rel=1e-8)
+        # within rounding of the bound the amplitude search stops instead of halving to 0
+        with pytest.raises(NoSolutionError, match="sits at the bound"):
+            find_one_dim_solution(CubicFamily(c1=(math.pi / 2) ** 2 * (1.0 - 1e-15), c3=1.0), 1)
+
+    @pytest.mark.parametrize("p, n, what", [(3.0, 20, "too coarse"), (4.0, 15, "nodal domains")])
+    def test_coarse_grid_reported_as_nonconvergence(self, p, n, what):
+        # 100 RK4 steps either miss the sign change of u(1; a) near the
+        # time-map amplitude or land on a root with the wrong nodal count
+        with pytest.raises(NonConvergenceError, match=what):
+            find_one_dim_solution(LaneEmden(p), n, ShootingConfig(steps=100))
 
 
 class TestResidual:
