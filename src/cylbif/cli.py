@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,7 @@ from .pde_rectangle import (
     smallest_eigenvalues,
 )
 from .sturm_liouville import (
+    _extrapolated_from,
     extrapolated_alphas,
     linearized_spectrum,
     one_dim_morse,
@@ -90,6 +92,8 @@ EXIT_NO_SOLUTION = 4
 EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
+# rows formatted per % operation in write_csv; a fixed size keeps peak memory flat
+CSV_CHUNK_ROWS = 4096
 
 # single defaults table; every entry can be overridden per run
 DEFAULT_GRIDS = {"ode_M": 2000, "eig_M": 2000, "nx": 200, "ny": 200}
@@ -241,19 +245,38 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+def _conversion(kind: type) -> str:
+    """The ``%`` conversion of CSV values of type ``kind``; booleans are mapped to strings first."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (bool, np.bool_)):
+        return "bool"
+    return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` as CSV lines, ``CSV_CHUNK_ROWS`` rows per ``%`` operation.
+
+    The first row fixes each column's kind: strings as they are, booleans as
+    ``true``/``false``, integers in decimal, anything else as ``%.17g`` of the
+    float (``-0``, ``nan``, ``inf``).  A later value of another kind raises TypeError.
+    """
+    rows, kinds = iter(rows), None
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+        for chunk in iter(lambda: list(islice(rows, CSV_CHUNK_ROWS)), []):
+            if kinds is None:
+                kinds = [_conversion(type(v)) for v in chunk[0]]
+                line = ",".join("%s" if kind == "bool" else kind for kind in kinds) + "\n"
+            flat = list(chain.from_iterable(chunk))
+            for c, kind in enumerate(kinds):
+                column = flat[c :: len(kinds)]
+                found = {_conversion(t) for t in set(map(type, column))}
+                if found != {kind}:
+                    raise TypeError(f"{path}: column {header[c]} mixes {sorted(found)} values")
+                if kind == "bool":
+                    flat[c :: len(kinds)] = ["true" if v else "false" for v in column]
+            fh.write((line * len(chunk)) % tuple(flat))
 
 
 def write_summary(cfg: RunConfig, subcommand: str, results: dict) -> None:
@@ -336,7 +359,7 @@ def cmd_spectrum_1d(cfg: RunConfig) -> dict:
     k = int(cfg.options["k_eigs"])
     spec = linearized_spectrum(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
     # the chain's alphas; zero counts and eigenfunctions are those of the eig_M grid
-    alphas = extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
+    alphas = _extrapolated_from(spec, cfg.model, sol.amplitude)
     rows = [(i + 1, alphas[i], int(spec.zero_counts[i])) for i in range(k)]
     write_csv(cfg.output_dir / "spectrum-1d.csv", ["i", "alpha_i", "zero_count_i"], rows)
     if cfg.options["emit_eigenfunctions"]:
@@ -470,11 +493,17 @@ def cmd_continue(cfg: RunConfig) -> dict:
         "energy_one_dim": energy_ref,
     }
     eps0 = 1e-1 * ctx.ref_norm
+    if cfg.options["dump_solutions"]:
+        # the dumps' x' and x_N columns, formatted once, row-major like solution.ravel()
+        xs = [f"{x:.17g}" for x in grid.x_nodes().tolist()]
+        ys = [f"{y:.17g}" for y in grid.y_nodes().tolist()]
+        xcol, ycol = xs * grid.ny, [y for y in ys for _ in xs]
     branches = {}
     for sign_name, eps in (("plus", eps0), ("minus", -eps0)):
         try:
-            branch = continue_branch(ctx, point, direction=+1, steps=steps, eps0=eps)
-        except NoSolutionError:
+            branch = continue_branch(ctx, point, direction=+1, steps=steps, t_max=t_max, eps0=eps)
+        except NoSolutionError as exc:
+            log.info("no %s half-branch: %s", sign_name, exc)
             branch = []
         branches[sign_name] = branch
         rows = [
@@ -494,17 +523,14 @@ def cmd_continue(cfg: RunConfig) -> dict:
             rows,
         )
         if cfg.options["dump_solutions"]:
-            xs = [_fmt(x) for x in grid.x_nodes()]
-            ys = [_fmt(y) for y in grid.y_nodes()]
             for idx, bp in enumerate(branch):
-                dump_rows = zip(xs * grid.ny, (y for y in ys for _ in xs), bp.solution.ravel())
                 write_csv(
                     cfg.output_dir / f"solution_{sign_name}_{k_index}_{idx}.csv",
                     ["xprime", "xn", "u"],
-                    dump_rows,
+                    zip(xcol, ycol, bp.solution.ravel().tolist()),
                 )
         if branch:
-            outcome = "stalled" if len(branch) < steps else "reached_t_limit"
+            outcome = "stalled" if len(branch) < steps and branch[-1].t < t_max else "reached_t_limit"
             if branch[-1].distance_to_1d < 10 * ctx.tol:
                 outcome = "returned_to_one_dimensional"
             results[f"outcome_{sign_name}"] = outcome
@@ -559,22 +585,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         log.info("running %s into %s", args.subcommand, cfg.output_dir)
-        if args.subcommand == "check-f":
-            results = cmd_check_f(cfg)
-        elif args.subcommand == "solve-1d":
-            results = cmd_solve_1d(cfg)
-        elif args.subcommand == "spectrum-1d":
-            results = cmd_spectrum_1d(cfg)
-        elif args.subcommand == "base-eigs":
-            results = cmd_base_eigs(cfg)
-        elif args.subcommand == "morse":
-            results = cmd_morse(cfg)
-        elif args.subcommand == "bifurcation-points":
-            results = cmd_bifurcation_points(cfg)
-        elif args.subcommand == "verify-decomposition":
-            results = cmd_verify_decomposition(cfg)
-        else:
-            results = cmd_continue(cfg)
+        # cmd_<subcommand>, looked up at call time so that a wrapper bound to that name is called
+        results = globals()["cmd_" + args.subcommand.replace("-", "_")](cfg)
         write_summary(cfg, args.subcommand, results)
     except ValidationError as exc:
         log.error("validation failure: %s", exc)

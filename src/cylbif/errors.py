@@ -50,4 +50,5 @@ class NoSolutionError(CylbifError):
 
 
 class BranchNotFoundError(NoSolutionError):
-    """Branch switching fell back to the known solution at every attempt."""
+    """Branch switching fell back to the known solution at every attempt, or its
+    first point would lie past t_max."""

@@ -471,6 +471,7 @@ def continue_branch(
     point: BifurcationPoint,
     direction: int,
     steps: int,
+    t_max: float,
     eps0: float | None = None,
 ) -> list[BranchPoint]:
     """Switch onto the bifurcating branch at a simple point and follow it.
@@ -483,8 +484,10 @@ def continue_branch(
     branch, so the perturbation has to be commensurate with the branch,
     not merely nonzero.  Subsequent points use natural-parameter
     continuation with a secant predictor and step halving (at most 6
-    halvings per step).  Returns the ordered branch; it may be shorter
-    than ``steps`` if continuation stalls.
+    halvings per step).  No point is solved past ``t_max``: a step that would
+    cross it is cut to end there, and the branch ends at it.  Returns the
+    ordered branch; it may be shorter than ``steps`` if continuation stalls
+    or reaches ``t_max``.
     """
     if not point.simple:
         raise ValidationError(
@@ -502,6 +505,8 @@ def continue_branch(
 
     branch: list[BranchPoint] = []
     t1 = t_bar + direction * dt0
+    if t1 > t_max:
+        raise BranchNotFoundError(f"the first branch point t = {t1:.6g} lies past t_max = {t_max:.6g}")
     for eps in (eps0, 2.0 * eps0, 4.0 * eps0):
         guess = ctx.u_ref + eps * ctx.kernel
         try:
@@ -520,8 +525,10 @@ def continue_branch(
 
     dt = dt0
     halvings = 0
-    while len(branch) < steps:
+    while len(branch) < steps and branch[-1].t < t_max:
         t_next = branch[-1].t + direction * dt
+        if t_next > t_max:  # a failed solve there halves the shortened step
+            t_next, dt = t_max, t_max - branch[-1].t
         if len(branch) >= 2:
             prev, last = branch[-2], branch[-1]
             slope = (last.solution - prev.solution) / (last.t - prev.t)

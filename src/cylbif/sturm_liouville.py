@@ -180,5 +180,10 @@ def richardson_extrapolate(values) -> float:
 def extrapolated_alphas(model: NonlinearityModel, amplitude: float, grid_size: int, k: int) -> np.ndarray:
     """First k linearization eigenvalues, Richardson-extrapolated from the
     grids grid_size // 4, grid_size // 2 and grid_size."""
-    per_m = [linearized_spectrum(model, amplitude, m, k).alphas for m in (grid_size // 4, grid_size // 2, grid_size)]
-    return np.array([richardson_extrapolate(column) for column in zip(*per_m)])
+    return _extrapolated_from(linearized_spectrum(model, amplitude, grid_size, k), model, amplitude)
+
+
+def _extrapolated_from(finest: SturmSpectrum, model: NonlinearityModel, amplitude: float) -> np.ndarray:
+    """``extrapolated_alphas`` around the already solved spectrum of its finest grid."""
+    coarse = [linearized_spectrum(model, amplitude, finest.grid_size // d, len(finest.alphas)).alphas for d in (4, 2)]
+    return np.array([richardson_extrapolate(column) for column in zip(*coarse, finest.alphas)])

@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+import logging
 import math
 import os
 import subprocess
@@ -9,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cylbif.cli as cli
 import cylbif.pde_rectangle as pde
+import cylbif.sturm_liouville as sl
 from cylbif import LaneEmden, extrapolated_alphas
-from cylbif.cli import main
+from cylbif.cli import CSV_CHUNK_ROWS, main, write_csv
 from cylbif.errors import NonConvergenceError
 from oracles import brute_force_negative_count, ellipk_agm, jprime_zero
 
@@ -90,6 +94,21 @@ class TestSubcommands:
         assert [r["i"] for r in rows] == ["1", "2", "3", "4"]
         for i in range(1, 5):
             assert (tmp_path / "out" / f"eigenfunction_{i}.csv").exists()
+
+    def test_spectrum_1d_solves_the_finest_grid_once(self, tmp_path, monkeypatch):
+        # eig_M for the zero counts and the Richardson triple's finest grid, eig_M / 2 and eig_M / 4
+        grids = []
+        real = sl.linearized_spectrum
+
+        def counted(model, amplitude, grid_size, k):
+            grids.append(grid_size)
+            return real(model, amplitude, grid_size, k)
+
+        monkeypatch.setattr(cli, "linearized_spectrum", counted)
+        monkeypatch.setattr(sl, "linearized_spectrum", counted)
+        cfg = write_config(tmp_path, options={"k_eigs": 6})
+        assert main(["spectrum-1d", "--config", str(cfg)]) == 0
+        assert sorted(grids) == [400, 800, 1600]
 
     def test_base_eigs(self, tmp_path):
         cfg = write_config(tmp_path, options={"cutoff": 100.0})
@@ -194,6 +213,186 @@ class TestSubcommands:
         dump = read_csv_rows(tmp_path / "out" / "solution_plus_1_0.csv")
         assert len(dump) == 48 * 48
         assert set(dump[0]) == {"xprime", "xn", "u"}
+
+
+    def test_continue_stops_at_t_max(self, tmp_path):
+        # t_bar = 1.383 here; four steps of 0.0138 would run to t = 1.439
+        cfg = write_config(
+            tmp_path,
+            grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48},
+            t_range={"t_min": 0.5, "t_max": 1.4, "samples": 20},
+            options={"branch_steps": 4, "dump_solutions": False},
+        )
+        assert main(["continue", "--config", str(cfg)]) == 0
+        results = read_summary(tmp_path)["results"]
+        for sign in ("plus", "minus"):
+            ts = [float(r["t"]) for r in read_csv_rows(tmp_path / "out" / f"branch_{sign}_1.csv")]
+            assert ts and all(t <= 1.4 for t in ts), ts
+            assert ts[-1] == 1.4
+            assert results[f"outcome_{sign}"] == "reached_t_limit"
+            assert results[f"points_{sign}"] == len(ts) < 4
+
+    def test_continue_with_first_point_past_t_max(self, tmp_path, caplog):
+        # t_max between t_bar and the first branch point t_bar * 1.01
+        caplog.set_level(logging.INFO, logger="cylbif")
+        cfg = write_config(tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32})
+        assert main(["bifurcation-points", "--config", str(cfg)]) == 0
+        t_bar = read_summary(tmp_path)["results"]["t_bars"][0]
+        t_range = {"t_min": 0.5, "t_max": 1.005 * t_bar, "samples": 20}
+        cfg = write_config(tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32}, t_range=t_range)
+        assert main(["continue", "--config", str(cfg)]) == 4
+        assert "no plus half-branch" in caplog.text and "past t_max" in caplog.text
+
+    def test_continue_dumps_are_deterministic(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            grids={"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32},
+            options={"branch_steps": 2, "dump_solutions": True},
+        )
+        out = tmp_path / "out"
+        dumps = []
+        for _ in range(2):
+            assert main(["continue", "--config", str(cfg)]) == 0
+            dumps.append({path.name: path.read_bytes() for path in sorted(out.glob("solution_*.csv"))})
+        assert len(dumps[0]) == 4
+        assert dumps[0] == dumps[1]
+        for name in dumps[0]:
+            rows = read_csv_rows(out / name)
+            assert len(rows) == 32 * 32
+            assert all(f"{float(r['u']):.17g}" == r["u"] for r in rows), name
+
+
+def _fmt_reference(x) -> str:
+    """The per-value formatter ``write_csv`` used before it formatted whole chunks."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+def _csv_reference(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(v if isinstance(v, str) else _fmt_reference(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriteCsv:
+    FLOATS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1 / 3, 1e22, 0.1, -2.5e-300, 123456789.0]
+
+    def mixed_rows(self):
+        """One column per kind; each column mixes the Python and NumPy types of its kind."""
+        return [
+            (
+                bool(k % 2) if k % 3 else np.bool_(k % 2),
+                k - 4 if k % 2 else np.int64(10**15 * k),
+                x,
+                np.float64(self.FLOATS[-1 - k]),
+                np.float32(x) if k % 2 else -x,
+                f"s{k}|{k}x",
+            )
+            for k, x in enumerate(self.FLOATS)
+        ]
+
+    def test_every_kind_matches_the_reference(self, tmp_path):
+        header = ["b", "i", "f", "f64", "f32", "s"]
+        rows = self.mixed_rows()
+        write_csv(tmp_path / "mixed.csv", header, rows)
+        assert (tmp_path / "mixed.csv").read_bytes() == _csv_reference(header, rows)
+        text = (tmp_path / "mixed.csv").read_text()
+        for token in (",-0,", ",nan,", ",-inf,", ",4.9406564584124654e-324,", ",1e+22,", ",0.33333333333333331,"):
+            assert token in text, token
+
+    def test_empty_rows_write_the_header(self, tmp_path):
+        write_csv(tmp_path / "empty.csv", ["a", "b"], [])
+        assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("count", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 7])
+    def test_generators_across_chunks(self, tmp_path, count):
+        rows = [(k, k / 7.0, k % 3 == 0, str(k)) for k in range(count)]
+        write_csv(tmp_path / "gen.csv", ["k", "x", "b", "s"], (row for row in rows))
+        assert (tmp_path / "gen.csv").read_bytes() == _csv_reference(["k", "x", "b", "s"], rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1,), (2.5,)],  # a float in an integer column is never truncated
+            [(1.0,), (True,)],
+            [(1.0,), (2,)],
+            [(True,), (1,)],
+            [("a",), (1.5,)],
+            [(1,)] * CSV_CHUNK_ROWS + [(np.float64(2.0),)],  # in a later chunk
+        ],
+    )
+    def test_a_column_of_mixed_kinds_is_rejected(self, tmp_path, rows):
+        with pytest.raises(TypeError, match="column a mixes"):
+            write_csv(tmp_path / "bad.csv", ["a"], rows)
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("check-f", {}),
+            ("solve-1d", {}),
+            ("spectrum-1d", {"options": {"k_eigs": 4, "emit_eigenfunctions": True}}),
+            ("base-eigs", {"base": {"type": "rectangle", "a": 1.0, "b": 1.0}, "options": {"cutoff": 60.0}}),
+            ("morse", {}),
+            ("bifurcation-points", {}),
+            (
+                "continue",
+                {
+                    "grids": {"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32},
+                    "options": {"branch_steps": 2, "dump_solutions": True},
+                },
+            ),
+        ],
+    )
+    def test_caller_rows_match_the_reference(self, tmp_path, monkeypatch, subcommand, overrides):
+        written = []
+
+        def capture(path, header, rows):
+            rows = list(rows)
+            write_csv(path, header, rows)
+            written.append((path, header, rows))
+
+        monkeypatch.setattr(cli, "write_csv", capture)
+        cfg = write_config(tmp_path, **overrides)
+        assert main([subcommand, "--config", str(cfg)]) == 0
+        assert written
+        for path, header, rows in written:
+            assert Path(path).read_bytes() == _csv_reference(header, rows), path
+        if subcommand == "base-eigs":
+            assert any("|" in row[-1] for _, _, rows in written for row in rows)  # a square's double eigenvalues
+        if subcommand == "morse":
+            assert {row[-1] for row in written[0][2]} == {False}
+        if subcommand == "continue":
+            assert sum(1 for path, _, rows in written if len(rows) == 32 * 32) == 4
+
+
+def test_tracing_counts_every_file_written(tmp_path):
+    # benchmarks/tracing.py wraps cylbif functions by name and binds write_csv's path,
+    # newton_solve's tol and reference_1d; a rename shows up here instead of in a benchmark run
+    root = Path(__file__).resolve().parents[1]
+    cfg = write_config(
+        tmp_path,
+        grids={"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32},
+        options={"branch_steps": 2, "dump_solutions": True},
+    )
+    spans = tmp_path / "spans.json"
+    paths = [str(Path(pde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "tracing.py"), "--spans", str(spans), "--",
+         "continue", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("tracing", root / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    metrics = tracing.layer_metrics([tracing.invocation_profile(spans)])
+    assert metrics["cli.files_written"] == len(list((tmp_path / "out").iterdir()))
+    assert metrics["pde_rectangle.newton_calls"] > 0
 
 
 class TestContract:

@@ -308,7 +308,7 @@ class TestBranch:
         found = {}
         for direction in (+1, -1):
             try:
-                branch = continue_branch(branch_ctx, first_crossing, direction, steps=1)
+                branch = continue_branch(branch_ctx, first_crossing, direction, steps=1, t_max=2 * first_crossing.t_bar)
                 found[direction] = branch[0]
             except BranchNotFoundError:
                 found[direction] = None
@@ -320,7 +320,7 @@ class TestBranch:
         assert bp.nodal_count_2d == 1
 
     def test_continuation_returns_ordered_points(self, branch_ctx, first_crossing):
-        branch = continue_branch(branch_ctx, first_crossing, +1, steps=3)
+        branch = continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=2 * first_crossing.t_bar)
         assert len(branch) == 3
         ts = [bp.t for bp in branch]
         assert ts == sorted(ts)
@@ -328,8 +328,19 @@ class TestBranch:
         # moving away from the crossing the defect keeps growing
         assert branch[-1].deviation > branch[0].deviation
 
+    def test_continuation_ends_at_t_max(self, branch_ctx, first_crossing):
+        # the first point sits at 1.01 * t_bar; the next step would reach 1.02 * t_bar
+        t_max = 1.015 * first_crossing.t_bar
+        branch = continue_branch(branch_ctx, first_crossing, +1, steps=5, t_max=t_max)
+        assert [bp.t for bp in branch] == [pytest.approx(1.01 * first_crossing.t_bar, rel=1e-14), t_max]
+        assert all(bp.residual <= branch_ctx.tol for bp in branch)
+
+    def test_first_point_past_t_max_is_not_a_branch(self, branch_ctx, first_crossing):
+        with pytest.raises(BranchNotFoundError, match="t_max"):
+            continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=1.005 * first_crossing.t_bar)
+
     def test_backtrack_distance_shrinks_monotonically(self, branch_ctx, first_crossing):
-        start = continue_branch(branch_ctx, first_crossing, +1, steps=1)[0]
+        start = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0]
         back = backtrack_branch(branch_ctx, start)
         dists = [bp.distance_to_1d for bp in back]
         assert all(a > b for a, b in zip(dists, dists[1:]))
@@ -357,14 +368,14 @@ class TestBranch:
         assert counts[high] - counts[low] == 1
 
     def test_morse_bound_on_branch(self, branch_ctx, first_crossing, cubic_model, grid64):
-        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1)[0]
+        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0]
         op = assemble_linearized(bp.solution, bp.t, cubic_model, grid64)
         vals = smallest_eigenvalues(op, 6)
         negatives = int(np.count_nonzero(vals < 0.0))
         assert negatives >= bp.nodal_count_2d
 
     def test_branch_energy_differs_from_reference(self, branch_ctx, first_crossing, cubic_model, grid64):
-        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1)[0]
+        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0]
         e_branch = eval_energy(bp.solution, bp.t, cubic_model, grid64)
         e_ref = eval_energy(branch_ctx.u_ref, bp.t, cubic_model, grid64)
         assert np.isfinite(e_branch) and np.isfinite(e_ref)
@@ -373,12 +384,12 @@ class TestBranch:
     def test_non_simple_point_rejected(self, branch_ctx):
         fat = BifurcationPoint(t_bar=1.4, pairs=[(1, 1), (1, 2)], kernel_multiplicity=2, simple=False)
         with pytest.raises(ValidationError):
-            continue_branch(branch_ctx, fat, +1, steps=1)
+            continue_branch(branch_ctx, fat, +1, steps=1, t_max=3.0)
 
     def test_half_branches_are_reflections(self, branch_ctx, first_crossing):
         eps = 0.1 * branch_ctx.ref_norm
-        plus = continue_branch(branch_ctx, first_crossing, +1, steps=1, eps0=eps)[0]
-        minus = continue_branch(branch_ctx, first_crossing, +1, steps=1, eps0=-eps)[0]
+        plus = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar, eps0=eps)[0]
+        minus = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar, eps0=-eps)[0]
         mirrored = plus.solution[:, ::-1]
         scale = np.max(np.abs(mirrored))
         assert np.max(np.abs(minus.solution - mirrored)) / scale < 1e-8
