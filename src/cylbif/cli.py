@@ -64,13 +64,7 @@ from .pde_rectangle import (
     make_branch_context,
     smallest_eigenvalues,
 )
-from .sturm_liouville import (
-    _extrapolated_from,
-    extrapolated_alphas,
-    linearized_spectrum,
-    one_dim_morse,
-    oscillation_check,
-)
+from .sturm_liouville import extrapolated_alphas, nondegeneracy_margin, one_dim_morse, oscillation_check
 
 log = logging.getLogger("cylbif.cli")
 
@@ -318,7 +312,7 @@ def _alphas_for(cfg: RunConfig, sol: OneDimSolution | None = None) -> np.ndarray
         return np.asarray(cfg.alphas, dtype=float)
     if sol is None:
         sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    return extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), int(cfg.options["k_eigs"]))
+    return extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), int(cfg.options["k_eigs"]))[0]
 
 
 def _interval_length(cfg: RunConfig) -> float:
@@ -357,9 +351,8 @@ def cmd_solve_1d(cfg: RunConfig) -> dict:
 def cmd_spectrum_1d(cfg: RunConfig) -> dict:
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
     k = int(cfg.options["k_eigs"])
-    spec = linearized_spectrum(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
     # the chain's alphas; zero counts and eigenfunctions are those of the eig_M grid
-    alphas = _extrapolated_from(spec, cfg.model, sol.amplitude)
+    alphas, spec = extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
     rows = [(i + 1, alphas[i], int(spec.zero_counts[i])) for i in range(k)]
     write_csv(cfg.output_dir / "spectrum-1d.csv", ["i", "alpha_i", "zero_count_i"], rows)
     if cfg.options["emit_eigenfunctions"]:
@@ -373,21 +366,27 @@ def cmd_spectrum_1d(cfg: RunConfig) -> dict:
     return {
         "amplitude": sol.amplitude,
         "alphas": list(alphas),
-        "m_xn": one_dim_morse(spec),
-        "nondegeneracy_margin": float(np.min(np.abs(alphas))),
+        "m_xn": one_dim_morse(alphas),
+        "nondegeneracy_margin": nondegeneracy_margin(alphas),
         "oscillation_ok": oscillation_check(spec),
     }
 
 
-def cmd_base_eigs(cfg: RunConfig) -> dict:
-    spec = neumann_eigenvalues(
+def _base_spectrum(cfg: RunConfig, cutoff: float) -> BaseSpectrum:
+    """The configured base's Neumann spectrum up to ``cutoff``."""
+    return neumann_eigenvalues(
         cfg.base,
-        float(cfg.options["cutoff"]),
+        cutoff,
         max_modes=int(cfg.options["max_modes"]),
         rotation_invariant=bool(cfg.options["rotation_invariant"]),
     )
+
+
+def cmd_base_eigs(cfg: RunConfig) -> dict:
+    spec = _base_spectrum(cfg, float(cfg.options["cutoff"]))
+    # one CSV field: a mode's indices joined by spaces, the modes of one eigenvalue by "|"
     rows = [
-        (j, lam, int(mult), "|".join(str(lab) for lab in labs))
+        (j, lam, int(mult), "|".join(" ".join(map(str, lab)) for lab in labs))
         for j, (lam, mult, labs) in enumerate(zip(spec.lambdas, spec.multiplicities, spec.labels))
     ]
     write_csv(cfg.output_dir / "base-eigs.csv", ["j", "lambda_j", "multiplicity", "label"], rows)
@@ -398,12 +397,7 @@ def _base_with_coverage(cfg: RunConfig, alphas: np.ndarray) -> BaseSpectrum:
     """Base spectrum enumerated past every lambda that meets -alpha_1 * t^2 for t <= t_max."""
     t_max = cfg.t_range[1]
     cutoff = max(float(cfg.options["cutoff"]), 1.05 * max(0.0, -float(alphas[0])) * t_max**2, 1.0)
-    return neumann_eigenvalues(
-        cfg.base,
-        cutoff,
-        max_modes=int(cfg.options["max_modes"]),
-        rotation_invariant=bool(cfg.options["rotation_invariant"]),
-    )
+    return _base_spectrum(cfg, cutoff)
 
 
 def cmd_morse(cfg: RunConfig) -> dict:
@@ -492,20 +486,20 @@ def cmd_continue(cfg: RunConfig) -> dict:
         "kernel_pair": [i, j],
         "energy_one_dim": energy_ref,
     }
-    eps0 = 1e-1 * ctx.ref_norm
     if cfg.options["dump_solutions"]:
         # the dumps' x' and x_N columns, formatted once, row-major like solution.ravel()
         xs = [f"{x:.17g}" for x in grid.x_nodes().tolist()]
         ys = [f"{y:.17g}" for y in grid.y_nodes().tolist()]
         xcol, ycol = xs * grid.ny, [y for y in ys for _ in xs]
     branches = {}
-    for sign_name, eps in (("plus", eps0), ("minus", -eps0)):
+    for sign_name, sign in (("plus", 1), ("minus", -1)):
         try:
-            branch = continue_branch(ctx, point, direction=+1, steps=steps, t_max=t_max, eps0=eps)
+            branch, outcome = continue_branch(ctx, point, direction=+1, steps=steps, t_max=t_max, sign=sign)
         except NoSolutionError as exc:
             log.info("no %s half-branch: %s", sign_name, exc)
-            branch = []
+            branch, outcome = [], "branch_not_found"
         branches[sign_name] = branch
+        results[f"outcome_{sign_name}"] = outcome
         rows = [
             (
                 bp.t,
@@ -530,14 +524,8 @@ def cmd_continue(cfg: RunConfig) -> dict:
                     zip(xcol, ycol, bp.solution.ravel().tolist()),
                 )
         if branch:
-            outcome = "stalled" if len(branch) < steps and branch[-1].t < t_max else "reached_t_limit"
-            if branch[-1].distance_to_1d < 10 * ctx.tol:
-                outcome = "returned_to_one_dimensional"
-            results[f"outcome_{sign_name}"] = outcome
             results[f"deviation_first_{sign_name}"] = branch[0].deviation
             results[f"points_{sign_name}"] = len(branch)
-        else:
-            results[f"outcome_{sign_name}"] = "branch_not_found"
 
     plus, minus = branches["plus"], branches["minus"]
     if plus and minus:

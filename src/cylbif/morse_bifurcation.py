@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_spectrum import BaseSpectrum
-from .errors import CoverageError, CylbifError, InsufficientSpectrumError, ValidationError
+from .errors import CoverageError, CylbifError, ValidationError
+from .sturm_liouville import one_dim_morse
 
 __all__ = [
     "ComposedEntry",
@@ -132,11 +133,7 @@ def _morse_counts(alphas, base: BaseSpectrum, t2: np.ndarray):
     equals the counts on the scaled spectrum bit for bit.
     """
     arr = _check_sorted(alphas)
-    if arr[-1] <= 0.0:
-        raise InsufficientSpectrumError(
-            "need a positive eigenvalue witness to certify the 1D Morse index"
-        )
-    m_xn = int(np.count_nonzero(arr < 0.0))
+    m_xn = one_dim_morse(arr)
     tol_zero = ZERO_REL_TOL * max(1.0, abs(float(arr[0])))
 
     short = base.cutoff / t2 < -float(arr[0])

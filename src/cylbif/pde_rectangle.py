@@ -63,6 +63,10 @@ NODAL_REL_TOL_2D = 1e-6
 BRANCH_MAX_ITERS = 25
 #: first continuation step, relative to the degeneracy scaling
 FIRST_STEP_REL = 1e-2
+#: size of the first branch-switch perturbation, relative to |u_ref|
+SWITCH_EPS_REL = 1e-1
+#: a solve within this multiple of the Newton tol of u_ref is on the height-only solution
+FALLBACK_TOL_REL = 10.0
 #: backtracking solves at offsets dt * BACKTRACK_RATIO**k, k = 1..BACKTRACK_OFFSETS
 BACKTRACK_OFFSETS = 5
 BACKTRACK_RATIO = 0.12
@@ -472,36 +476,40 @@ def continue_branch(
     direction: int,
     steps: int,
     t_max: float,
-    eps0: float | None = None,
-) -> list[BranchPoint]:
+    sign: int = 1,
+) -> tuple[list[BranchPoint], str]:
     """Switch onto the bifurcating branch at a simple point and follow it.
 
     The first solve starts from u_ref + eps * w at t = t_bar + direction *
-    dt0, dt0 = FIRST_STEP_REL * t_bar, escalating eps over {1x, 2x, 4x} if
-    Newton falls back onto the height-only solution.  The default eps0 is 0.1 * |u_ref|; near the
+    dt0, dt0 = FIRST_STEP_REL * t_bar, with eps = sign * SWITCH_EPS_REL *
+    |u_ref| escalated over {1x, 2x, 4x} if Newton falls back onto the
+    height-only solution; ``sign`` picks the half-branch.  Near the
     pitchfork the new solution sits at amplitude ~sqrt(dt) and a guess
     below roughly 0.6 of that amplitude contracts back to the trivial
     branch, so the perturbation has to be commensurate with the branch,
     not merely nonzero.  Subsequent points use natural-parameter
     continuation with a secant predictor and step halving (at most 6
     halvings per step).  No point is solved past ``t_max``: a step that would
-    cross it is cut to end there, and the branch ends at it.  Returns the
-    ordered branch; it may be shorter than ``steps`` if continuation stalls
-    or reaches ``t_max``.
+    cross it is cut to end there, and the branch ends at it.
+
+    Returns the ordered branch and why it ended: ``reached_t_limit`` after
+    ``steps`` points or at ``t_max``, ``stalled`` when continuation gave up
+    short of both, and ``returned_to_one_dimensional`` when the last point
+    lies on the height-only solution.  Raises BranchNotFoundError when no
+    first point is found.
     """
     if not point.simple:
         raise ValidationError(
             f"branch switching requires a simple kernel, got multiplicity {point.kernel_multiplicity}"
         )
-    if direction not in (-1, 1):
-        raise ValidationError("direction must be +1 or -1")
+    if direction not in (-1, 1) or sign not in (-1, 1):
+        raise ValidationError("direction and sign must be +1 or -1")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     t_bar = point.t_bar
     dt0 = FIRST_STEP_REL * t_bar
-    if eps0 is None:
-        eps0 = 1e-1 * ctx.ref_norm
-    fallback_threshold = 10.0 * ctx.tol
+    eps0 = sign * (SWITCH_EPS_REL * ctx.ref_norm)
+    fallback_threshold = FALLBACK_TOL_REL * ctx.tol
 
     branch: list[BranchPoint] = []
     t1 = t_bar + direction * dt0
@@ -525,6 +533,7 @@ def continue_branch(
 
     dt = dt0
     halvings = 0
+    outcome = "reached_t_limit"
     while len(branch) < steps and branch[-1].t < t_max:
         t_next = branch[-1].t + direction * dt
         if t_next > t_max:  # a failed solve there halves the shortened step
@@ -542,11 +551,14 @@ def continue_branch(
             dt *= 0.5
             if halvings > 6:
                 log.info("continuation stalled at t = %.6g after 6 halvings", branch[-1].t)
+                outcome = "stalled"
                 break
             continue
         branch.append(bp)
         halvings = 0
-    return branch
+    if branch[-1].distance_to_1d < fallback_threshold:
+        outcome = "returned_to_one_dimensional"
+    return branch, outcome
 
 
 def backtrack_branch(ctx: BranchContext, start: BranchPoint) -> list[BranchPoint]:

@@ -135,19 +135,20 @@ def oscillation_check(spec: SturmSpectrum) -> bool:
     return all(int(spec.zero_counts[i]) == i for i in range(len(spec.alphas)))
 
 
-def one_dim_morse(spec: SturmSpectrum) -> int:
-    """Number of strictly negative eigenvalues; needs a nonnegative witness."""
-    alphas = np.asarray(spec.alphas)
-    if alphas.size == 0 or alphas[-1] < 0.0:
+def one_dim_morse(alphas) -> int:
+    """Number of strictly negative eigenvalues of ascending ``alphas``; the
+    largest must be a positive witness that the count is complete."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.size == 0 or alphas[-1] <= 0.0:
         raise InsufficientSpectrumError(
-            "all computed eigenvalues are negative; increase k to certify the count"
+            "need a positive eigenvalue witness to certify the 1D Morse index; increase k"
         )
     return int(np.count_nonzero(alphas < 0.0))
 
 
-def nondegeneracy_margin(spec: SturmSpectrum) -> float:
-    """min_i |alpha_i|, the distance of the computed spectrum from 0."""
-    return float(np.min(np.abs(spec.alphas)))
+def nondegeneracy_margin(alphas) -> float:
+    """min_i |alpha_i|, the distance of the spectrum from 0."""
+    return float(np.min(np.abs(alphas)))
 
 
 def linearized_spectrum(
@@ -177,13 +178,12 @@ def richardson_extrapolate(values) -> float:
     return vals[0]
 
 
-def extrapolated_alphas(model: NonlinearityModel, amplitude: float, grid_size: int, k: int) -> np.ndarray:
+def extrapolated_alphas(
+    model: NonlinearityModel, amplitude: float, grid_size: int, k: int
+) -> tuple[np.ndarray, SturmSpectrum]:
     """First k linearization eigenvalues, Richardson-extrapolated from the
-    grids grid_size // 4, grid_size // 2 and grid_size."""
-    return _extrapolated_from(linearized_spectrum(model, amplitude, grid_size, k), model, amplitude)
-
-
-def _extrapolated_from(finest: SturmSpectrum, model: NonlinearityModel, amplitude: float) -> np.ndarray:
-    """``extrapolated_alphas`` around the already solved spectrum of its finest grid."""
-    coarse = [linearized_spectrum(model, amplitude, finest.grid_size // d, len(finest.alphas)).alphas for d in (4, 2)]
-    return np.array([richardson_extrapolate(column) for column in zip(*coarse, finest.alphas)])
+    grids grid_size // 4, grid_size // 2 and grid_size, and the spectrum
+    solved on the finest of them."""
+    finest = linearized_spectrum(model, amplitude, grid_size, k)
+    coarse = [linearized_spectrum(model, amplitude, grid_size // d, k).alphas for d in (4, 2)]
+    return np.array([richardson_extrapolate(column) for column in zip(*coarse, finest.alphas)]), finest

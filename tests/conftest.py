@@ -30,4 +30,4 @@ def cubic_spectra_n1(cubic_model, cubic_solutions):
 @pytest.fixture(scope="session")
 def cubic_alphas_n1(cubic_model, cubic_solutions):
     """Richardson-extrapolated eigenvalues for the positive cubic solution."""
-    return extrapolated_alphas(cubic_model, cubic_solutions[1].amplitude, 2000, 12)
+    return extrapolated_alphas(cubic_model, cubic_solutions[1].amplitude, 2000, 12)[0]

@@ -231,7 +231,7 @@ def test_criterion_09_local_bifurcation(cubic_n1):
         for direction in (+1, -1):
             t_side = t_bar1 * (1.0 + direction * 0.01)
             try:
-                sides[direction] = continue_branch(ctx, point, direction, steps=1, t_max=2 * t_bar1)[0]
+                sides[direction] = continue_branch(ctx, point, direction, steps=1, t_max=2 * t_bar1)[0][0]
             except BranchNotFoundError:
                 # Newton still converges at this offset, onto the trivial branch
                 fallback = ctx.solve(ctx.u_ref, t_side)

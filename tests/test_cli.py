@@ -78,7 +78,7 @@ class TestSubcommands:
         cfg = write_config(tmp_path, options={"k_eigs": 6})
         assert main(["spectrum-1d", "--config", str(cfg)]) == 0
         results = read_summary(tmp_path)["results"]
-        expected = extrapolated_alphas(LaneEmden(4.0), results["amplitude"], 1600, 6)
+        expected, _ = extrapolated_alphas(LaneEmden(4.0), results["amplitude"], 1600, 6)
         rows = read_csv_rows(tmp_path / "out" / "spectrum-1d.csv")
         assert [float(r["alpha_i"]) for r in rows] == list(expected)
         assert results["alphas"] == list(expected)
@@ -104,7 +104,6 @@ class TestSubcommands:
             grids.append(grid_size)
             return real(model, amplitude, grid_size, k)
 
-        monkeypatch.setattr(cli, "linearized_spectrum", counted)
         monkeypatch.setattr(sl, "linearized_spectrum", counted)
         cfg = write_config(tmp_path, options={"k_eigs": 6})
         assert main(["spectrum-1d", "--config", str(cfg)]) == 0
@@ -117,6 +116,24 @@ class TestSubcommands:
         assert float(rows[0]["lambda_j"]) == 0.0
         assert float(rows[1]["lambda_j"]) == pytest.approx(math.pi**2, rel=1e-12)
         assert float(rows[2]["lambda_j"]) == pytest.approx(4 * math.pi**2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "base, label",
+        [
+            ({"type": "interval", "length": 1.0}, "1"),
+            ({"type": "rectangle", "a": 1.0, "b": 1.0}, "0 1|1 0"),
+            ({"type": "disk", "radius": 1.0}, "1 1"),
+        ],
+    )
+    def test_base_eigs_labels_stay_in_their_column(self, tmp_path, base, label):
+        # a mode's indices are joined by spaces and the modes by "|", so no label holds a comma
+        cfg = write_config(tmp_path, base=base, options={"cutoff": 200.0})
+        assert main(["base-eigs", "--config", str(cfg)]) == 0
+        with open(tmp_path / "out" / "base-eigs.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["j", "lambda_j", "multiplicity", "label"]
+        assert len(rows) > 5 and all(len(row) == 4 for row in rows)
+        assert rows[2][3] == label
 
     def test_morse_summary(self, tmp_path):
         cfg = write_config(tmp_path)

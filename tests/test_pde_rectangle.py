@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+import cylbif.pde_rectangle as pde
 from cylbif import (
     DegenerateInputError,
     Grid2D,
@@ -308,7 +309,7 @@ class TestBranch:
         found = {}
         for direction in (+1, -1):
             try:
-                branch = continue_branch(branch_ctx, first_crossing, direction, steps=1, t_max=2 * first_crossing.t_bar)
+                branch, _ = continue_branch(branch_ctx, first_crossing, direction, steps=1, t_max=2 * first_crossing.t_bar)
                 found[direction] = branch[0]
             except BranchNotFoundError:
                 found[direction] = None
@@ -320,8 +321,9 @@ class TestBranch:
         assert bp.nodal_count_2d == 1
 
     def test_continuation_returns_ordered_points(self, branch_ctx, first_crossing):
-        branch = continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=2 * first_crossing.t_bar)
+        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=2 * first_crossing.t_bar)
         assert len(branch) == 3
+        assert outcome == "reached_t_limit"  # by the step count
         ts = [bp.t for bp in branch]
         assert ts == sorted(ts)
         assert all(bp.nodal_count_2d == 1 for bp in branch)
@@ -331,16 +333,48 @@ class TestBranch:
     def test_continuation_ends_at_t_max(self, branch_ctx, first_crossing):
         # the first point sits at 1.01 * t_bar; the next step would reach 1.02 * t_bar
         t_max = 1.015 * first_crossing.t_bar
-        branch = continue_branch(branch_ctx, first_crossing, +1, steps=5, t_max=t_max)
+        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=5, t_max=t_max)
         assert [bp.t for bp in branch] == [pytest.approx(1.01 * first_crossing.t_bar, rel=1e-14), t_max]
+        assert outcome == "reached_t_limit"
         assert all(bp.residual <= branch_ctx.tol for bp in branch)
+
+    def test_stalls_when_every_step_fails(self, branch_ctx, first_crossing, monkeypatch):
+        # every solve after the first point fails, so the step is halved until continuation gives up
+        real_solve = pde.newton_solve
+        t1 = first_crossing.t_bar + pde.FIRST_STEP_REL * first_crossing.t_bar
+        failures = []
+
+        def fail_past_first_point(initial, t, *args, **kwargs):
+            if t != t1:
+                failures.append(t)
+                raise NonConvergenceError("injected failure")
+            return real_solve(initial, t, *args, **kwargs)
+
+        monkeypatch.setattr(pde, "newton_solve", fail_past_first_point)
+        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=2 * first_crossing.t_bar)
+        assert outcome == "stalled"
+        assert [bp.t for bp in branch] == [t1]
+        assert len(failures) == 7
+
+    def test_reports_a_return_to_the_height_only_solution(self, branch_ctx, first_crossing, monkeypatch):
+        # later solves are started from u_ref, so the last point lies on the height-only solution
+        real_solve = pde.newton_solve
+        t1 = first_crossing.t_bar + pde.FIRST_STEP_REL * first_crossing.t_bar
+
+        def collapse_past_first_point(initial, t, *args, **kwargs):
+            return real_solve(initial if t == t1 else branch_ctx.u_ref, t, *args, **kwargs)
+
+        monkeypatch.setattr(pde, "newton_solve", collapse_past_first_point)
+        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=2, t_max=2 * first_crossing.t_bar)
+        assert outcome == "returned_to_one_dimensional"
+        assert len(branch) == 2 and branch[-1].distance_to_1d < pde.FALLBACK_TOL_REL * branch_ctx.tol
 
     def test_first_point_past_t_max_is_not_a_branch(self, branch_ctx, first_crossing):
         with pytest.raises(BranchNotFoundError, match="t_max"):
             continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=1.005 * first_crossing.t_bar)
 
     def test_backtrack_distance_shrinks_monotonically(self, branch_ctx, first_crossing):
-        start = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0]
+        start = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
         back = backtrack_branch(branch_ctx, start)
         dists = [bp.distance_to_1d for bp in back]
         assert all(a > b for a, b in zip(dists, dists[1:]))
@@ -368,14 +402,14 @@ class TestBranch:
         assert counts[high] - counts[low] == 1
 
     def test_morse_bound_on_branch(self, branch_ctx, first_crossing, cubic_model, grid64):
-        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0]
+        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
         op = assemble_linearized(bp.solution, bp.t, cubic_model, grid64)
         vals = smallest_eigenvalues(op, 6)
         negatives = int(np.count_nonzero(vals < 0.0))
         assert negatives >= bp.nodal_count_2d
 
     def test_branch_energy_differs_from_reference(self, branch_ctx, first_crossing, cubic_model, grid64):
-        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0]
+        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
         e_branch = eval_energy(bp.solution, bp.t, cubic_model, grid64)
         e_ref = eval_energy(branch_ctx.u_ref, bp.t, cubic_model, grid64)
         assert np.isfinite(e_branch) and np.isfinite(e_ref)
@@ -386,10 +420,14 @@ class TestBranch:
         with pytest.raises(ValidationError):
             continue_branch(branch_ctx, fat, +1, steps=1, t_max=3.0)
 
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_sign_must_be_a_unit(self, branch_ctx, first_crossing, sign):
+        with pytest.raises(ValidationError, match="sign"):
+            continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=3.0, sign=sign)
+
     def test_half_branches_are_reflections(self, branch_ctx, first_crossing):
-        eps = 0.1 * branch_ctx.ref_norm
-        plus = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar, eps0=eps)[0]
-        minus = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar, eps0=-eps)[0]
+        plus = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar, sign=1)[0][0]
+        minus = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar, sign=-1)[0][0]
         mirrored = plus.solution[:, ::-1]
         scale = np.max(np.abs(mirrored))
         assert np.max(np.abs(minus.solution - mirrored)) / scale < 1e-8

@@ -67,15 +67,15 @@ class TestFreeOperator:
     def test_zero_counts_and_morse(self):
         spec = sl_eigenpairs(assemble_sl_operator(np.zeros(501), 500), 5)
         assert oscillation_check(spec)
-        assert one_dim_morse(spec) == 0
-        assert nondegeneracy_margin(spec) == pytest.approx((math.pi / 2) ** 2, rel=1e-5)
+        assert one_dim_morse(spec.alphas) == 0
+        assert nondegeneracy_margin(spec.alphas) == pytest.approx((math.pi / 2) ** 2, rel=1e-5)
 
 
 class TestLinearizedSpectra:
     def test_morse_equals_nodal_count(self, cubic_model, cubic_solutions):
         for n, sol in cubic_solutions.items():
             spec = linearized_spectrum(cubic_model, sol.amplitude, 2000, max(n + 5, 12))
-            assert one_dim_morse(spec) == n
+            assert one_dim_morse(spec.alphas) == n
             assert oscillation_check(spec)
             # the count is certified: next eigenvalue is positive
             assert spec.alphas[n] > 0.0
@@ -87,7 +87,7 @@ class TestLinearizedSpectra:
         for n in (1, 2, 3):
             sol = find_one_dim_solution(model, n)
             spec = linearized_spectrum(model, sol.amplitude, 2000, max(n + 5, 12))
-            assert one_dim_morse(spec) == n
+            assert one_dim_morse(spec.alphas) == n
 
     def test_frozen_leading_eigenvalue(self, cubic_alphas_n1):
         assert abs(cubic_alphas_n1[0] - ALPHA1_CUBIC_N1) < 1e-6
@@ -107,7 +107,7 @@ class TestLinearizedSpectra:
     def test_margin_beats_discretization_error(self, cubic_spectra_n1, cubic_alphas_n1):
         spec = cubic_spectra_n1[2000]
         err_est = np.abs(spec.alphas - cubic_alphas_n1[: len(spec.alphas)])
-        margin = nondegeneracy_margin(spec)
+        margin = nondegeneracy_margin(spec.alphas)
         assert margin > 10.0 * err_est[np.argmin(np.abs(spec.alphas))]
 
     def test_eigenvalues_strictly_simple(self, cubic_spectra_n1, cubic_alphas_n1):
@@ -163,7 +163,12 @@ class TestDiagnostics:
         # k = 1 around the two-domain solution sees only negative values
         spec = linearized_spectrum(cubic_model, cubic_solutions[2].amplitude, 500, 1)
         with pytest.raises(InsufficientSpectrumError):
-            one_dim_morse(spec)
+            one_dim_morse(spec.alphas)
+
+    def test_zero_is_not_a_positive_witness(self):
+        with pytest.raises(InsufficientSpectrumError):
+            one_dim_morse([-1.0, 0.0])
+        assert one_dim_morse([-1.0, 0.5]) == 1
 
     def test_richardson_needs_two_values(self):
         with pytest.raises(ValidationError):
