@@ -8,6 +8,11 @@ Three closed-form/special-function families are supported:
   of the Bessel derivative J_nu', with angular multiplicity 2 for nu >= 1,
   plus the constant mode lambda_0 = 0.
 
+Disk zeros are found in two array passes: a pi/4 scan of J_nu' brackets
+the zeros of one nu at a time, with the mode budget checked after each nu,
+and one safeguarded Newton iteration then polishes every bracket of every
+nu together.
+
 Dilating the base by t divides every eigenvalue by t^2 and preserves
 multiplicities.
 """
@@ -111,54 +116,63 @@ def _mcmahon_jprime_guess(nu: float, k: int) -> float:
     return beta - (mu + 3.0) / (8.0 * beta)
 
 
-def _jprime_zeros(nu: int, upper: float) -> list[float]:
-    """Positive zeros of d/dx J_nu(x) below ``upper``.
+def _jprime_brackets(nu: int, upper: float) -> tuple[np.ndarray, ...]:
+    """Brackets of the positive zeros of d/dx J_nu(x) below ``upper``.
 
-    A pi/4-spaced scan brackets each sign change of J_nu'; the scan starts
-    from the McMahon first-zero guess clipped below nu (the first zero
-    always exceeds nu).  Each bracket is polished by Newton with the second
-    derivative from the Bessel ODE, safeguarded by bisection.
+    A pi/4-spaced scan, one array call, starts from the McMahon first-zero
+    guess clipped below nu (the first zero always exceeds nu); consecutive
+    zeros lie more than pi apart, so no scan step holds two.  Returns
+    ``(lo, hi, g_lo, g_hi)``: the bracket ends in increasing order and
+    J_nu' there.  A scan point where J_nu' is exactly zero is its own
+    bracket, with ``hi == lo``.  Only the last bracket may straddle ``upper``.
     """
-    if upper <= 0.0:
-        return []
     start = 0.05
     if nu >= 1:
         start = max(0.05, min(_mcmahon_jprime_guess(nu, 1) - 2.0 * math.pi, float(nu)))
     step = math.pi / 4.0
     xs = np.arange(start, upper + step, step)
     if xs.size < 2:
-        return []
+        return (np.empty(0),) * 4
     vals = special.jvp(nu, xs)
-    zeros = []
-    for i in range(xs.size - 1):
-        if vals[i] == 0.0:
-            zeros.append(float(xs[i]))
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            zeros.append(_polish_jprime_zero(nu, float(xs[i]), float(xs[i + 1])))
-    return [z for z in zeros if z <= upper]
+    exact = vals[:-1] == 0.0
+    at = np.flatnonzero(exact | (vals[:-1] * vals[1:] < 0.0))
+    hi = np.where(exact[at], at, at + 1)
+    return xs[at], xs[hi], vals[at], vals[hi]
 
 
-def _polish_jprime_zero(nu: int, lo: float, hi: float) -> float:
-    g_lo = special.jvp(nu, lo)
-    x = 0.5 * (lo + hi)
+def _polish_jprime_zeros(nu, lo, hi, g_lo, g_hi) -> np.ndarray:
+    """The zero of J_nu' in each bracket, every bracket polished together.
+
+    Newton from the bracket's secant point, with J_nu'' from the Bessel ODE,
+    safeguarded by bisection; two Bessel calls per iteration cover all
+    brackets still open.  A bracket is done once J_nu' vanishes at its
+    iterate or the Newton step is below 1e-15 relative.  That test runs
+    before the safeguard: a converged step rounds onto the iterate, which
+    has just become a bracket end, and the strict bracket test would throw
+    it away for bisections down to the last bit.
+    """
+    out = lo.copy()  # a bracket with hi == lo is an exact zero
+    idx = np.flatnonzero(hi > lo)
+    nu, lo, hi, g_lo, g_hi = nu[idx], lo[idx], hi[idx], g_lo[idx], g_hi[idx]
+    x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
     for _ in range(60):
+        if not idx.size:
+            break
         g = special.jvp(nu, x)
-        if g == 0.0:
-            return x
-        if g * g_lo < 0.0:
-            hi = x
-        else:
-            lo = x
         # J'' from x^2 J'' + x J' + (x^2 - nu^2) J = 0
         gp = (nu * nu / (x * x) - 1.0) * special.jv(nu, x) - g / x
-        x_new = x - g / gp if gp != 0.0 else 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    return x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_newton = x - g / gp
+        done = (g == 0.0) | (np.abs(x_newton - x) <= 1e-15 * np.maximum(1.0, np.abs(x)))
+        out[idx[done]] = np.where(g == 0.0, x, x_newton)[done]
+        same_side = g * g_lo > 0.0
+        lo = np.where(same_side, x, lo)
+        hi = np.where(same_side, hi, x)
+        x = np.where((lo < x_newton) & (x_newton < hi), x_newton, 0.5 * (lo + hi))
+        keep = ~done
+        idx, nu, lo, hi, g_lo, x = idx[keep], nu[keep], lo[keep], hi[keep], g_lo[keep], x[keep]
+    out[idx] = x
+    return out
 
 
 def neumann_eigenvalues(
@@ -203,19 +217,28 @@ def neumann_eigenvalues(
         r = domain.radius
         raw.append((0.0, 1, (0, 0)))
         upper = math.sqrt(cutoff) * r
+        parts = []
+        below = 1  # modes surely below the cutoff, checked against the budget before any polish
         nu = 0
         while True:
-            zeros = _jprime_zeros(nu, upper)
-            if not zeros and nu >= 1:
+            lo, hi, g_lo, g_hi = _jprime_brackets(nu, upper)
+            if not lo.size and nu >= 1:
                 break  # first zeros increase with nu, nothing further fits
-            for k, z in enumerate(zeros, start=1):
-                mult = 1 if nu == 0 else 2
-                raw.append(((z / r) ** 2, mult, (nu, k)))
-            if len(raw) > max_modes:
+            parts.append((np.full(lo.size, nu), lo, hi, g_lo, g_hi))
+            below += int(np.count_nonzero(hi <= upper))
+            if below > max_modes:
                 raise ResourceLimitError(f"disk enumeration exceeded budget {max_modes}")
             if rotation_invariant:
                 break
             nu += 1
+        nus, lo, hi, g_lo, g_hi = (np.concatenate(column) for column in zip(*parts))
+        zeros = _polish_jprime_zeros(nus, lo, hi, g_lo, g_hi)
+        ks = np.arange(nus.size) - np.searchsorted(nus, nus) + 1  # rank of each zero within its nu
+        for nu, k, z in zip(nus.tolist(), ks.tolist(), zeros.tolist()):
+            if z <= upper:  # only the last bracket of each nu can straddle upper
+                raw.append(((z / r) ** 2, 1 if nu == 0 else 2, (nu, k)))
+        if len(raw) > max_modes:
+            raise ResourceLimitError(f"disk enumeration exceeded budget {max_modes}")
     else:
         raise ValidationError(f"unsupported base domain {domain!r}")
 

@@ -440,13 +440,24 @@ def make_branch_context(
     Backtracking toward this value (rather than the continuum scaling, which
     differs by O(h^2)) lets the branch be followed arbitrarily close to the
     pitchfork.  The default ``tol`` keeps two decades of margin above the
-    inf-norm residual floor ~ |u| * (2/h^2) * eps, about 1e-10 at 200 x 200.
+    inf-norm residual floor max|u| * (2/(l h_x)^2 + 2/h_y^2) * eps, which is
+    3.5e-11 * max|u| at 200 x 200 with l = 1.  A reference polish that fails
+    raises NonConvergenceError naming that floor next to ``tol``.
     """
     if j < 1:
         raise ValidationError("x' mode index must be >= 1 for a dilation-driven crossing")
     u1d, _ = integrate_ivp(model, amplitude, grid.ny - 1)
     embedded = embed_one_dim(u1d, grid)
-    seed = newton_solve(embedded, 1.0, model, grid, tol=tol, max_iters=BRANCH_MAX_ITERS, l_base=l_base)
+    try:
+        seed = newton_solve(embedded, 1.0, model, grid, tol=tol, max_iters=BRANCH_MAX_ITERS, l_base=l_base)
+    except NonConvergenceError as exc:
+        stencil = 2.0 / (l_base * grid.hx) ** 2 + 2.0 / grid.hy**2
+        floor = float(np.max(np.abs(embedded))) * stencil * np.finfo(float).eps
+        raise NonConvergenceError(
+            f"reference solve: {exc}; the residual's rounding floor max|u|*(2/(l*h_x)^2 + 2/h_y^2)*eps "
+            f"is {floor:.3g} against tol {tol:.3g}",
+            residual=exc.residual,
+        ) from exc
     if seed.deviation > 1e-8:
         raise NonConvergenceError(
             f"reference solve left the height-only subspace (deviation {seed.deviation:.3g})"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
+import cylbif.base_spectrum as base_spectrum
 from cylbif import (
     Disk,
     Interval,
@@ -17,6 +19,27 @@ from cylbif import (
 from oracles import jprime_zero
 
 PI2 = math.pi**2
+
+
+class CountingSpecial:
+    """Stands in for scipy.special inside base_spectrum, counting the Bessel
+    calls and the points passed to them."""
+
+    def __init__(self):
+        self.calls = 0
+        self.points = 0
+
+    def __getattr__(self, name):
+        func = getattr(special, name)
+        if name not in ("jv", "jvp"):
+            return func
+
+        def counted(nu, x, *args):
+            self.calls += 1
+            self.points += np.broadcast(nu, x).size
+            return func(nu, x, *args)
+
+        return counted
 
 
 class TestInterval:
@@ -79,6 +102,32 @@ class TestDisk:
         mults = [m for _, m in expected]
         assert spec.lambdas == pytest.approx(values, rel=1e-9)
         assert list(spec.multiplicities) == mults
+
+    def test_every_mode_below_400_against_series_oracle(self):
+        spec = neumann_eigenvalues(Disk(1.0), cutoff=400.0)
+        expected = []
+        for nu in range(21):  # the first zero of J_nu' exceeds nu
+            k = 1
+            while (z := jprime_zero(nu, k)) ** 2 <= 400.0:
+                expected.append((z**2, (nu, k)))
+                k += 1
+        expected.sort()
+        assert len(expected) == 58
+        assert spec.lambdas[1:] == pytest.approx([lam for lam, _ in expected], rel=1e-9)
+        assert list(spec.multiplicities[1:]) == [1 if nu == 0 else 2 for _, (nu, _) in expected]
+        assert spec.labels[1:] == [[label] for _, label in expected]
+
+    def test_zeros_polished_together(self, monkeypatch):
+        # the Bessel calls grow with the number of nu (96 here), not with
+        # the 1,285 zeros: a Newton step that has converged is kept, not
+        # thrown away for bisections down to the last bit
+        counter = CountingSpecial()
+        monkeypatch.setattr(base_spectrum, "special", counter)
+        spec = neumann_eigenvalues(Disk(1.0), cutoff=9901.04)
+        assert len(spec.lambdas) == 1277
+        assert counter.calls <= 300
+        (at,) = [i for i, labels in enumerate(spec.labels) if (8, 1) in labels]
+        assert math.sqrt(spec.lambdas[at]) == pytest.approx(jprime_zero(8, 1), rel=1e-12)
 
     def test_rotation_invariant_restriction(self):
         spec = neumann_eigenvalues(Disk(1.0), cutoff=60.0, rotation_invariant=True)
@@ -149,6 +198,15 @@ class TestGuards:
     def test_resource_budget(self):
         with pytest.raises(ResourceLimitError):
             neumann_eigenvalues(Rectangle(1.0, 1.0), cutoff=1e8, max_modes=100)
+
+    def test_disk_budget_is_checked_before_the_polish(self, monkeypatch):
+        # nu = 0 alone has 318 zeros below 1000 against a budget of 100;
+        # scanning every nu before the check would pass about 6e5 points
+        counter = CountingSpecial()
+        monkeypatch.setattr(base_spectrum, "special", counter)
+        with pytest.raises(ResourceLimitError):
+            neumann_eigenvalues(Disk(1.0), cutoff=1e6, max_modes=100)
+        assert 0 < counter.points < 1e5
 
     def test_domain_validation(self):
         with pytest.raises(ValidationError):

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -490,6 +491,22 @@ class TestContract:
             options={"branch_steps": 1, "dump_solutions": False},
         )
         assert main(["continue", "--config", str(cfg)]) == 3
+
+    def test_reference_polish_names_the_rounding_floor(self, tmp_path, caplog):
+        # the p = 2.5, n = 3 amplitude is 4580, so at 48 x 48 the residual
+        # cannot be rounded below about 9e-9, just under newton_tol 1e-8
+        cfg = write_config(
+            tmp_path,
+            model={"type": "lane_emden", "p": 2.5},
+            nodal_n=3,
+            grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48},
+            t_range={"t_min": 0.5, "t_max": 5.0, "samples": 20},
+            options={"dump_solutions": False},
+        )
+        assert main(["continue", "--config", str(cfg)]) == 3
+        found = re.search(r"rounding floor .* is (\S+) against tol 1e-08", caplog.text)
+        assert found, caplog.text
+        assert 8e-9 < float(found.group(1)) < 1e-8
 
     def test_continue_outcome_after_recovered_halving(self, tmp_path, monkeypatch):
         # one failed continuation solve halves the step; the half-branch still

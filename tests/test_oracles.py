@@ -50,6 +50,14 @@ def test_bessel_series_against_scipy():
             assert abs(bessel_j(nu, x) - ss.jv(nu, x)) < 1e-9
 
 
+def test_bessel_series_at_large_argument():
+    # summed in decimal arithmetic, the series keeps double precision where
+    # the disk enumeration is checked (x up to 20 at cutoff 400)
+    for nu in (0, 1, 7, 13):
+        for x in (15.3, 18.0, 19.9):
+            assert abs(bessel_j(nu, x) - ss.jv(nu, x)) < 1e-14
+
+
 def test_bessel_derivative_zero_literature():
     assert abs(jprime_zero(1, 1) - JP_1_1) < 1e-10
     # J0' = -J1, so its first positive zero is the first zero of J1
