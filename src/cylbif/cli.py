@@ -434,6 +434,8 @@ def cmd_bifurcation_points(cfg: RunConfig) -> dict:
 
 def cmd_verify_decomposition(cfg: RunConfig) -> dict:
     length = _interval_length(cfg)
+    if cfg.alphas is not None:
+        raise ValidationError("verify-decomposition checks the solved 1D spectrum; config alphas would replace it")
     t = float(cfg.options["t_verify"])
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
     alphas = _alphas_for(cfg, sol)

@@ -28,6 +28,7 @@ __all__ = [
     "eval_fprime",
     "eval_F",
     "check_hypotheses",
+    "default_hypothesis_samples",
     "model_from_dict",
 ]
 

@@ -12,8 +12,9 @@ symmetry exactly as in the one-dimensional eigenproblem.  Because the
 x'-independent functions are preserved by the stencil, the solution of
 the height-only problem is a fixed point of D_t u = f(u) at every t, and
 branch detection can compare against that stored fixed point.  Newton
-solves with GMRES, preconditioned by the Jacobian's tensor-sum part at the
-x'-averaged potential, which is the exact Jacobian at height-only states.
+solves with GMRES, right-preconditioned by the separable solve P of the tensor
+sum D_t - diag qbar, qbar the x'-average of q = f'(u), in the closed-form
+x'-modes; the operator v -> v - (q - qbar) * P v is the identity at height-only states.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import lapack
 from scipy.sparse import linalg as spla
 
 from .errors import (
@@ -130,17 +131,6 @@ def _weighted_norm(u: np.ndarray, grid: Grid2D) -> float:
     return math.sqrt(grid.hx * grid.hy * float(np.einsum("i,j,ij->", wy, wx, u * u)))
 
 
-def _neumann_block(n: int, c: float):
-    """Symmetrized 1D second-difference with Neumann mirrors at both ends."""
-    diag = np.full(n, 2.0 * c)
-    off = np.full(n - 1, -c)
-    off[0] = -c * math.sqrt(2.0)
-    off[-1] = -c * math.sqrt(2.0)
-    d = np.ones(n)
-    d[0] = d[-1] = 1.0 / math.sqrt(2.0)
-    return sparse.diags([off, diag, off], [-1, 0, 1], format="csr"), d
-
-
 @dataclass
 class Linearized2D:
     """Symmetrized sparse operator D_t - f'(u) together with its weights.
@@ -159,42 +149,57 @@ class Linearized2D:
         return (self.matrix @ (self.dvec * dof)) / self.dvec
 
 
-def _laplacian_parts(grid: Grid2D, t: float, l_base: float):
-    if not (np.isfinite(t) and t > 0.0):
-        raise ValidationError(f"dilation factor must be positive, got {t}")
-    if not (np.isfinite(l_base) and l_base > 0.0):
-        raise ValidationError(f"base length must be positive, got {l_base}")
-    cx = 1.0 / ((t * l_base) ** 2 * grid.hx**2)
-    sx, dx = _neumann_block(grid.nx, cx)
-    # the height block is the 1D eigenproblem's stencil with zero potential
-    height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
-    sy = sparse.diags([height.off, height.diag, height.off], [-1, 0, 1], format="csr")
-    dy = np.ones(grid.ny - 1)
-    dy[0] = 1.0 / math.sqrt(2.0)
-    s0 = sparse.kronsum(sx, sy, format="csr")  # I (x) S_x + S_y (x) I
-    dvec = np.kron(dy, dx)
-    return s0, dvec, sx
+class _TensorSum(Linearized2D):
+    """D_t = I (x) S_x(t) + S_y (x) I on one (grid, t, l_base): the linearization at
+    zero potential.  S_y is the 1D eigenproblem's height stencil; S_x, the Neumann
+    x'-block with c = 1/(t L h_x)^2, has the closed-form eigenpairs
+    xi_k = 2c(1 - cos(k pi h_x)), k = 0..nx-1, with the half-weighted, unit-normalized
+    cosines cos(k pi x') in the columns of ``modes``."""
 
+    def __init__(self, grid: Grid2D, t: float, l_base: float):
+        if not (np.isfinite(t) and t > 0.0):
+            raise ValidationError(f"dilation factor must be positive, got {t}")
+        if not (np.isfinite(l_base) and l_base > 0.0):
+            raise ValidationError(f"base length must be positive, got {l_base}")
+        self.grid = grid
+        n = grid.nx
+        c = 1.0 / ((t * l_base) ** 2 * grid.hx**2)
+        off = np.full(n - 1, -c)
+        off[0] = off[-1] = -c * math.sqrt(2.0)
+        sx = sparse.diags([off, np.full(n, 2.0 * c), off], [-1, 0, 1], format="csr")
+        self.height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
+        sy = sparse.diags([self.height.off, self.height.diag, self.height.off], [-1, 0, 1], format="csr")
+        self.matrix = sparse.kronsum(sx, sy, format="csr")  # I (x) S_x + S_y (x) I
+        dx = np.ones(n)
+        dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
+        dy = np.ones(grid.ny - 1)
+        dy[0] = 1.0 / math.sqrt(2.0)
+        self.dvec = np.kron(dy, dx)
+        self.sigma_floor = -1.0
+        k = np.arange(n)
+        self.xi = 2.0 * c * (1.0 - np.cos(k * math.pi * grid.hx))
+        # cos(k pi x_i) = cos(pi (i k mod 2(nx-1)) h_x): the reduced argument stays below 2 pi
+        self.modes = dx[:, None] * np.cos((np.outer(k, k) % (2 * (n - 1))) * (math.pi * grid.hx))
+        self.modes /= np.linalg.norm(self.modes, axis=0)
 
-def _separable_solver(modes, q: np.ndarray, grid: Grid2D):
-    """Solver for I (x) S_x + (S_y - diag qbar) (x) I, qbar the x'-average of q, given
-    the eigenpairs ``modes`` of S_x (fast diagonalization: in the x'-modes it is one
-    tridiagonal height system per mode, factored together as one block-diagonal matrix)."""
-    lam, vecs = modes
-    rows = grid.ny - 1
-    wx = _trapezoid_weights(grid.nx)
-    qbar = (q.reshape(rows, grid.nx) @ wx) / wx.sum()
-    height = assemble_sl_operator(np.append(qbar, 0.0), rows)
-    off = np.tile(np.append(height.off, 0.0), grid.nx)[:-1]
-    *factor, info = lapack.dgttrf(off, (lam[:, None] + height.diag).ravel(), off)
-    if info != 0:
-        raise NonConvergenceError("separable preconditioner is singular")
+    def separable(self, q: np.ndarray):
+        """The solve P of D_t - diag qbar, qbar the x'-average of the potential q, and
+        the remainder q - qbar, so that D_t - diag q = (D_t - diag qbar) - diag(q - qbar).
+        In the x'-modes P is one tridiagonal height system per mode (fast
+        diagonalization), factored together as one block-diagonal matrix."""
+        q2 = q.reshape(self.grid.ny - 1, self.grid.nx)
+        wx = _trapezoid_weights(self.grid.nx)
+        qbar = (q2 @ wx) / wx.sum()
+        off = np.tile(np.append(self.height.off, 0.0), self.grid.nx)[:-1]
+        *factor, info = lapack.dgttrf(off, (self.xi[:, None] + (self.height.diag - qbar)).ravel(), off)
+        if info != 0:
+            raise NonConvergenceError("separable preconditioner is singular")
 
-    def solve(b):
-        z = lapack.dgttrs(*factor, (b.reshape(rows, grid.nx) @ vecs).T.ravel())[0]
-        return (vecs @ z.reshape(grid.nx, rows)).T.ravel()
+        def solve(b):
+            z = lapack.dgttrs(*factor, (b.reshape(q2.shape) @ self.modes).T.ravel())[0]
+            return (self.modes @ z.reshape(q2.shape[::-1])).T.ravel()
 
-    return solve
+        return solve, (q2 - qbar[:, None]).ravel()
 
 
 def assemble_linearized(
@@ -202,10 +207,10 @@ def assemble_linearized(
 ) -> Linearized2D:
     """Five-point discretization of D_t - f'(u) on the unit square."""
     full = _as_full(u, grid)
-    s0, dvec, _ = _laplacian_parts(grid, t, l_base)
+    op = _TensorSum(grid, t, l_base)
     q = eval_fprime(model, full[:-1].ravel())
-    matrix = (s0 - sparse.diags(q)).tocsr()
-    return Linearized2D(matrix=matrix, dvec=dvec, sigma_floor=-max(0.0, float(np.max(q))) - 1.0)
+    matrix = (op.matrix - sparse.diags(q)).tocsr()
+    return Linearized2D(matrix=matrix, dvec=op.dvec, sigma_floor=-max(0.0, float(np.max(q))) - 1.0)
 
 
 def smallest_eigenvalues(operator: Linearized2D, k: int, maxiter: int | None = None) -> np.ndarray:
@@ -255,8 +260,9 @@ def newton_solve(
     l_base: float = 1.0,
     reference_1d: np.ndarray | None = None,
 ) -> BranchPoint:
-    """Inexact Newton iteration on R(u) = D_t u - f(u) with preconditioned GMRES
-    solves; a solve that reaches KRYLOV_MAX_ITERS raises NonConvergenceError.
+    """Inexact Newton iteration on R(u) = D_t u - f(u); each step is a GMRES solve
+    of v -> v - (q - qbar) * P v, P the separable solve at the x'-average qbar of
+    q = f'(u).  A solve that reaches KRYLOV_MAX_ITERS raises NonConvergenceError.
 
     ``reference_1d`` (full-grid array) fixes the yardstick for
     ``distance_to_1d``; without it the distance is reported as NaN.
@@ -266,14 +272,9 @@ def newton_solve(
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
     full = _as_full(initial, grid)
-    s0, dvec, sx = _laplacian_parts(grid, t, l_base)
-    modes = eigh_tridiagonal(sx.diagonal(), sx.diagonal(1))
+    op = _TensorSum(grid, t, l_base)
     u = full[:-1].ravel()  # the unknowns: every row but the Dirichlet one
-
-    def residual_vec(vec):
-        return (s0 @ (dvec * vec)) / dvec - eval_f(model, vec)
-
-    r = residual_vec(u)
+    r = op.apply(u) - eval_f(model, u)
     rnorm = float(np.max(np.abs(r)))
     r0 = max(rnorm, 1.0)
     iters = krylov_iters = 0
@@ -283,19 +284,17 @@ def newton_solve(
                 raise NonConvergenceError(
                     f"newton did not reach tol {tol} in {max_iters} iterations", residual=rnorm
                 )
-            b = dvec * r
+            b = op.dvec * r
             bnorm = float(np.linalg.norm(b))
             # the usual safeguard max(eta, gamma * eta_prev**2) only acts above 0.1, which
             # the cap rules out; eta <= |b| keeps the last steps quadratic, since near the
             # pitchfork a loose solve leaves an error along the near-kernel that |R| hides
             ratio = bnorm / bnorm_prev if iters else 1.0
             eta, bnorm_prev = min(FORCING_ETA_MAX, FORCING_GAMMA * ratio**2, bnorm), bnorm
-            q = eval_fprime(model, u)
-            jac = s0 - sparse.diags(q)
-            precond = _separable_solver(modes, q, grid)
+            precond, rest = op.separable(eval_fprime(model, u))
             residuals = []  # right preconditioning: GMRES minimizes the true linear residual
             z, info = spla.gmres(
-                spla.LinearOperator(s0.shape, matvec=lambda v: jac @ precond(v), dtype=float), -b,
+                spla.LinearOperator(op.matrix.shape, matvec=lambda v: v - rest * precond(v), dtype=float), -b,
                 rtol=eta, atol=KRYLOV_FLOOR_REL * tol, restart=KRYLOV_RESTART,
                 maxiter=KRYLOV_MAX_ITERS // KRYLOV_RESTART, callback=residuals.append, callback_type="pr_norm",
             )
@@ -303,8 +302,8 @@ def newton_solve(
             if info != 0:
                 log.debug("gmres stalled at t = %.8g after %d iterations", t, len(residuals))
                 raise NonConvergenceError(f"gmres stalled after {len(residuals)} iterations", residual=rnorm)
-            u = u + precond(z) / dvec
-            r = residual_vec(u)
+            u = u + precond(z) / op.dvec
+            r = op.apply(u) - eval_f(model, u)
             rnorm = float(np.max(np.abs(r)))
             iters += 1
             if not np.isfinite(rnorm) or rnorm > 1e8 * r0:
@@ -433,8 +432,8 @@ def make_branch_context(
 
     The linearization at u_ref is the tensor sum of the x'-block and the
     height block with u_ref's own potential, so one eigensolve of the
-    height block gives both the kernel and where it occurs.  The x'-block
-    eigenvalue xi_j of cos(j pi X) scales as 1/t^2 with no discretization
+    height block gives both the kernel and where it occurs.  The closed-form
+    x'-block eigenvalue xi_j of cos(j pi X) scales as 1/t^2 with no discretization
     error in t, so the crossing sits exactly at t^2 = xi_j(1) / (-mu_i),
     with kernel z_i(y) cos(j pi X), i.e. cos(j pi x'/L) on the unit square.
     Backtracking toward this value (rather than the continuum scaling, which
@@ -444,8 +443,8 @@ def make_branch_context(
     3.5e-11 * max|u| at 200 x 200 with l = 1.  A reference polish that fails
     raises NonConvergenceError naming that floor next to ``tol``.
     """
-    if j < 1:
-        raise ValidationError("x' mode index must be >= 1 for a dilation-driven crossing")
+    if not 1 <= j < grid.nx:
+        raise ValidationError(f"x' mode index must lie in [1, {grid.nx - 1}] for a dilation-driven crossing, got {j}")
     u1d, _ = integrate_ivp(model, amplitude, grid.ny - 1)
     embedded = embed_one_dim(u1d, grid)
     try:
@@ -467,7 +466,7 @@ def make_branch_context(
     mu_i = float(spec.alphas[i - 1])
     if mu_i >= 0.0:
         raise ValidationError(f"height-block eigenvalue {i} is nonnegative ({mu_i:.6g}); no crossing")
-    xi_j = (2.0 / (l_base**2 * grid.hx**2)) * (1.0 - math.cos(j * math.pi * grid.hx))
+    xi_j = float(_TensorSum(grid, 1.0, l_base).xi[j])
     kernel = np.outer(spec.eigenfunctions[i - 1], np.cos(j * math.pi * grid.x_nodes()))
     kernel /= _weighted_norm(kernel, grid)
     return BranchContext(

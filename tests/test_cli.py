@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import importlib.util
 import json
 import logging
@@ -578,6 +580,13 @@ class TestContract:
         cfg = write_config(tmp_path, base={"type": "disk", "radius": 1.0})
         assert main(["verify-decomposition", "--config", str(cfg)]) == 2
 
+    def test_verify_decomposition_rejects_synthetic_alphas(self, tmp_path, caplog):
+        # composing config alphas against the solved 2D operator checks nothing
+        cfg = write_config(tmp_path, alphas=[-5.0, 1.0, 60.0, 200.0], grids={"nx": 32, "ny": 32})
+        assert main(["verify-decomposition", "--config", str(cfg)]) == 2
+        assert "alphas" in caplog.text
+        assert not (tmp_path / "out" / "verify-decomposition.csv").exists()
+
     def test_out_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)
         other = tmp_path / "elsewhere"
@@ -620,6 +629,17 @@ class TestContract:
                 outputs.append({name: (out / name).read_bytes() for name in names})
             assert len(outputs[0]) == (3 if subcommand == "continue" else 2), sorted(outputs[0])
             assert outputs[0] == outputs[1], subcommand
+
+
+def test_cli_imports_only_public_names():
+    # __all__ is the only list of public names (star-import semantics where a module has
+    # none), so every name cli.py takes from a sibling module must be in it
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            module = importlib.import_module(f"cylbif.{node.module}")
+            public = getattr(module, "__all__", [name for name in vars(module) if not name.startswith("_")])
+            missing = {alias.name for alias in node.names} - set(public)
+            assert not missing, (node.module, sorted(missing))
 
 
 def test_installed_entry_point_and_log_env(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 import cylbif.pde_rectangle as pde
@@ -30,7 +31,6 @@ from cylbif import (
 )
 from cylbif.errors import BranchNotFoundError
 from cylbif.morse_bifurcation import BifurcationPoint
-from cylbif.pde_rectangle import _laplacian_parts, _neumann_block, _separable_solver
 
 
 def weighted_norm(u, grid):
@@ -39,6 +39,13 @@ def weighted_norm(u, grid):
     wy = np.ones(grid.ny)
     wy[0] = wy[-1] = 0.5
     return math.sqrt(grid.hx * grid.hy * np.einsum("i,j,ij->", wy, wx, u * u))
+
+
+def neumann_block(n, c):
+    """Dense symmetrized second difference with Neumann mirrors at both ends."""
+    sx = c * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+    sx[0, 1] = sx[1, 0] = sx[-1, -2] = sx[-2, -1] = -c * math.sqrt(2.0)
+    return sx
 
 
 def direct_newton(initial, t, model, grid, tol):
@@ -80,6 +87,11 @@ def embedded_n1(cubic_model, cubic_solutions, grid64):
 @pytest.fixture(scope="module")
 def branch_ctx(cubic_model, cubic_solutions, grid64):
     return make_branch_context(cubic_model, grid64, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
+
+
+@pytest.fixture(scope="module")
+def ctx48(cubic_model, cubic_solutions):
+    return make_branch_context(cubic_model, Grid2D(48, 48), 1.0, cubic_solutions[1].amplitude, i=1, j=1)
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +140,7 @@ class TestOperator:
         q = eval_fprime(cubic_model, u1d)
         sy = assemble_sl_operator(q, grid.ny - 1)
         mu = np.linalg.eigvalsh(sy.dense())
-        sx, _ = _neumann_block(grid.nx, 1.0 / ((t * 1.0) ** 2 * grid.hx**2))
-        xi = np.linalg.eigvalsh(sx.toarray())
+        xi = np.linalg.eigvalsh(neumann_block(grid.nx, 1.0 / ((t * 1.0) ** 2 * grid.hx**2)))
         sums = np.sort((mu[:, None] + xi[None, :]).ravel())
         assert eigs2d == pytest.approx(sums, rel=1e-10, abs=1e-8)
 
@@ -142,6 +153,19 @@ class TestOperator:
         lambdas = np.array([(j * math.pi) ** 2 for j in range(6)])
         composed = np.sort((cubic_alphas_n1[:8, None] + lambdas[None, :]).ravel())[:10]
         assert np.max(np.abs(direct - composed) / np.abs(composed)) <= 1e-3
+
+    @pytest.mark.parametrize("nx", [48, 200, 400])
+    def test_closed_form_x_modes_match_eigh_tridiagonal(self, nx):
+        grid = Grid2D(nx, 16)
+        t, l_base = 1.3, 0.7
+        owner = pde._TensorSum(grid, t, l_base)
+        sx = neumann_block(nx, 1.0 / ((t * l_base) ** 2 * grid.hx**2))
+        ref = eigh_tridiagonal(np.diag(sx), np.diag(sx, 1), eigvals_only=True)
+        xi, vecs = owner.xi, owner.modes
+        scale = np.max(xi)
+        assert np.max(np.abs(xi - ref)) <= 1e-15 * scale
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(nx))) <= 1e-13
+        assert np.max(np.abs(sx @ vecs - vecs * xi)) <= 1e-14 * scale
 
     def test_eigen_solver_nonconvergence_reported(self, embedded_n1, cubic_model, grid64):
         op = assemble_linearized(embedded_n1, 1.0, cubic_model, grid64)
@@ -177,23 +201,35 @@ class TestNewton:
         with pytest.raises(NonConvergenceError):
             newton_solve(rough, 1.0, cubic_model, grid64, tol=1e-12, max_iters=1)
 
-    def test_branch_point_matches_direct_newton(self, cubic_model, cubic_solutions, first_crossing):
-        grid = Grid2D(48, 48)
-        ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
-        guess = ctx.u_ref + 0.1 * ctx.ref_norm * ctx.kernel
+    def test_branch_point_matches_direct_newton(self, cubic_model, ctx48, first_crossing):
+        grid = ctx48.grid
+        guess = ctx48.u_ref + 0.1 * ctx48.ref_norm * ctx48.kernel
         t = 1.01 * first_crossing.t_bar
-        bp = newton_solve(guess, t, cubic_model, grid, tol=1e-8, max_iters=25, reference_1d=ctx.u_ref)
+        bp = newton_solve(guess, t, cubic_model, grid, tol=1e-8, max_iters=25, reference_1d=ctx48.u_ref)
         ref = direct_newton(guess, t, cubic_model, grid, tol=1e-8)
         assert bp.distance_to_1d > 1e-3
         assert weighted_norm(bp.solution - ref, grid) / weighted_norm(ref, grid) <= 1e-8
+
+    def test_preconditioned_operator_is_the_jacobian_times_p(self, cubic_model, ctx48, first_crossing):
+        # J = (D_t - diag qbar) - diag(q - qbar), so J P v = v - (q - qbar) * P v off the height-only states
+        t = 1.01 * first_crossing.t_bar
+        bp = ctx48.solve(ctx48.u_ref + 0.1 * ctx48.ref_norm * ctx48.kernel, t)
+        assert bp.distance_to_1d > 1e-3
+        q = eval_fprime(cubic_model, bp.solution[:-1].ravel())
+        precond, rest = pde._TensorSum(ctx48.grid, t, 1.0).separable(q)
+        v = np.random.default_rng(0).standard_normal(ctx48.grid.ndof)
+        jac_p = assemble_linearized(bp.solution, t, cubic_model, ctx48.grid).matrix @ precond(v)
+        assert np.max(np.abs(v - rest * precond(v) - jac_p)) <= 1e-10 * np.max(np.abs(jac_p))
 
     def test_separable_solve_is_exact_at_height_only(self, branch_ctx, cubic_model, grid64):
         # at a height-only state the preconditioner is the Jacobian itself
         t = 1.3
         op = assemble_linearized(branch_ctx.u_ref, t, cubic_model, grid64)
         q = eval_fprime(cubic_model, branch_ctx.u_ref[:-1].ravel())
-        sx = _laplacian_parts(grid64, t, 1.0)[2].toarray()
-        solve = _separable_solver(np.linalg.eigh(sx), q, grid64)
+        owner = pde._TensorSum(grid64, t, 1.0)
+        xi = np.linalg.eigh(neumann_block(grid64.nx, 1.0 / (t**2 * grid64.hx**2)))[0]
+        assert np.max(np.abs(owner.xi - xi)) <= 1e-12 * xi[-1]
+        solve, _ = owner.separable(q)
         b = np.random.default_rng(0).standard_normal(grid64.ndof)
         ref = splu(op.matrix.tocsc()).solve(b)
         assert np.max(np.abs(solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -285,6 +321,8 @@ class TestKernelMode:
         amplitude = cubic_solutions[1].amplitude
         with pytest.raises(ValidationError):
             make_branch_context(cubic_model, grid64, 1.0, amplitude, i=1, j=0)
+        with pytest.raises(ValidationError, match="mode index"):
+            make_branch_context(cubic_model, grid64, 1.0, amplitude, i=1, j=grid64.nx)
         # the single-domain solution has one negative height eigenvalue
         with pytest.raises(ValidationError, match="nonnegative"):
             make_branch_context(cubic_model, grid64, 1.0, amplitude, i=2, j=1)
