@@ -315,9 +315,13 @@ def _alphas_for(cfg: RunConfig, sol: OneDimSolution | None = None) -> np.ndarray
     return extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), int(cfg.options["k_eigs"]))[0]
 
 
-def _interval_length(cfg: RunConfig) -> float:
+def _two_dim_length(cfg: RunConfig) -> float:
+    """Base length of the 2D subcommands: they need an interval base, and they work on
+    the operator at the solved 1D profile, which config alphas do not describe."""
     if not isinstance(cfg.base, Interval):
         raise ValidationError("this subcommand needs an interval base")
+    if cfg.alphas is not None:
+        raise ValidationError("the 2D subcommands work on the solved 1D spectrum; config alphas would replace it")
     return cfg.base.length
 
 
@@ -433,9 +437,7 @@ def cmd_bifurcation_points(cfg: RunConfig) -> dict:
 
 
 def cmd_verify_decomposition(cfg: RunConfig) -> dict:
-    length = _interval_length(cfg)
-    if cfg.alphas is not None:
-        raise ValidationError("verify-decomposition checks the solved 1D spectrum; config alphas would replace it")
+    length = _two_dim_length(cfg)
     t = float(cfg.options["t_verify"])
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
     alphas = _alphas_for(cfg, sol)
@@ -464,7 +466,7 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
 
 
 def cmd_continue(cfg: RunConfig) -> dict:
-    length = _interval_length(cfg)
+    length = _two_dim_length(cfg)
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
     alphas = _alphas_for(cfg, sol)
     t_max = cfg.t_range[1]

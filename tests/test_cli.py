@@ -564,11 +564,18 @@ class TestContract:
         assert results["points_plus"] == 6
         assert results["outcome_plus"] == "reached_t_limit"
 
-    def test_continue_without_negative_alphas_has_no_crossing(self, tmp_path, caplog):
-        # no alpha_i < 0 means no degeneracy scaling, and the base cutoff must stay positive
-        cfg = write_config(tmp_path, alphas=[0.5, 3.0])
+    def test_continue_below_first_crossing_has_no_crossing(self, tmp_path, caplog):
+        # the first t_bar of p = 4, n = 1 on the unit interval is about 1.38
+        cfg = write_config(tmp_path, t_range={"t_min": 0.5, "t_max": 1.0, "samples": 5})
         assert main(["continue", "--config", str(cfg)]) == 4
         assert "no simple degeneracy scaling" in caplog.text
+
+    def test_bifurcation_points_without_negative_alphas_is_empty(self, tmp_path):
+        # no alpha_i < 0 means no degeneracy scaling, and the base cutoff must stay positive
+        cfg = write_config(tmp_path, alphas=[0.5, 3.0])
+        assert main(["bifurcation-points", "--config", str(cfg)]) == 0
+        assert read_csv_rows(tmp_path / "out" / "bifurcation-points.csv") == []
+        assert read_summary(tmp_path)["results"]["count"] == 0
 
     def test_bad_threads_creates_no_output_dir(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -586,6 +593,14 @@ class TestContract:
         assert main(["verify-decomposition", "--config", str(cfg)]) == 2
         assert "alphas" in caplog.text
         assert not (tmp_path / "out" / "verify-decomposition.csv").exists()
+
+    def test_continue_rejects_synthetic_alphas(self, tmp_path, caplog, monkeypatch):
+        # the branch lives on the solved 2D operator, which has no crossing at the alphas' t_bar
+        monkeypatch.setattr(cli, "find_one_dim_solution", lambda *a, **k: pytest.fail("solved before validating"))
+        cfg = write_config(tmp_path, alphas=[-5.0, 1.0, 60.0, 200.0], grids={"nx": 32, "ny": 32})
+        assert main(["continue", "--config", str(cfg)]) == 2
+        assert "alphas" in caplog.text
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_out_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)

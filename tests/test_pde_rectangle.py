@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 import cylbif.pde_rectangle as pde
 from cylbif import (
@@ -95,6 +95,15 @@ def ctx48(cubic_model, cubic_solutions):
 
 
 @pytest.fixture(scope="module")
+def height_only_200(cubic_model, cubic_solutions):
+    """Grid, dilation, height profile and linearization of a height-only state at the
+    benchmark's 200 x 200."""
+    grid, t = Grid2D(200, 200), 1.0
+    u1d, _ = integrate_ivp(cubic_model, cubic_solutions[1].amplitude, grid.ny - 1)
+    return grid, t, u1d, assemble_linearized(embed_one_dim(u1d, grid), t, cubic_model, grid)
+
+
+@pytest.fixture(scope="module")
 def first_crossing(cubic_alphas_n1):
     t_bar = math.pi / math.sqrt(-float(cubic_alphas_n1[0]))
     return BifurcationPoint(t_bar=t_bar, pairs=[(1, 1)], kernel_multiplicity=1, simple=True)
@@ -169,8 +178,37 @@ class TestOperator:
 
     def test_eigen_solver_nonconvergence_reported(self, embedded_n1, cubic_model, grid64):
         op = assemble_linearized(embedded_n1, 1.0, cubic_model, grid64)
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError, match=r"converged only \d+/8 pairs") as info:
             smallest_eigenvalues(op, 8, maxiter=1)
+        # the residual field holds a norm elsewhere; an eigensolve that stops early has none
+        assert info.value.residual is None
+        assert isinstance(info.value.__cause__, ArpackNoConvergence)
+
+    def test_shift_invert_factors_once_in_a_symmetric_ordering(self, height_only_200, monkeypatch):
+        # splu's default column ordering fills 3.66e6 entries here, the minimum-degree one 1.93e6
+        fills = []
+
+        def spy(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            fills.append(lu.nnz)
+            return lu
+
+        *_, op = height_only_200
+        monkeypatch.setattr(pde.spla, "splu", spy)
+        smallest_eigenvalues(op, 10)
+        assert len(fills) == 1
+        assert fills[0] <= 2.2e6
+
+    def test_shift_invert_matches_sum_set_at_benchmark_size(self, cubic_model, height_only_200):
+        # the closed-form x'-eigenvalues plus the height block's at the same potential
+        grid, t, u1d, op = height_only_200
+        c = 1.0 / (t**2 * grid.hx**2)
+        xi = 2.0 * c * (1.0 - np.cos(np.arange(10) * math.pi * grid.hx))
+        sy = assemble_sl_operator(eval_fprime(cubic_model, u1d), grid.ny - 1)
+        mu = eigh_tridiagonal(sy.diag, sy.off, eigvals_only=True, select="i", select_range=(0, 9))
+        sums = np.sort((mu[:, None] + xi[None, :]).ravel())[:10]
+        direct = smallest_eigenvalues(op, 10)
+        assert np.max(np.abs(direct - sums) / np.abs(sums)) <= 1e-10
 
 
 class TestNewton:
