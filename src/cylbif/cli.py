@@ -58,7 +58,7 @@ from .pde_rectangle import (
     Grid2D,
     assemble_linearized,
     backtrack_branch,
-    continue_branch,
+    continue_half_branches,
     embed_one_dim,
     eval_energy,
     make_branch_context,
@@ -271,6 +271,40 @@ def write_csv(path: Path, header: list[str], rows) -> None:
                 if kind == "bool":
                     flat[c :: len(kinds)] = ["true" if v else "false" for v in column]
             fh.write((line * len(chunk)) % tuple(flat))
+
+
+def _u_strings(solution: np.ndarray) -> np.ndarray:
+    """``solution``'s values as ``write_csv`` writes floats, in its shape, converted by one ``%`` operation."""
+    values = solution.ravel().tolist()
+    strings = (("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+    return np.array(strings, dtype=object).reshape(solution.shape)
+
+
+def write_solution_dumps(out_dir: Path, k_index: int, grid: Grid2D, plus: list, minus: list) -> None:
+    """``solution_<sign>_<k_index>_<idx>.csv`` with columns x', x_N, u for each (ny, nx) solution of
+    the two half-branches, written in plus/minus pairs so that one dump's strings are held at a time.
+
+    A minus solution whose bits are those of the mirrored plus solution of its pair is
+    written from the plus strings in mirrored order, which are the strings it formats to;
+    equal values are not enough, since -0.0 == 0.0 formats differently."""
+    xs = [f"{x:.17g}" for x in grid.x_nodes().tolist()]
+    ys = [f"{y:.17g}" for y in grid.y_nodes().tolist()]
+    xcol, ycol = xs * grid.ny, [y for y in ys for _ in xs]  # row-major like solution.ravel()
+    for idx in range(max(len(plus), len(minus))):
+        strings = None
+        for sign_name, solutions in (("plus", plus), ("minus", minus)):
+            if idx >= len(solutions):
+                continue
+            u = solutions[idx]
+            if strings is not None and u.tobytes() == plus[idx][:, ::-1].tobytes():
+                strings = strings[:, ::-1]
+            else:
+                strings = _u_strings(u)
+            write_csv(
+                out_dir / f"solution_{sign_name}_{k_index}_{idx}.csv",
+                ["xprime", "xn", "u"],
+                zip(xcol, ycol, strings.ravel().tolist()),
+            )
 
 
 def write_summary(cfg: RunConfig, subcommand: str, results: dict) -> None:
@@ -490,20 +524,9 @@ def cmd_continue(cfg: RunConfig) -> dict:
         "kernel_pair": [i, j],
         "energy_one_dim": energy_ref,
     }
-    if cfg.options["dump_solutions"]:
-        # the dumps' x' and x_N columns, formatted once, row-major like solution.ravel()
-        xs = [f"{x:.17g}" for x in grid.x_nodes().tolist()]
-        ys = [f"{y:.17g}" for y in grid.y_nodes().tolist()]
-        xcol, ycol = xs * grid.ny, [y for y in ys for _ in xs]
-    branches = {}
-    for sign_name, sign in (("plus", 1), ("minus", -1)):
-        try:
-            branch, outcome = continue_branch(ctx, point, direction=+1, steps=steps, t_max=t_max, sign=sign)
-        except NoSolutionError as exc:
-            log.info("no %s half-branch: %s", sign_name, exc)
-            branch, outcome = [], "branch_not_found"
-        branches[sign_name] = branch
-        results[f"outcome_{sign_name}"] = outcome
+    halves = continue_half_branches(ctx, point, steps=steps, t_max=t_max)
+    for sign_name, branch in halves.branches.items():
+        results[f"outcome_{sign_name}"] = halves.outcomes[sign_name]
         rows = [
             (
                 bp.t,
@@ -520,24 +543,14 @@ def cmd_continue(cfg: RunConfig) -> dict:
             ["t", "deviation", "distance_to_1d", "nodal_count", "newton_iters", "energy"],
             rows,
         )
-        if cfg.options["dump_solutions"]:
-            for idx, bp in enumerate(branch):
-                write_csv(
-                    cfg.output_dir / f"solution_{sign_name}_{k_index}_{idx}.csv",
-                    ["xprime", "xn", "u"],
-                    zip(xcol, ycol, bp.solution.ravel().tolist()),
-                )
         if branch:
             results[f"deviation_first_{sign_name}"] = branch[0].deviation
             results[f"points_{sign_name}"] = len(branch)
-
-    plus, minus = branches["plus"], branches["minus"]
-    if plus and minus:
-        refl = plus[0].solution[:, ::-1]
-        scale = float(np.max(np.abs(refl)))
-        results["half_branches_are_reflections"] = bool(
-            np.max(np.abs(minus[0].solution - refl)) / scale < 1e-6
-        )
+    plus, minus = halves.branches["plus"], halves.branches["minus"]
+    if cfg.options["dump_solutions"]:
+        write_solution_dumps(cfg.output_dir, k_index, grid, [bp.solution for bp in plus], [bp.solution for bp in minus])
+    if halves.reflections is not None:
+        results["half_branches_are_reflections"] = halves.reflections
     if plus:
         back = backtrack_branch(ctx, plus[0])
         results["backtrack_distances"] = [bp.distance_to_1d for bp in back]

@@ -44,12 +44,14 @@ __all__ = [
     "Linearized2D",
     "BranchPoint",
     "BranchContext",
+    "HalfBranches",
     "assemble_linearized",
     "smallest_eigenvalues",
     "newton_solve",
     "embed_one_dim",
     "make_branch_context",
     "continue_branch",
+    "continue_half_branches",
     "backtrack_branch",
     "one_dimensionality_deviation",
     "count_nodal_domains_2d",
@@ -68,6 +70,8 @@ FIRST_STEP_REL = 1e-2
 SWITCH_EPS_REL = 1e-1
 #: a solve within this multiple of the Newton tol of u_ref is on the height-only solution
 FALLBACK_TOL_REL = 10.0
+#: the first minus point mirrors the first plus point when they differ by less than this share of max|u|
+REFLECTION_TOL_REL = 1e-6
 #: backtracking solves at offsets dt * BACKTRACK_RATIO**k, k = 1..BACKTRACK_OFFSETS
 BACKTRACK_OFFSETS = 5
 BACKTRACK_RATIO = 0.12
@@ -412,6 +416,7 @@ class BranchContext:
     l_base: float
     u_ref: np.ndarray  # discrete height-only fixed point on the 2D grid
     kernel: np.ndarray  # unit-norm (ny, nx) mode z_i(y) cos(j pi x'), Dirichlet row included
+    j: int  # the kernel's x'-mode
     t_bar_discrete: float  # the linearization at u_ref is singular here
     tol: float
 
@@ -492,6 +497,7 @@ def make_branch_context(
         l_base=l_base,
         u_ref=seed.solution,
         kernel=kernel,
+        j=j,
         t_bar_discrete=math.sqrt(xi_j / (-mu_i)),
         tol=tol,
     )
@@ -505,7 +511,7 @@ def continue_branch(
     t_max: float,
     sign: int = 1,
 ) -> tuple[list[BranchPoint], str]:
-    """Switch onto the bifurcating branch at a simple point and follow it.
+    """Switch onto the bifurcating branch at a simple point and follow it by Newton.
 
     The first solve starts from u_ref + eps * w at t = t_bar + direction *
     dt0, dt0 = FIRST_STEP_REL * t_bar, with eps = sign * SWITCH_EPS_REL *
@@ -523,7 +529,8 @@ def continue_branch(
     ``steps`` points or at ``t_max``, ``stalled`` when continuation gave up
     short of both, and ``returned_to_one_dimensional`` when the last point
     lies on the height-only solution.  Raises BranchNotFoundError when no
-    first point is found.
+    first point is found.  ``continue_half_branches`` follows both signs and,
+    for odd j, takes the minus half-branch after its first point from the plus one.
     """
     if not point.simple:
         raise ValidationError(
@@ -557,10 +564,14 @@ def continue_branch(
         raise BranchNotFoundError(
             f"no branch found at t = {t1:.6g} after escalating the kernel perturbation"
         )
+    return _follow(ctx, branch, direction, dt0, steps, t_max)
 
-    dt = dt0
+
+def _follow(
+    ctx: BranchContext, branch: list[BranchPoint], direction: int, dt: float, steps: int, t_max: float
+) -> tuple[list[BranchPoint], str]:
+    """Continue ``branch`` from its last point by steps of ``dt``, halved on a failed solve."""
     halvings = 0
-    outcome = "reached_t_limit"
     while len(branch) < steps and branch[-1].t < t_max:
         t_next = branch[-1].t + direction * dt
         if t_next > t_max:  # a failed solve there halves the shortened step
@@ -578,14 +589,84 @@ def continue_branch(
             dt *= 0.5
             if halvings > 6:
                 log.info("continuation stalled at t = %.6g after 6 halvings", branch[-1].t)
-                outcome = "stalled"
                 break
             continue
         branch.append(bp)
         halvings = 0
-    if branch[-1].distance_to_1d < fallback_threshold:
-        outcome = "returned_to_one_dimensional"
-    return branch, outcome
+    return branch, _outcome(ctx, branch, steps, t_max)
+
+
+def _outcome(ctx: BranchContext, branch: list[BranchPoint], steps: int, t_max: float) -> str:
+    """Why a half-branch ended: on the height-only solution, after ``steps`` points or at
+    ``t_max``, or short of both."""
+    if branch[-1].distance_to_1d < FALLBACK_TOL_REL * ctx.tol:
+        return "returned_to_one_dimensional"
+    return "reached_t_limit" if len(branch) >= steps or branch[-1].t >= t_max else "stalled"
+
+
+@dataclass
+class HalfBranches:
+    """Both half-branches of one crossing, keyed "plus" and "minus", and why each ended.
+
+    ``reflections`` says whether the first minus point is the mirror image of the
+    first plus point under x' -> 1 - x'; it is None unless both exist.
+    """
+
+    branches: dict[str, list[BranchPoint]]
+    outcomes: dict[str, str]
+    reflections: bool | None
+
+
+def continue_half_branches(ctx: BranchContext, point: BifurcationPoint, steps: int, t_max: float) -> HalfBranches:
+    """Follow both half-branches at a simple crossing toward larger t.
+
+    Each sign is switched onto by ``continue_branch``.  A sign with no first
+    point reads ``branch_not_found``.  For odd j the discrete problem is
+    symmetric under x' -> 1 - x' and the kernel changes sign there, so the
+    minus half-branch is the mirror image of the plus one (an equivariant
+    pitchfork).  When the Newton-solved first minus point is that mirror
+    image, to REFLECTION_TOL_REL of max|u|, every later plus point is
+    reflected and handed to Newton at its t: a reflection whose residual is
+    already at most tol comes back with 0 iterations, any other is polished,
+    and a polish that fails ends the minus half-branch there.  Its outcome
+    follows ``continue_branch``'s rules.  For even j, without a plus
+    half-branch or when the first minus point is no mirror, the minus
+    half-branch is continued by Newton like the plus one.
+    """
+    branches: dict[str, list[BranchPoint]] = {}
+    outcomes: dict[str, str] = {}
+    for name, sign, count in (("plus", 1, steps), ("minus", -1, 1)):  # the minus side's first point only
+        try:
+            branches[name], outcomes[name] = continue_branch(ctx, point, +1, steps=count, t_max=t_max, sign=sign)
+        except BranchNotFoundError as exc:
+            log.info("no %s half-branch: %s", name, exc)
+            branches[name], outcomes[name] = [], "branch_not_found"
+    plus, minus = branches["plus"], branches["minus"]
+    reflections = None
+    if plus and minus:
+        mirrored = plus[0].solution[:, ::-1]
+        reflections = bool(
+            np.max(np.abs(minus[0].solution - mirrored)) / np.max(np.abs(mirrored)) < REFLECTION_TOL_REL
+        )
+    reflected: list[BranchPoint] = []
+    if reflections and ctx.j % 2 == 1:
+        for bp in plus[1:]:
+            try:
+                reflected.append(ctx.solve(bp.solution[:, ::-1], bp.t))
+            except NonConvergenceError:
+                log.info("the reflected plus point at t = %.6g failed its polish", bp.t)
+                break
+        minus += reflected
+        outcomes["minus"] = _outcome(ctx, minus, steps, t_max)
+    elif minus:
+        branches["minus"], outcomes["minus"] = _follow(ctx, minus, +1, FIRST_STEP_REL * point.t_bar, steps, t_max)
+    for name, taken in (("plus", []), ("minus", reflected)):
+        log.info(
+            "%s half-branch: %d Newton-solved, %d reflected (%d of them polished, largest residual %.3g)",
+            name, len(branches[name]) - len(taken), len(taken), sum(bp.newton_iters > 0 for bp in taken),
+            max((bp.residual for bp in taken), default=math.nan),
+        )
+    return HalfBranches(branches=branches, outcomes=outcomes, reflections=reflections)
 
 
 def backtrack_branch(ctx: BranchContext, start: BranchPoint) -> list[BranchPoint]:

@@ -230,6 +230,8 @@ class TestSubcommands:
         rows = read_csv_rows(tmp_path / "out" / "branch_plus_1.csv")
         assert len(rows) == 2
         assert {"t", "deviation", "distance_to_1d", "nodal_count", "newton_iters", "energy"} == set(rows[0])
+        # at odd j the minus points after the first are reflections of the plus ones
+        assert [r["newton_iters"] != "0" for r in read_csv_rows(tmp_path / "out" / "branch_minus_1.csv")] == [True, False]
         dump = read_csv_rows(tmp_path / "out" / "solution_plus_1_0.csv")
         assert len(dump) == 48 * 48
         assert set(dump[0]) == {"xprime", "xn", "u"}
@@ -385,6 +387,29 @@ class TestWriteCsv:
             assert {row[-1] for row in written[0][2]} == {False}
         if subcommand == "continue":
             assert sum(1 for path, _, rows in written if len(rows) == 32 * 32) == 4
+
+
+def test_mirrored_dumps_match_the_float_path(tmp_path, monkeypatch):
+    # a minus dump written from the permuted plus strings must carry the bytes of formatting it
+    grid = pde.Grid2D(16, 16)
+    plus = np.random.default_rng(0).standard_normal((grid.ny, grid.nx))
+    plus[-1] = 0.0
+    plus[3, 2] = 0.0
+    same = plus[:, ::-1].copy()  # the mirror's bits
+    signed = same.copy()
+    signed[3, grid.nx - 1 - 2] = -0.0  # equal values, other bits: "-0" where the plus strings hold "0"
+    assert np.array_equal(signed, same) and signed.tobytes() != same.tobytes()
+    formatted = []
+    real_strings = cli._u_strings
+    monkeypatch.setattr(cli, "_u_strings", lambda u: formatted.append(u) or real_strings(u))
+    cli.write_solution_dumps(tmp_path, 1, grid, [plus, plus], [same, signed])
+    assert len(formatted) == 3  # both plus dumps and the signed minus one
+    x, y = np.meshgrid(grid.x_nodes(), grid.y_nodes())
+    for idx, minus in enumerate((same, signed)):
+        write_csv(tmp_path / "reference.csv", ["xprime", "xn", "u"], zip(*(a.ravel().tolist() for a in (x, y, minus))))
+        assert (tmp_path / f"solution_minus_1_{idx}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert b",-0\n" in (tmp_path / "solution_minus_1_1.csv").read_bytes()
+    assert b",-0\n" not in (tmp_path / "solution_minus_1_0.csv").read_bytes()
 
 
 def test_tracing_counts_every_file_written(tmp_path):

@@ -18,6 +18,7 @@ from cylbif import (
     assemble_sl_operator,
     backtrack_branch,
     continue_branch,
+    continue_half_branches,
     count_nodal_domains_2d,
     embed_one_dim,
     eval_energy,
@@ -507,3 +508,71 @@ class TestBranch:
         mirrored = plus.solution[:, ::-1]
         scale = np.max(np.abs(mirrored))
         assert np.max(np.abs(minus.solution - mirrored)) / scale < 1e-8
+
+
+class TestHalfBranches:
+    """continue_half_branches takes the minus half-branch of an odd-j crossing from the plus one."""
+
+    def test_minus_points_after_the_first_are_verified_reflections(self, ctx48, first_crossing, caplog):
+        caplog.set_level(logging.INFO, logger="cylbif")
+        halves = continue_half_branches(ctx48, first_crossing, steps=4, t_max=2 * first_crossing.t_bar)
+        plus, minus = halves.branches["plus"], halves.branches["minus"]
+        assert halves.reflections is True
+        assert len(plus) == len(minus) == 4
+        assert halves.outcomes == {"plus": "reached_t_limit", "minus": "reached_t_limit"}
+        assert minus[0].newton_iters > 0
+        for p, m in zip(plus[1:], minus[1:]):
+            assert m.newton_iters == 0
+            assert m.residual <= ctx48.tol
+            assert m.solution.tobytes() == p.solution[:, ::-1].tobytes()
+            assert m.t == p.t
+        assert "minus half-branch: 1 Newton-solved, 3 reflected (0 of them polished, largest residual" in caplog.text
+        assert "plus half-branch: 4 Newton-solved, 0 reflected (0 of them polished, largest residual nan)" in caplog.text
+
+    def test_reflections_are_polished_and_a_failed_polish_stalls(self, ctx48, first_crossing, monkeypatch):
+        t_max = 2 * first_crossing.t_bar
+        plus, _ = continue_branch(ctx48, first_crossing, +1, steps=4, t_max=t_max)
+        real_solve = pde.newton_solve
+
+        def disturb_reflections(initial, t, *args, **kwargs):
+            if np.array_equal(initial, plus[1].solution[:, ::-1]):  # residual far above tol
+                initial = initial + 1e-3 * np.max(np.abs(initial)) * ctx48.kernel
+            if np.array_equal(initial, plus[2].solution[:, ::-1]):
+                raise NonConvergenceError("injected failure")
+            return real_solve(initial, t, *args, **kwargs)
+
+        monkeypatch.setattr(pde, "newton_solve", disturb_reflections)
+        halves = continue_half_branches(ctx48, first_crossing, steps=4, t_max=t_max)
+        minus = halves.branches["minus"]
+        assert halves.outcomes == {"plus": "reached_t_limit", "minus": "stalled"}
+        assert [bp.t for bp in minus] == [bp.t for bp in plus[:2]]
+        assert minus[1].newton_iters > 0 and minus[1].residual <= ctx48.tol
+        mirrored = plus[1].solution[:, ::-1]
+        assert np.max(np.abs(minus[1].solution - mirrored)) / np.max(np.abs(mirrored)) < 1e-6
+
+    def test_even_j_continues_both_halves(self, cubic_model, cubic_solutions, first_crossing):
+        # cos(2 pi x') is even under x' -> 1 - x', so the minus half-branch is no mirror of the plus one
+        ctx = make_branch_context(cubic_model, Grid2D(48, 48), 1.0, cubic_solutions[1].amplitude, i=1, j=2)
+        point = BifurcationPoint(t_bar=2 * first_crossing.t_bar, pairs=[(1, 2)], kernel_multiplicity=1, simple=True)
+        halves = continue_half_branches(ctx, point, steps=3, t_max=2 * point.t_bar)
+        assert halves.reflections is False
+        assert halves.outcomes == {"plus": "reached_t_limit", "minus": "reached_t_limit"}
+        assert len(halves.branches["minus"]) == 3
+        assert all(bp.newton_iters > 0 for bp in halves.branches["minus"])
+
+    def test_a_first_minus_point_that_is_no_mirror_is_continued_by_newton(self, ctx48, first_crossing, monkeypatch):
+        t_max = 2 * first_crossing.t_bar
+        monkeypatch.setattr(pde, "REFLECTION_TOL_REL", 0.0)  # no first minus point passes as a mirror
+        halves = continue_half_branches(ctx48, first_crossing, steps=3, t_max=t_max)
+        expected, outcome = continue_branch(ctx48, first_crossing, +1, steps=3, t_max=t_max, sign=-1)
+        assert halves.reflections is False
+        assert halves.outcomes["minus"] == outcome
+        minus = halves.branches["minus"]
+        assert all(bp.newton_iters > 0 for bp in minus)
+        assert [bp.solution.tobytes() for bp in minus] == [bp.solution.tobytes() for bp in expected]
+
+    def test_no_first_point_reads_branch_not_found(self, ctx48, first_crossing):
+        halves = continue_half_branches(ctx48, first_crossing, steps=3, t_max=1.005 * first_crossing.t_bar)
+        assert halves.branches == {"plus": [], "minus": []}
+        assert halves.outcomes == {"plus": "branch_not_found", "minus": "branch_not_found"}
+        assert halves.reflections is None
