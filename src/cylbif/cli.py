@@ -7,9 +7,11 @@ provenance) into the output directory, and exits 0 on success, 2 on
 validation failure, 3 on numerical non-convergence, 4 when no
 solution/branch exists, 64 on usage errors.
 
-Identical configurations produce bitwise-identical CSV output: iteration
-orders are fixed, the sparse eigensolver starts from a fixed-seed vector and
-nothing is seeded from the clock.
+Identical configurations produce bitwise-identical CSV output at a fixed BLAS
+thread count: iteration orders are fixed, the sparse eigensolver starts from a
+fixed-seed vector and nothing is seeded from the clock.  The thread count
+changes how BLAS sums, so `continue` and `verify-decomposition` at 200 x 200
+write other last digits under one thread than under two.
 """
 
 from __future__ import annotations

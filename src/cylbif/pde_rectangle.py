@@ -11,10 +11,13 @@ ghost nodes on the Neumann sides; half-weight similarity scaling restores
 symmetry exactly as in the one-dimensional eigenproblem.  Because the
 x'-independent functions are preserved by the stencil, the solution of
 the height-only problem is a fixed point of D_t u = f(u) at every t, and
-branch detection can compare against that stored fixed point.  Newton
-solves with GMRES, right-preconditioned by the separable solve P of the tensor
-sum D_t - diag qbar, qbar the x'-average of q = f'(u), in the closed-form
-x'-modes; the operator v -> v - (q - qbar) * P v is the identity at height-only states.
+branch detection can compare against that stored fixed point.  D_t is held
+as its two 1D factors, D_t = I (x) S_x(t) + S_y (x) I.  Newton applies them for
+its residuals and solves with GMRES, right-preconditioned by the separable solve P
+of the tensor sum D_t - diag qbar, qbar the x'-average of q = f'(u), in the
+closed-form x'-modes; the operator v -> v - (q - qbar) * P v is the identity at
+height-only states.  Only the direct check, ``assemble_linearized``, builds the
+2D matrix.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ FIRST_STEP_REL = 1e-2
 SWITCH_EPS_REL = 1e-1
 #: a solve within this multiple of the Newton tol of u_ref is on the height-only solution
 FALLBACK_TOL_REL = 10.0
+#: a failed solve whose residual stopped within this multiple of the rounding floor stalled on it
+FLOOR_STALL_REL = 10.0
 #: the first minus point mirrors the first plus point when they differ by less than this share of max|u|
 REFLECTION_TOL_REL = 1e-6
 #: backtracking solves at offsets dt * BACKTRACK_RATIO**k, k = 1..BACKTRACK_OFFSETS
@@ -129,6 +134,19 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
+def _x_average(a: np.ndarray) -> np.ndarray:
+    """The trapezoid average of each row of ``a`` over x'."""
+    wx = _trapezoid_weights(a.shape[1])
+    return (a @ wx) / wx.sum()
+
+
+def _rounding_floor(u: np.ndarray, grid: Grid2D, t: float, l_base: float) -> float:
+    """The inf-norm residual of D_t u - f(u) cannot be rounded below about
+    max|u| * (2/(t l h_x)^2 + 2/h_y^2) * eps, the stencil's largest row sum times eps."""
+    stencil = 2.0 / (t * l_base * grid.hx) ** 2 + 2.0 / grid.hy**2
+    return float(np.max(np.abs(u))) * stencil * np.finfo(float).eps
+
+
 def _weighted_norm(u: np.ndarray, grid: Grid2D) -> float:
     wx = _trapezoid_weights(grid.nx)
     wy = _trapezoid_weights(grid.ny)
@@ -153,43 +171,41 @@ class Linearized2D:
         return (self.matrix @ (self.dvec * dof)) / self.dvec
 
 
-class _TensorSum(Linearized2D):
-    """D_t = I (x) S_x(t) + S_y (x) I on one (grid, t, l_base): the linearization at
-    zero potential.  S_y is the 1D eigenproblem's height stencil; S_x, the Neumann
-    x'-block with c = 1/(t L h_x)^2, has the closed-form eigenpairs
+class _TensorSum:
+    """D_t = I (x) S_x(t) + S_y (x) I on one (grid, t, l_base), the linearization at zero
+    potential, kept as its symmetrized 1D factors: the height stencil S_y and the Neumann
+    x'-block S_x with c = 1/(t L h_x)^2, whose eigenpairs are closed-form,
     xi_k = 2c(1 - cos(k pi h_x)), k = 0..nx-1, with the half-weighted, unit-normalized
     cosines cos(k pi x') in the columns of ``modes``."""
 
     def __init__(self, grid: Grid2D, t: float, l_base: float):
+        if not (np.isfinite(t) and t > 0.0):
+            raise ValidationError(f"dilation factor must be positive, got {t}")
+        if not (np.isfinite(l_base) and l_base > 0.0):
+            raise ValidationError(f"base length must be positive, got {l_base}")
         self.grid = grid
         n = grid.nx
-        c, self.xi = self.x_block(grid, t, l_base)
+        c = 1.0 / ((t * l_base) ** 2 * grid.hx**2)
+        k = np.arange(n)
+        self.xi = 2.0 * c * (1.0 - np.cos(k * math.pi * grid.hx))
         off = np.full(n - 1, -c)
         off[0] = off[-1] = -c * math.sqrt(2.0)
-        sx = sparse.diags([off, np.full(n, 2.0 * c), off], [-1, 0, 1], format="csr")
-        self.height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
-        sy = sparse.diags([self.height.off, self.height.diag, self.height.off], [-1, 0, 1], format="csr")
-        self.matrix = sparse.kronsum(sx, sy, format="csr")  # I (x) S_x + S_y (x) I
+        self.sx = sparse.diags([off, np.full(n, 2.0 * c), off], [-1, 0, 1], format="csr")
+        height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
+        self.sy = sparse.diags([height.off, height.diag, height.off], [-1, 0, 1], format="csr")
         dx = np.ones(n)
         dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
         dy = np.ones(grid.ny - 1)
         dy[0] = 1.0 / math.sqrt(2.0)
         self.dvec = np.kron(dy, dx)
-        self.sigma_floor = -1.0
-        k = np.arange(n)
         # cos(k pi x_i) = cos(pi (i k mod 2(nx-1)) h_x): the reduced argument stays below 2 pi
         self.modes = dx[:, None] * np.cos((np.outer(k, k) % (2 * (n - 1))) * (math.pi * grid.hx))
         self.modes /= np.linalg.norm(self.modes, axis=0)
 
-    @staticmethod
-    def x_block(grid: Grid2D, t: float, l_base: float) -> tuple[float, np.ndarray]:
-        """The x'-block's c and its eigenvalues xi, without assembling any matrix."""
-        if not (np.isfinite(t) and t > 0.0):
-            raise ValidationError(f"dilation factor must be positive, got {t}")
-        if not (np.isfinite(l_base) and l_base > 0.0):
-            raise ValidationError(f"base length must be positive, got {l_base}")
-        c = 1.0 / ((t * l_base) ** 2 * grid.hx**2)
-        return c, 2.0 * c * (1.0 - np.cos(np.arange(grid.nx) * math.pi * grid.hx))
+    def apply(self, dof: np.ndarray) -> np.ndarray:
+        """D_t on true grid values U: S_y W + W S_x^T, W = diag(dy) U diag(dx), unweighted."""
+        w = (self.dvec * dof).reshape(self.grid.ny - 1, self.grid.nx)
+        return (self.sy @ w + w @ self.sx.T).ravel() / self.dvec
 
     def separable(self, q: np.ndarray):
         """The solve P of D_t - diag qbar, qbar the x'-average of the potential q, and
@@ -197,10 +213,9 @@ class _TensorSum(Linearized2D):
         In the x'-modes P is one tridiagonal height system per mode (fast
         diagonalization), factored together as one block-diagonal matrix."""
         q2 = q.reshape(self.grid.ny - 1, self.grid.nx)
-        wx = _trapezoid_weights(self.grid.nx)
-        qbar = (q2 @ wx) / wx.sum()
-        off = np.tile(np.append(self.height.off, 0.0), self.grid.nx)[:-1]
-        *factor, info = lapack.dgttrf(off, (self.xi[:, None] + (self.height.diag - qbar)).ravel(), off)
+        qbar = _x_average(q2)
+        off = np.tile(np.append(self.sy.diagonal(1), 0.0), self.grid.nx)[:-1]
+        *factor, info = lapack.dgttrf(off, (self.xi[:, None] + (self.sy.diagonal() - qbar)).ravel(), off)
         if info != 0:
             raise NonConvergenceError("separable preconditioner is singular")
 
@@ -214,11 +229,11 @@ class _TensorSum(Linearized2D):
 def assemble_linearized(
     u, t: float, model: NonlinearityModel, grid: Grid2D, l_base: float = 1.0
 ) -> Linearized2D:
-    """Five-point discretization of D_t - f'(u) on the unit square."""
+    """Five-point D_t - f'(u) on the unit square: the only 2D matrix of the tensor sum."""
     full = _as_full(u, grid)
     op = _TensorSum(grid, t, l_base)
     q = eval_fprime(model, full[:-1].ravel())
-    matrix = (op.matrix - sparse.diags(q)).tocsr()
+    matrix = (sparse.kronsum(op.sx, op.sy, format="csr") - sparse.diags(q)).tocsr()
     return Linearized2D(matrix=matrix, dvec=op.dvec, sigma_floor=-max(0.0, float(np.max(q))) - 1.0)
 
 
@@ -281,9 +296,10 @@ def newton_solve(
     l_base: float = 1.0,
     reference_1d: np.ndarray | None = None,
 ) -> BranchPoint:
-    """Inexact Newton iteration on R(u) = D_t u - f(u); each step is a GMRES solve
-    of v -> v - (q - qbar) * P v, P the separable solve at the x'-average qbar of
-    q = f'(u).  A solve that reaches KRYLOV_MAX_ITERS raises NonConvergenceError.
+    """Inexact Newton iteration on R(u) = D_t u - f(u), D_t applied as its 1D factors;
+    each step is a GMRES solve of v -> v - (q - qbar) * P v, P the separable solve at
+    the x'-average qbar of q = f'(u).  A solve that reaches KRYLOV_MAX_ITERS raises
+    NonConvergenceError.
 
     ``reference_1d`` (full-grid array) fixes the yardstick for
     ``distance_to_1d``; without it the distance is reported as NaN.
@@ -315,7 +331,7 @@ def newton_solve(
             precond, rest = op.separable(eval_fprime(model, u))
             residuals = []  # right preconditioning: GMRES minimizes the true linear residual
             z, info = spla.gmres(
-                spla.LinearOperator(op.matrix.shape, matvec=lambda v: v - rest * precond(v), dtype=float), -b,
+                spla.LinearOperator((u.size, u.size), matvec=lambda v: v - rest * precond(v), dtype=float), -b,
                 rtol=eta, atol=KRYLOV_FLOOR_REL * tol, restart=KRYLOV_RESTART,
                 maxiter=KRYLOV_MAX_ITERS // KRYLOV_RESTART, callback=residuals.append, callback_type="pr_norm",
             )
@@ -374,9 +390,7 @@ def one_dimensionality_deviation(u, grid: Grid2D) -> float:
     norm = _weighted_norm(full, grid)
     if norm == 0.0:
         raise DegenerateInputError("cannot measure deviation of the zero function")
-    wx = _trapezoid_weights(grid.nx)
-    mean = (full @ wx) / wx.sum()
-    return _weighted_norm(full - mean[:, None], grid) / norm
+    return _weighted_norm(full - _x_average(full)[:, None], grid) / norm
 
 
 def count_nodal_domains_2d(u, grid: Grid2D, tol: float) -> int:
@@ -461,8 +475,8 @@ def make_branch_context(
     Backtracking toward this value (rather than the continuum scaling, which
     differs by O(h^2)) lets the branch be followed arbitrarily close to the
     pitchfork.  The default ``tol`` keeps two decades of margin above the
-    inf-norm residual floor max|u| * (2/(l h_x)^2 + 2/h_y^2) * eps, which is
-    3.5e-11 * max|u| at 200 x 200 with l = 1.  A reference polish that fails
+    inf-norm residual floor max|u| * (2/(t l h_x)^2 + 2/h_y^2) * eps, which is
+    3.5e-11 * max|u| at 200 x 200 with t = l = 1.  A reference polish that fails
     raises NonConvergenceError naming that floor next to ``tol``.
     """
     if not 1 <= j < grid.nx:
@@ -472,11 +486,9 @@ def make_branch_context(
     try:
         seed = newton_solve(embedded, 1.0, model, grid, tol=tol, max_iters=BRANCH_MAX_ITERS, l_base=l_base)
     except NonConvergenceError as exc:
-        stencil = 2.0 / (l_base * grid.hx) ** 2 + 2.0 / grid.hy**2
-        floor = float(np.max(np.abs(embedded))) * stencil * np.finfo(float).eps
         raise NonConvergenceError(
-            f"reference solve: {exc}; the residual's rounding floor max|u|*(2/(l*h_x)^2 + 2/h_y^2)*eps "
-            f"is {floor:.3g} against tol {tol:.3g}",
+            f"reference solve: {exc}; the residual's rounding floor max|u|*(2/(t*l*h_x)^2 + 2/h_y^2)*eps "
+            f"is {_rounding_floor(embedded, grid, 1.0, l_base):.3g} against tol {tol:.3g}",
             residual=exc.residual,
         ) from exc
     if seed.deviation > 1e-8:
@@ -488,7 +500,7 @@ def make_branch_context(
     mu_i = float(spec.alphas[i - 1])
     if mu_i >= 0.0:
         raise ValidationError(f"height-block eigenvalue {i} is nonnegative ({mu_i:.6g}); no crossing")
-    xi_j = float(_TensorSum.x_block(grid, 1.0, l_base)[1][j])
+    xi_j = float(_TensorSum(grid, 1.0, l_base).xi[j])
     kernel = np.outer(spec.eigenfunctions[i - 1], np.cos(j * math.pi * grid.x_nodes()))
     kernel /= _weighted_norm(kernel, grid)
     return BranchContext(
@@ -529,8 +541,11 @@ def continue_branch(
     ``steps`` points or at ``t_max``, ``stalled`` when continuation gave up
     short of both, and ``returned_to_one_dimensional`` when the last point
     lies on the height-only solution.  Raises BranchNotFoundError when no
-    first point is found.  ``continue_half_branches`` follows both signs and,
-    for odd j, takes the minus half-branch after its first point from the plus one.
+    first point is found, but NonConvergenceError naming the rounding floor at
+    the first t when no attempt fell back and every one stalled within
+    FLOOR_STALL_REL of that floor, where ``tol`` cannot be met.
+    ``continue_half_branches`` follows both signs and, for odd j, takes the
+    minus half-branch after its first point from the plus one.
     """
     if not point.simple:
         raise ValidationError(
@@ -549,18 +564,28 @@ def continue_branch(
     t1 = t_bar + direction * dt0
     if t1 > t_max:
         raise BranchNotFoundError(f"the first branch point t = {t1:.6g} lies past t_max = {t_max:.6g}")
-    for eps in (eps0, 2.0 * eps0, 4.0 * eps0):
+    attempts = (eps0, 2.0 * eps0, 4.0 * eps0)
+    stalls = []  # the residuals at which failed attempts stopped
+    for eps in attempts:
         guess = ctx.u_ref + eps * ctx.kernel
         try:
             bp = ctx.solve(guess, t1)
-        except NonConvergenceError:
+        except NonConvergenceError as exc:
             log.debug("branch switch attempt eps=%.3g failed to converge", eps)
+            stalls.append(math.inf if exc.residual is None else exc.residual)
             continue
         if bp.distance_to_1d > fallback_threshold:
             branch.append(bp)
             break
         log.debug("branch switch attempt eps=%.3g fell back onto the 1d solution", eps)
     if not branch:
+        floor = _rounding_floor(ctx.u_ref, ctx.grid, t1, ctx.l_base)
+        if len(stalls) == len(attempts) and max(stalls) <= FLOOR_STALL_REL * floor:
+            raise NonConvergenceError(
+                f"every branch switch attempt at t = {t1:.6g} stalled, at residuals {min(stalls):.3g} to "
+                f"{max(stalls):.3g}; the residual's rounding floor there is {floor:.3g} against tol {ctx.tol:.3g}",
+                residual=min(stalls),
+            )
         raise BranchNotFoundError(
             f"no branch found at t = {t1:.6g} after escalating the kernel perturbation"
         )

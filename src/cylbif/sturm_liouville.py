@@ -50,7 +50,6 @@ class TridiagonalOperator:
     off: np.ndarray  # length M-1; off[0] carries the sqrt(2) Neumann weight
     h: float
     grid_size: int  # M
-    potential: np.ndarray  # q on the full grid of M+1 nodes
 
     def dense(self) -> np.ndarray:
         a = np.diag(self.diag)
@@ -66,7 +65,6 @@ class SturmSpectrum:
     eigenfunctions: np.ndarray  # shape (k, M+1), Dirichlet node included
     zero_counts: np.ndarray
     grid_size: int
-    potential: np.ndarray
 
 
 def assemble_sl_operator(potential, grid_size: int) -> TridiagonalOperator:
@@ -90,7 +88,7 @@ def assemble_sl_operator(potential, grid_size: int) -> TridiagonalOperator:
     diag = 2.0 * c - q[:m]
     off = np.full(m - 1, -c)
     off[0] = -c * math.sqrt(2.0)
-    return TridiagonalOperator(diag=diag, off=off, h=1.0 / m, grid_size=m, potential=q)
+    return TridiagonalOperator(diag=diag, off=off, h=1.0 / m, grid_size=m)
 
 
 def sl_eigenpairs(operator: TridiagonalOperator, k: int) -> SturmSpectrum:
@@ -121,13 +119,7 @@ def sl_eigenpairs(operator: TridiagonalOperator, k: int) -> SturmSpectrum:
     full = np.zeros((k, m + 1))
     full[:, :m] = z.T
     counts = np.array([count_nodal_domains_1d(z, SIGN_CHANGE_REL_TOL * float(np.max(np.abs(z)))) - 1 for z in full])
-    return SturmSpectrum(
-        alphas=alphas,
-        eigenfunctions=full,
-        zero_counts=counts,
-        grid_size=m,
-        potential=operator.potential.copy(),
-    )
+    return SturmSpectrum(alphas=alphas, eigenfunctions=full, zero_counts=counts, grid_size=m)
 
 
 def oscillation_check(spec: SturmSpectrum) -> bool:

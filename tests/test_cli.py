@@ -519,21 +519,52 @@ class TestContract:
         )
         assert main(["continue", "--config", str(cfg)]) == 3
 
-    def test_reference_polish_names_the_rounding_floor(self, tmp_path, caplog):
+    def test_reference_polish_names_the_rounding_floor(self, tmp_path, caplog, monkeypatch):
         # the p = 2.5, n = 3 amplitude is 4580, so at 48 x 48 the residual
-        # cannot be rounded below about 9e-9, just under newton_tol 1e-8
+        # cannot be rounded below about 9e-9, far above newton_tol 2e-9
+        floors = []
+        real_floor = pde._rounding_floor
+
+        def spy(*args):
+            floors.append(real_floor(*args))
+            return floors[-1]
+
+        monkeypatch.setattr(pde, "_rounding_floor", spy)
         cfg = write_config(
             tmp_path,
             model={"type": "lane_emden", "p": 2.5},
             nodal_n=3,
             grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48},
             t_range={"t_min": 0.5, "t_max": 5.0, "samples": 20},
+            tolerances={"newton_tol": 2e-9},
             options={"dump_solutions": False},
         )
         assert main(["continue", "--config", str(cfg)]) == 3
-        found = re.search(r"rounding floor .* is (\S+) against tol 1e-08", caplog.text)
+        found = re.search(r"reference solve: .* rounding floor .* is (\S+) against tol 2e-09", caplog.text)
         assert found, caplog.text
-        assert 8e-9 < float(found.group(1)) < 1e-8
+        assert len(floors) == 1 and found.group(1) == f"{floors[0]:.3g}"
+        assert 8e-9 < floors[0] < 1e-8
+
+    def test_switch_stalled_at_the_rounding_floor_is_nonconvergence(self, tmp_path, caplog):
+        # p = 2.6, n = 3 at 48 x 48: the reference polish at t = 1 meets newton_tol 1e-8, but
+        # the first branch point t = 0.3549 stiffens the x'-stencil by 1/t^2, and every switch
+        # attempt stalls near the floor there, about 1e-8: tol is unmet, no branch is missing
+        cfg = write_config(
+            tmp_path,
+            model={"type": "lane_emden", "p": 2.6},
+            nodal_n=3,
+            grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48},
+            t_range={"t_min": 0.5, "t_max": 5.0, "samples": 20},
+            options={"dump_solutions": False},
+        )
+        assert main(["continue", "--config", str(cfg)]) == 3
+        found = re.search(
+            r"every branch switch attempt at t = (\S+) stalled.* rounding floor there is (\S+) against tol 1e-08",
+            caplog.text,
+        )
+        assert found, caplog.text
+        assert float(found.group(1)) == pytest.approx(0.3549, abs=1e-4)
+        assert 9e-9 < float(found.group(2)) < 1.1e-8
 
     def test_continue_outcome_after_recovered_halving(self, tmp_path, monkeypatch):
         # one failed continuation solve halves the step; the half-branch still

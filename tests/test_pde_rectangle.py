@@ -177,6 +177,16 @@ class TestOperator:
         assert np.max(np.abs(vecs.T @ vecs - np.eye(nx))) <= 1e-13
         assert np.max(np.abs(sx @ vecs - vecs * xi)) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("n", [48, 200])
+    def test_factored_apply_matches_the_assembled_matrix(self, cubic_model, n):
+        # f'(0) = 0, so the assembled operator at u = 0 is the bare D_t
+        grid, t, l_base = Grid2D(n, n), 1.3, 0.7
+        owner = pde._TensorSum(grid, t, l_base)
+        assembled = assemble_linearized(np.zeros((n, n)), t, cubic_model, grid, l_base)
+        for v in np.random.default_rng(0).standard_normal((3, grid.ndof)):
+            ref = assembled.apply(v)
+            assert np.max(np.abs(owner.apply(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_eigen_solver_nonconvergence_reported(self, embedded_n1, cubic_model, grid64):
         op = assemble_linearized(embedded_n1, 1.0, cubic_model, grid64)
         with pytest.raises(NonConvergenceError, match=r"converged only \d+/8 pairs") as info:
@@ -248,6 +258,16 @@ class TestNewton:
         ref = direct_newton(guess, t, cubic_model, grid, tol=1e-8)
         assert bp.distance_to_1d > 1e-3
         assert weighted_norm(bp.solution - ref, grid) / weighted_norm(ref, grid) <= 1e-8
+
+    def test_branch_solve_assembles_no_2d_matrix(self, ctx48, first_crossing, monkeypatch):
+        # Newton applies the tensor sum as its 1D factors; only the direct check builds the Kronecker sum
+        def no_kronsum(*args, **kwargs):
+            raise AssertionError("2D matrix assembled")
+
+        monkeypatch.setattr(pde.sparse, "kronsum", no_kronsum)
+        bp = ctx48.solve(ctx48.u_ref + 0.1 * ctx48.ref_norm * ctx48.kernel, 1.01 * first_crossing.t_bar)
+        assert bp.newton_iters > 0 and bp.residual <= ctx48.tol
+        assert bp.distance_to_1d > 1e-3
 
     def test_preconditioned_operator_is_the_jacobian_times_p(self, cubic_model, ctx48, first_crossing):
         # J = (D_t - diag qbar) - diag(q - qbar), so J P v = v - (q - qbar) * P v off the height-only states

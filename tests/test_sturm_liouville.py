@@ -8,6 +8,8 @@ from cylbif import (
     LaneEmden,
     ValidationError,
     assemble_sl_operator,
+    eval_fprime,
+    integrate_ivp,
     linearized_spectrum,
     nondegeneracy_margin,
     one_dim_morse,
@@ -43,8 +45,10 @@ class TestAssembly:
         assert shifted == pytest.approx(base - c, rel=1e-12)
 
     def test_zero_amplitude_potential_is_fprime_at_zero(self, cubic_model):
+        # f'(0) = 0, so the linearization at u = 0 is the free operator
         spec = linearized_spectrum(cubic_model, 0.0, 100, 3)
-        assert np.all(spec.potential == 0.0)
+        free = sl_eigenpairs(assemble_sl_operator(np.zeros(101), 100), 3)
+        assert np.array_equal(spec.alphas, free.alphas)
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
@@ -117,15 +121,16 @@ class TestLinearizedSpectra:
         combined = err_est[:-1] + err_est[1:]
         assert np.all(gaps > 10.0 * combined)
 
-    def test_eigenfunction_residual(self, cubic_spectra_n1):
+    def test_eigenfunction_residual(self, cubic_model, cubic_solutions, cubic_spectra_n1):
         spec = cubic_spectra_n1[500]
         m = spec.grid_size
         h = 1.0 / m
+        potential = eval_fprime(cubic_model, integrate_ivp(cubic_model, cubic_solutions[1].amplitude, m)[0])
         worst = 0.0
         for i in range(6):
             z = spec.eigenfunctions[i]
             d2 = (z[:-2] - 2.0 * z[1:-1] + z[2:]) / h**2
-            res = -d2 - spec.potential[1:-1] * z[1:-1] - spec.alphas[i] * z[1:-1]
+            res = -d2 - potential[1:-1] * z[1:-1] - spec.alphas[i] * z[1:-1]
             worst = max(worst, float(np.max(np.abs(res))))
         assert worst <= 5e-2 * max(1.0, float(np.max(np.abs(spec.alphas[:6]))))
 
@@ -155,7 +160,6 @@ class TestDiagnostics:
             eigenfunctions=spec.eigenfunctions[::-1].copy(),
             zero_counts=spec.zero_counts[::-1].copy(),
             grid_size=spec.grid_size,
-            potential=spec.potential.copy(),
         )
         assert not oscillation_check(corrupted)
 
