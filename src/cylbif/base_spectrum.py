@@ -11,7 +11,8 @@ Three closed-form/special-function families are supported:
 Disk zeros are found in two array passes: a pi/4 scan of J_nu' brackets
 the zeros of one nu at a time, with the mode budget checked after each nu,
 and one safeguarded Newton iteration then polishes every bracket of every
-nu together.
+nu together.  Only these two helpers import ``scipy.special``, so interval
+and rectangle bases never load it.
 
 Dilating the base by t divides every eigenvalue by t^2 and preserves
 multiplicities.
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -126,6 +126,8 @@ def _jprime_brackets(nu: int, upper: float) -> tuple[np.ndarray, ...]:
     J_nu' there.  A scan point where J_nu' is exactly zero is its own
     bracket, with ``hi == lo``.  Only the last bracket may straddle ``upper``.
     """
+    from scipy import special
+
     start = 0.05
     if nu >= 1:
         start = max(0.05, min(_mcmahon_jprime_guess(nu, 1) - 2.0 * math.pi, float(nu)))
@@ -151,6 +153,8 @@ def _polish_jprime_zeros(nu, lo, hi, g_lo, g_hi) -> np.ndarray:
     has just become a bracket end, and the strict bracket test would throw
     it away for bisections down to the last bit.
     """
+    from scipy import special
+
     out = lo.copy()  # a bracket with hi == lo is an exact zero
     idx = np.flatnonzero(hi > lo)
     nu, lo, hi, g_lo, g_hi = nu[idx], lo[idx], hi[idx], g_lo[idx], g_hi[idx]

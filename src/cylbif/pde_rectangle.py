@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.linalg import lapack
 from scipy.sparse import linalg as spla
 
@@ -395,6 +395,8 @@ def one_dimensionality_deviation(u, grid: Grid2D) -> float:
 
 def count_nodal_domains_2d(u, grid: Grid2D, tol: float) -> int:
     """4-connected constant-sign components of {|u| > tol}."""
+    from scipy import ndimage  # on first call: only runs that count nodal domains pay its import
+
     if tol < 0.0:
         raise ValidationError("tolerance must be >= 0")
     full = _as_full(u, grid)
@@ -698,19 +700,22 @@ def backtrack_branch(ctx: BranchContext, start: BranchPoint) -> list[BranchPoint
     """Follow the branch back toward the discrete bifurcation point.
 
     From ``start`` at offset dt = start.t - ctx.t_bar_discrete, solves at
-    offsets dt * BACKTRACK_RATIO**k for k = 1..BACKTRACK_OFFSETS, each
-    seeded from the previous solution.  Along the true branch the distance
-    to the height-only solution shrinks monotonically to 0 like sqrt(offset).
+    offsets dt * BACKTRACK_RATIO**k for k = 1..BACKTRACK_OFFSETS.  Along the
+    true branch the distance to the height-only solution shrinks
+    monotonically to 0 like sqrt(offset), so each solve is seeded on that
+    law: the previous solution's deviation from u_ref scaled by
+    sqrt(BACKTRACK_RATIO).
     """
     t_bar = ctx.t_bar_discrete
     dt = start.t - t_bar
     if dt == 0.0:
         raise ValidationError("start point must sit away from the bifurcation scaling")
+    shrink = math.sqrt(BACKTRACK_RATIO)
     out = []
-    seed = start.solution
+    prev = start.solution
     for k in range(1, BACKTRACK_OFFSETS + 1):
         t_k = t_bar + dt * BACKTRACK_RATIO**k
-        bp = ctx.solve(seed, t_k)
+        bp = ctx.solve(ctx.u_ref + shrink * (prev - ctx.u_ref), t_k)
         out.append(bp)
-        seed = bp.solution
+        prev = bp.solution
     return out

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
 
-import cylbif.base_spectrum as base_spectrum
 from cylbif import (
     Disk,
     Interval,
@@ -22,18 +21,16 @@ PI2 = math.pi**2
 
 
 class CountingSpecial:
-    """Stands in for scipy.special inside base_spectrum, counting the Bessel
-    calls and the points passed to them."""
+    """Counts the Bessel calls base_spectrum makes and the points passed to
+    them, by wrapping scipy.special's jv and jvp for one test."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.calls = 0
         self.points = 0
+        for name in ("jv", "jvp"):
+            monkeypatch.setattr(special, name, self._counted(getattr(special, name)))
 
-    def __getattr__(self, name):
-        func = getattr(special, name)
-        if name not in ("jv", "jvp"):
-            return func
-
+    def _counted(self, func):
         def counted(nu, x, *args):
             self.calls += 1
             self.points += np.broadcast(nu, x).size
@@ -121,8 +118,7 @@ class TestDisk:
         # the Bessel calls grow with the number of nu (96 here), not with
         # the 1,285 zeros: a Newton step that has converged is kept, not
         # thrown away for bisections down to the last bit
-        counter = CountingSpecial()
-        monkeypatch.setattr(base_spectrum, "special", counter)
+        counter = CountingSpecial(monkeypatch)
         spec = neumann_eigenvalues(Disk(1.0), cutoff=9901.04)
         assert len(spec.lambdas) == 1277
         assert counter.calls <= 300
@@ -202,8 +198,7 @@ class TestGuards:
     def test_disk_budget_is_checked_before_the_polish(self, monkeypatch):
         # nu = 0 alone has 318 zeros below 1000 against a budget of 100;
         # scanning every nu before the check would pass about 6e5 points
-        counter = CountingSpecial()
-        monkeypatch.setattr(base_spectrum, "special", counter)
+        counter = CountingSpecial(monkeypatch)
         with pytest.raises(ResourceLimitError):
             neumann_eigenvalues(Disk(1.0), cutoff=1e6, max_modes=100)
         assert 0 < counter.points < 1e5

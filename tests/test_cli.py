@@ -412,6 +412,40 @@ def test_mirrored_dumps_match_the_float_path(tmp_path, monkeypatch):
     assert b",-0\n" not in (tmp_path / "solution_minus_1_0.csv").read_bytes()
 
 
+_IMPORT_PROBE = """
+import json, sys
+import cylbif.cli
+args = json.loads(sys.argv[1])
+assert not args or cylbif.cli.main(args) == 0
+print(json.dumps([name in sys.modules for name in ("scipy.special", "scipy.ndimage")]))
+"""
+
+
+@pytest.mark.parametrize(
+    "subcommand, overrides, loaded",
+    [
+        (None, {}, [False, False]),
+        ("morse", {}, [False, False]),
+        ("base-eigs", {"base": {"type": "disk", "radius": 1.0}, "options": {"cutoff": 100.0}}, [True, False]),
+        ("verify-decomposition", {"grids": {"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32}}, [False, False]),
+        # scipy.ndimage imports scipy.special itself
+        ("continue", {"grids": {"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32}, "options": {"branch_steps": 1}},
+         [True, True]),
+    ],
+)
+def test_scipy_special_and_ndimage_load_only_where_called(tmp_path, subcommand, overrides, loaded):
+    # a fresh interpreter: the Bessel zeros load scipy.special, the 2D nodal count scipy.ndimage
+    cfg = write_config(tmp_path, **overrides)
+    args = [subcommand, "--config", str(cfg)] if subcommand else []
+    paths = [str(Path(pde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(args)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+
+
 def test_tracing_counts_every_file_written(tmp_path):
     # benchmarks/tracing.py wraps cylbif functions by name and binds write_csv's path,
     # newton_solve's tol and reference_1d; a rename shows up here instead of in a benchmark run

@@ -475,6 +475,10 @@ class TestBranch:
         back = backtrack_branch(branch_ctx, start)
         dists = [bp.distance_to_1d for bp in back]
         assert all(a > b for a, b in zip(dists, dists[1:]))
+        # on the branch each distance is sqrt(BACKTRACK_RATIO) times the last; a solve that
+        # fell back onto u_ref would still shrink, but not by this ratio
+        ratios = [b / a for a, b in zip(dists, dists[1:])]
+        assert ratios == pytest.approx([math.sqrt(pde.BACKTRACK_RATIO)] * len(ratios), rel=0.02)
         assert dists[-1] < 1e-3
         assert all(bp.nodal_count_2d == 1 for bp in back)
 
