@@ -30,14 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .base_spectrum import (
-    BaseDomain,
-    BaseSpectrum,
-    Interval,
-    domain_from_dict,
-    neumann_eigenvalues,
-    scale_spectrum,
-)
+from .base_spectrum import BaseDomain, BaseSpectrum, Interval, domain_from_dict, neumann_eigenvalues
 from .errors import (
     CylbifError,
     InsufficientSpectrumError,
@@ -45,7 +38,14 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
 )
-from .morse_bifurcation import compose_spectrum, degeneracy_times, ground_state_flag, morse_index, morse_vs_t
+from .morse_bifurcation import (
+    compose_spectrum,
+    coverage_cutoff,
+    degeneracy_times,
+    ground_state_flag,
+    morse_index,
+    morse_vs_t,
+)
 from .nonlinearity import (
     NonlinearityModel,
     check_hypotheses,
@@ -434,10 +434,8 @@ def cmd_base_eigs(cfg: RunConfig) -> dict:
 
 
 def _base_with_coverage(cfg: RunConfig, alphas: np.ndarray) -> BaseSpectrum:
-    """Base spectrum enumerated past every lambda that meets -alpha_1 * t^2 for t <= t_max."""
-    t_max = cfg.t_range[1]
-    cutoff = max(float(cfg.options["cutoff"]), 1.05 * max(0.0, -float(alphas[0])) * t_max**2, 1.0)
-    return _base_spectrum(cfg, cutoff)
+    """Base spectrum that the Morse and degeneracy queries accept for every t <= t_max and at t = 1."""
+    return _base_spectrum(cfg, coverage_cutoff(alphas, max(1.0, cfg.t_range[1])))
 
 
 def cmd_morse(cfg: RunConfig) -> dict:
@@ -479,9 +477,9 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
     alphas = _alphas_for(cfg, sol)
     k = 10
     top = float(alphas[-1])
-    base = neumann_eigenvalues(Interval(length), cutoff=(top - float(alphas[0])) * t**2 + 1.0)
+    base = neumann_eigenvalues(Interval(length), coverage_cutoff(alphas, t, top))
     # the sums up to the largest alpha are complete; interval eigenvalues are simple
-    composed = compose_spectrum(alphas, scale_spectrum(base, t), cutoff=top).values()[:k]
+    composed = compose_spectrum(alphas, base, cutoff=top, t=t).values()[:k]
     if composed.size < k:
         raise InsufficientSpectrumError(
             f"only {composed.size} composed eigenvalues lie below alpha_max = {top}; raise options.k_eigs"

@@ -29,6 +29,7 @@ __all__ = [
     "MorseReport",
     "BifurcationPoint",
     "MorseSample",
+    "coverage_cutoff",
     "compose_spectrum",
     "morse_index",
     "degeneracy_times",
@@ -40,6 +41,8 @@ __all__ = [
 GROUP_REL_TOL = 1e-9
 #: alpha_i + lambda_j counts as zero below this multiple of max(1, |alpha_1|)
 ZERO_REL_TOL = 1e-8
+#: degeneracy scalings up to t_max * (1 + T_MAX_REL_TOL) are reported
+T_MAX_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,22 +102,44 @@ def _check_sorted(alphas) -> np.ndarray:
     return arr
 
 
-def compose_spectrum(alphas, base: BaseSpectrum, cutoff: float) -> ComposedSpectrum:
-    """Sorted Minkowski-sum multiset {alpha_i + lambda_j} up to ``cutoff``.
+def _zero_tol(arr: np.ndarray) -> float:
+    return ZERO_REL_TOL * max(1.0, abs(float(arr[0])))
+
+
+def coverage_cutoff(alphas, t_max: float = 1.0, top: float = 0.0) -> float:
+    """Base cutoff that completes every sum alpha_i + lambda_j / t^2 <= ``top`` at every
+    dilation t <= ``t_max``: (top - alpha_1) t_max^2, floored at zero.  It is padded by
+    the zero band and by T_MAX_REL_TOL, which also covers the rounding of lambda_j / t^2
+    at the band's edge, so that it holds every lambda_j the queries below read.  Each
+    query checks its base against this value."""
+    arr = _check_sorted(alphas)
+    if not (np.isfinite(t_max) and t_max > 0.0):
+        raise ValidationError(f"t_max must be positive, got {t_max}")
+    return (max(top - float(arr[0]), 0.0) + _zero_tol(arr)) * (t_max * (1.0 + T_MAX_REL_TOL)) ** 2
+
+
+def _check_coverage(arr: np.ndarray, base: BaseSpectrum, t_max: float, top: float) -> None:
+    needed = coverage_cutoff(arr, t_max, top)
+    if base.cutoff < needed:
+        raise CoverageError(
+            f"base spectrum enumerated to {base.cutoff} but sums <= {top} at dilations "
+            f"up to {t_max} need eigenvalues up to {needed}"
+        )
+
+
+def compose_spectrum(alphas, base: BaseSpectrum, cutoff: float, t: float = 1.0) -> ComposedSpectrum:
+    """Sorted Minkowski-sum multiset {alpha_i + lambda_j / t^2} up to ``cutoff``
+    on ``base`` dilated by ``t``.
 
     The alpha list is taken as the complete 1D spectrum up to its largest
     entry.  Completeness of the composed list below ``cutoff`` additionally
-    needs the base enumerated past cutoff - min(alpha); that is certified
-    against ``base.cutoff`` and violations raise ``CoverageError``.
+    needs the base enumerated to ``coverage_cutoff(alphas, t, cutoff)``;
+    a shorter base raises ``CoverageError``.  lambda_j / t**2 is the
+    division ``scale_spectrum`` performs.
     """
     arr = _check_sorted(alphas)
-    needed = cutoff - float(arr[0])
-    if base.cutoff < needed:
-        raise CoverageError(
-            f"base spectrum enumerated to {base.cutoff} but sums <= {cutoff} "
-            f"need eigenvalues up to {needed}"
-        )
-    sums = np.add.outer(arr, np.asarray(base.lambdas, dtype=float))
+    _check_coverage(arr, base, t, cutoff)
+    sums = np.add.outer(arr, np.asarray(base.lambdas, dtype=float) / t**2)
     rows, cols = np.nonzero(sums <= cutoff)
     values = sums[rows, cols]
     mults = np.asarray(base.multiplicities)
@@ -125,23 +150,19 @@ def compose_spectrum(alphas, base: BaseSpectrum, cutoff: float) -> ComposedSpect
     return ComposedSpectrum(entries=entries)
 
 
-def _morse_counts(alphas, base: BaseSpectrum, t2: np.ndarray):
-    """Morse-formula terms on the base dilated by sqrt(t2), one row per entry of t2.
+def _morse_counts(alphas, base: BaseSpectrum, ts: np.ndarray):
+    """Morse-formula terms on the base dilated by each t of the ascending ``ts``, one row per t.
 
     Returns (alphas, m_xn, contributions, zero multiplicities).
-    lambda_j / t2 is the division ``scale_spectrum`` performs, so each row
+    lambda_j / t**2 is the division ``scale_spectrum`` performs, so each row
     equals the counts on the scaled spectrum bit for bit.
     """
     arr = _check_sorted(alphas)
     m_xn = one_dim_morse(arr)
-    tol_zero = ZERO_REL_TOL * max(1.0, abs(float(arr[0])))
-
-    short = base.cutoff / t2 < -float(arr[0])
-    if m_xn > 0 and np.any(short):
-        raise CoverageError(
-            f"base spectrum enumerated to {float(base.cutoff / t2[np.argmax(short)])} but counts "
-            f"need eigenvalues up to {-float(arr[0])}"
-        )
+    tol_zero = _zero_tol(arr)
+    _check_coverage(arr, base, float(ts[-1]), 0.0)
+    # t**2 on Python floats, as scale_spectrum squares its factor
+    t2 = np.array([float(t) ** 2 for t in ts])
 
     lambdas = np.asarray(base.lambdas)
     mults = np.asarray(base.multiplicities)
@@ -179,13 +200,7 @@ def morse_index(alphas, base: BaseSpectrum) -> MorseReport:
                 "internal disagreement between the Morse formula "
                 f"({m}) and the composed negative count ({composed.negative_count()})"
             )
-    return MorseReport(
-        m=m,
-        m_xn=m_xn,
-        contributions=contributions,
-        degenerate=degenerate,
-        zero_multiplicity=zero_mult,
-    )
+    return MorseReport(m=m, m_xn=m_xn, contributions=contributions, degenerate=degenerate, zero_multiplicity=zero_mult)
 
 
 def degeneracy_times(alphas, base: BaseSpectrum, t_max: float) -> list[BifurcationPoint]:
@@ -197,23 +212,14 @@ def degeneracy_times(alphas, base: BaseSpectrum, t_max: float) -> list[Bifurcati
     never silently merged.
     """
     arr = _check_sorted(alphas)
-    if not (np.isfinite(t_max) and t_max > 0.0):
-        raise ValidationError(f"t_max must be positive, got {t_max}")
+    _check_coverage(arr, base, t_max, 0.0)
     neg = np.flatnonzero(arr < 0.0)
-    if neg.size == 0:
-        return []
-    needed = -float(arr[0]) * t_max**2
-    if base.cutoff < needed:
-        raise CoverageError(
-            f"base spectrum enumerated to {base.cutoff} but scalings up to {t_max} "
-            f"need eigenvalues up to {needed}"
-        )
 
     # every (alpha_i < 0, lambda_j > 0) pair at once, ordered by (t, i, j)
     lams = np.asarray(base.lambdas, dtype=float)
     pos = np.flatnonzero(lams > 0.0)
     ts = np.sqrt(lams[pos] / -arr[neg][:, None])
-    rows, cols = np.nonzero(ts <= t_max * (1.0 + 1e-12))
+    rows, cols = np.nonzero(ts <= t_max * (1.0 + T_MAX_REL_TOL))
     ts, i_idx, j_idx = ts[rows, cols], neg[rows] + 1, pos[cols]
     order = np.lexsort((j_idx, i_idx, ts))
     mults = np.asarray(base.multiplicities)[j_idx[order]]
@@ -231,14 +237,7 @@ def degeneracy_times(alphas, base: BaseSpectrum, t_max: float) -> list[Bifurcati
                 stacklevel=2,
             )
         else:
-            points.append(
-                BifurcationPoint(
-                    t_bar=t,
-                    pairs=[(i, j)],
-                    kernel_multiplicity=mult,
-                    simple=(mult == 1),
-                )
-            )
+            points.append(BifurcationPoint(t_bar=t, pairs=[(i, j)], kernel_multiplicity=mult, simple=(mult == 1)))
     return points
 
 
@@ -255,9 +254,7 @@ def morse_vs_t(alphas, base: BaseSpectrum, t_grid) -> list[MorseSample]:
         raise ValidationError("t_grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(ts) & (ts > 0.0)) or np.any(np.diff(ts) <= 0.0):
         raise ValidationError("t_grid must be finite, positive and strictly ascending")
-    # t**2 on Python floats, as scale_spectrum squares its factor
-    t2 = np.array([float(t) ** 2 for t in ts])
-    _, m_xn, contributions, zero_mult = _morse_counts(alphas, base, t2)
+    _, m_xn, contributions, zero_mult = _morse_counts(alphas, base, ts)
     return [
         MorseSample(t=float(t), m=m_xn + int(c), degenerate=bool(z > 0))
         for t, c, z in zip(ts, contributions.sum(axis=1), zero_mult)
@@ -266,12 +263,11 @@ def morse_vs_t(alphas, base: BaseSpectrum, t_grid) -> list[MorseSample]:
 
 def ground_state_flag(alphas, base: BaseSpectrum) -> bool:
     """True iff lambda_1 < -alpha_1, i.e. any Morse-index-one solution of
-    the problem on this base cannot be one-dimensional."""
+    the problem on this base cannot be one-dimensional.  A covering base
+    with no positive eigenvalue has lambda_1 past its cutoff, hence False."""
     arr = _check_sorted(alphas)
     if arr[0] >= 0.0:
         raise ValidationError("ground-state test needs a negative leading eigenvalue")
-    positive = np.asarray(base.lambdas) > 0.0
-    if not np.any(positive):
-        raise CoverageError("base spectrum holds no positive eigenvalue; raise the cutoff")
-    lam1 = float(np.asarray(base.lambdas)[positive][0])
-    return lam1 < -float(arr[0])
+    _check_coverage(arr, base, 1.0, 0.0)
+    lambdas = np.asarray(base.lambdas)
+    return bool(np.any((lambdas > 0.0) & (lambdas < -float(arr[0]))))

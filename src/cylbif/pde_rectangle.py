@@ -560,7 +560,6 @@ def continue_branch(
     t_bar = point.t_bar
     dt0 = FIRST_STEP_REL * t_bar
     eps0 = sign * (SWITCH_EPS_REL * ctx.ref_norm)
-    fallback_threshold = FALLBACK_TOL_REL * ctx.tol
 
     branch: list[BranchPoint] = []
     t1 = t_bar + direction * dt0
@@ -576,7 +575,7 @@ def continue_branch(
             log.debug("branch switch attempt eps=%.3g failed to converge", eps)
             stalls.append(math.inf if exc.residual is None else exc.residual)
             continue
-        if bp.distance_to_1d > fallback_threshold:
+        if not _fell_back(ctx, bp):
             branch.append(bp)
             break
         log.debug("branch switch attempt eps=%.3g fell back onto the 1d solution", eps)
@@ -623,10 +622,15 @@ def _follow(
     return branch, _outcome(ctx, branch, steps, t_max)
 
 
+def _fell_back(ctx: BranchContext, bp: BranchPoint) -> bool:
+    """Whether ``bp`` lies on the height-only solution: within FALLBACK_TOL_REL * tol of it."""
+    return bp.distance_to_1d <= FALLBACK_TOL_REL * ctx.tol
+
+
 def _outcome(ctx: BranchContext, branch: list[BranchPoint], steps: int, t_max: float) -> str:
     """Why a half-branch ended: on the height-only solution, after ``steps`` points or at
     ``t_max``, or short of both."""
-    if branch[-1].distance_to_1d < FALLBACK_TOL_REL * ctx.tol:
+    if _fell_back(ctx, branch[-1]):
         return "returned_to_one_dimensional"
     return "reached_t_limit" if len(branch) >= steps or branch[-1].t >= t_max else "stalled"
 

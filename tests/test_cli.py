@@ -17,7 +17,7 @@ import pytest
 import cylbif.cli as cli
 import cylbif.pde_rectangle as pde
 import cylbif.sturm_liouville as sl
-from cylbif import LaneEmden, extrapolated_alphas
+from cylbif import Interval, LaneEmden, extrapolated_alphas, neumann_eigenvalues
 from cylbif.cli import CSV_CHUNK_ROWS, main, write_csv
 from cylbif.errors import NonConvergenceError
 from oracles import brute_force_negative_count, ellipk_agm, jprime_zero
@@ -148,6 +148,28 @@ class TestSubcommands:
         assert len(rows) == 20
         ms = [int(r["m"]) for r in rows]
         assert ms == sorted(ms)
+
+    @pytest.mark.parametrize(
+        "length, nodal_n, t_range, expected",
+        [
+            # morse counts at t = 1 past a t_range that ends at 0.9
+            (1.0, 3, {"t_min": 0.2, "t_max": 0.9, "samples": 8}, (12, 3, True)),
+            # lambda_1 = 100 pi^2 lies past the enumeration, which certifies it exceeds -alpha_1
+            (0.1, 1, {"t_min": 0.5, "t_max": 1.5, "samples": 8}, (1, 1, False)),
+        ],
+    )
+    def test_morse_sizes_its_own_base(self, tmp_path, length, nodal_n, t_range, expected):
+        cfg = write_config(tmp_path, base={"type": "interval", "length": length}, nodal_n=nodal_n, t_range=t_range)
+        assert main(["morse", "--config", str(cfg)]) == 0
+        results = read_summary(tmp_path)["results"]
+        assert (results["m"], results["m_xn"], results["ground_state_flag"]) == expected
+        rows = read_csv_rows(tmp_path / "out" / "morse.csv")
+        assert main(["spectrum-1d", "--config", str(cfg)]) == 0
+        alphas = read_summary(tmp_path)["results"]["alphas"]
+        wide = neumann_eigenvalues(Interval(length), cutoff=4000.0)  # past -alpha_1 * t^2 and lambda_1
+        for row in rows:
+            t = float(row["t"])
+            assert int(row["m"]) == brute_force_negative_count(alphas, wide.lambdas / t**2, wide.multiplicities), t
 
     def test_morse_threads_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -738,12 +760,15 @@ class TestContract:
 
 def test_cli_imports_only_public_names():
     # __all__ is the only list of public names (star-import semantics where a module has
-    # none), so every name cli.py takes from a sibling module must be in it
+    # none), so every name cli.py takes from a sibling module must be in it; none is an
+    # underscore name, so a rule cli.py needs is exported by the module that owns it
     for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            names = {alias.name for alias in node.names}
+            assert not {name for name in names if name.startswith("_")}, (node.module, sorted(names))
             module = importlib.import_module(f"cylbif.{node.module}")
             public = getattr(module, "__all__", [name for name in vars(module) if not name.startswith("_")])
-            missing = {alias.name for alias in node.names} - set(public)
+            missing = names - set(public)
             assert not missing, (node.module, sorted(missing))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from cylbif import (
     Rectangle,
     ValidationError,
     compose_spectrum,
+    coverage_cutoff,
     degeneracy_times,
     ground_state_flag,
     morse_index,
@@ -293,3 +295,69 @@ class TestGroundStateFlag:
         base = neumann_eigenvalues(Interval(1.0), cutoff=50.0)
         with pytest.raises(ValidationError):
             ground_state_flag([1.0, 2.0], base)
+
+    def test_covering_base_without_a_positive_eigenvalue(self):
+        # lambda_1 = 100 pi^2 lies past a base enumerated to coverage_cutoff, so it exceeds -alpha_1
+        alphas = [-5.0, 1.0]
+        base = neumann_eigenvalues(Interval(0.1), cutoff=coverage_cutoff(alphas))
+        assert base.lambdas.tolist() == [0.0]
+        assert not ground_state_flag(alphas, base)
+        with pytest.raises(CoverageError):
+            ground_state_flag(alphas, neumann_eigenvalues(Interval(0.1), cutoff=4.0))
+
+
+def _dilated(domain, t):
+    if isinstance(domain, Interval):
+        return Interval(domain.length * t)
+    if isinstance(domain, Rectangle):
+        return Rectangle(domain.a * t, domain.b * t)
+    return Disk(domain.radius * t)
+
+
+class TestCoverageOwner:
+    """A base enumerated to exactly ``coverage_cutoff`` reads what a four times wider one
+    reads, and 0.999 times that cutoff is refused with the owner's value."""
+
+    ALPHAS = [-40.0, -12.5, 3.0, 30.0]
+
+    @staticmethod
+    def agree_at_the_cutoff(domain, cutoff, query):
+        exact = query(neumann_eigenvalues(domain, cutoff=cutoff))
+        assert exact == query(neumann_eigenvalues(domain, cutoff=4.0 * cutoff))
+        with pytest.raises(CoverageError, match=re.escape(f"up to {cutoff}")):
+            query(neumann_eigenvalues(domain, cutoff=0.999 * cutoff))
+        return exact
+
+    @pytest.mark.parametrize("t_max", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("domain", [Interval(1.0), Rectangle(1.0, 0.7), Disk(1.0)])
+    def test_sizing_and_checking_agree(self, domain, t_max):
+        alphas, top = self.ALPHAS, self.ALPHAS[-1]
+        cutoff = coverage_cutoff(alphas, t_max, top)
+        composed = self.agree_at_the_cutoff(domain, cutoff, lambda base: compose_spectrum(alphas, base, top, t_max).entries)
+        assert composed and all(e.value <= top for e in composed)
+
+        # morse_index and ground_state_flag read the base at t = 1, here the domain dilated by t_max
+        dilated = _dilated(domain, t_max)
+        self.agree_at_the_cutoff(dilated, coverage_cutoff(alphas), lambda base: morse_index(alphas, base))
+        self.agree_at_the_cutoff(dilated, coverage_cutoff(alphas), lambda base: ground_state_flag(alphas, base))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # coincident pairs are not the point here
+            points = self.agree_at_the_cutoff(
+                domain, coverage_cutoff(alphas, t_max), lambda base: degeneracy_times(alphas, base, t_max)
+            )
+        assert points and points[-1].t_bar <= t_max * (1.0 + 1e-12)
+
+        # the sweep ends on the last crossing of alpha_1, a hair early: its last sample is flagged
+        # by a lambda_j = -alpha_1 t_bar^2 that lies past -alpha_1 t^2, inside the zero band
+        t_bar = max(p.t_bar for p in points if any(i == 1 for i, _ in p.pairs))
+        ts = np.linspace(0.2 * t_bar, t_bar * (1.0 - 1e-10), 9)
+        cutoff = coverage_cutoff(alphas, ts[-1])
+        samples = self.agree_at_the_cutoff(domain, cutoff, lambda base: morse_vs_t(alphas, base, ts))
+        assert samples[-1].degenerate and not samples[0].degenerate
+
+    def test_the_cutoff_is_positive_without_negative_alphas(self):
+        assert 0.0 < coverage_cutoff([0.5, 3.0], t_max=3.0) < 1e-6
+        assert coverage_cutoff([-5.0, 1.0], t_max=2.0, top=1.0) == pytest.approx(24.0, rel=1e-7)
+        with pytest.raises(ValidationError):
+            coverage_cutoff([-5.0, 1.0], t_max=0.0)

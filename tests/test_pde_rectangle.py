@@ -466,6 +466,24 @@ class TestBranch:
         assert outcome == "returned_to_one_dimensional"
         assert len(branch) == 2 and branch[-1].distance_to_1d < pde.FALLBACK_TOL_REL * branch_ctx.tol
 
+    def test_a_point_at_the_fallback_threshold_fell_back(self, branch_ctx, first_crossing, monkeypatch):
+        # the switch and the outcome read the same predicate, so a point exactly at
+        # FALLBACK_TOL_REL * tol is off the branch for both
+        threshold = pde.FALLBACK_TOL_REL * branch_ctx.tol
+        t1 = first_crossing.t_bar + pde.FIRST_STEP_REL * first_crossing.t_bar
+        distances = {}
+
+        def solve_at(initial, t, *args, **kwargs):
+            return pde.BranchPoint(t, initial, 0.5, 2, 1, distances.get(t, threshold), 0.0)
+
+        monkeypatch.setattr(pde, "newton_solve", solve_at)
+        with pytest.raises(BranchNotFoundError, match="escalating"):
+            continue_branch(branch_ctx, first_crossing, +1, steps=2, t_max=2 * first_crossing.t_bar)
+        distances[t1] = 1.0
+        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=2, t_max=2 * first_crossing.t_bar)
+        assert [bp.distance_to_1d for bp in branch] == [1.0, threshold]
+        assert outcome == "returned_to_one_dimensional"
+
     def test_first_point_past_t_max_is_not_a_branch(self, branch_ctx, first_crossing):
         with pytest.raises(BranchNotFoundError, match="t_max"):
             continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=1.005 * first_crossing.t_bar)
