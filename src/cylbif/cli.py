@@ -88,7 +88,7 @@ EXIT_NO_SOLUTION = 4
 EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
-# rows formatted per % operation in write_csv; a fixed size keeps peak memory flat
+# rows formatted per % operation in format_rows; a fixed size keeps the value tuples small
 CSV_CHUNK_ROWS = 4096
 
 # single defaults table; every entry can be overridden per run
@@ -250,33 +250,40 @@ def _conversion(kind: type) -> str:
     return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows`` as CSV lines, ``CSV_CHUNK_ROWS`` rows per ``%`` operation.
+def format_rows(header: list[str], rows) -> str:
+    """``rows`` as CSV lines under ``header``, ``CSV_CHUNK_ROWS`` rows per ``%`` operation.
 
     The first row fixes each column's kind: strings as they are, booleans as
     ``true``/``false``, integers in decimal, anything else as ``%.17g`` of the
     float (``-0``, ``nan``, ``inf``).  A later value of another kind raises TypeError.
     """
-    rows, kinds = iter(rows), None
+    rows, kinds, parts = iter(rows), None, []
+    for chunk in iter(lambda: list(islice(rows, CSV_CHUNK_ROWS)), []):
+        if kinds is None:
+            kinds = [_conversion(type(v)) for v in chunk[0]]
+            line = ",".join("%s" if kind == "bool" else kind for kind in kinds) + "\n"
+        flat = list(chain.from_iterable(chunk))
+        for c, kind in enumerate(kinds):
+            column = flat[c :: len(kinds)]
+            found = {_conversion(t) for t in set(map(type, column))}
+            if found != {kind}:
+                raise TypeError(f"column {header[c]} mixes {sorted(found)} values")
+            if kind == "bool":
+                flat[c :: len(kinds)] = ["true" if v else "false" for v in column]
+        parts.append((line * len(chunk)) % tuple(flat))
+    return "".join(parts)
+
+
+def write_csv(path: Path, header: list[str], body: str) -> None:
+    """Write the CSV file ``path``: the ``header`` line, then ``body``, its lines as
+    ``format_rows`` or ``write_solution_dumps`` render them."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for chunk in iter(lambda: list(islice(rows, CSV_CHUNK_ROWS)), []):
-            if kinds is None:
-                kinds = [_conversion(type(v)) for v in chunk[0]]
-                line = ",".join("%s" if kind == "bool" else kind for kind in kinds) + "\n"
-            flat = list(chain.from_iterable(chunk))
-            for c, kind in enumerate(kinds):
-                column = flat[c :: len(kinds)]
-                found = {_conversion(t) for t in set(map(type, column))}
-                if found != {kind}:
-                    raise TypeError(f"{path}: column {header[c]} mixes {sorted(found)} values")
-                if kind == "bool":
-                    flat[c :: len(kinds)] = ["true" if v else "false" for v in column]
-            fh.write((line * len(chunk)) % tuple(flat))
+        fh.write(body)
 
 
 def _u_strings(solution: np.ndarray) -> np.ndarray:
-    """``solution``'s values as ``write_csv`` writes floats, in its shape, converted by one ``%`` operation."""
+    """``solution``'s values as ``format_rows`` writes floats, in its shape, converted by one ``%`` operation."""
     values = solution.ravel().tolist()
     strings = (("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1]
     return np.array(strings, dtype=object).reshape(solution.shape)
@@ -286,12 +293,13 @@ def write_solution_dumps(out_dir: Path, k_index: int, grid: Grid2D, plus: list, 
     """``solution_<sign>_<k_index>_<idx>.csv`` with columns x', x_N, u for each (ny, nx) solution of
     the two half-branches, written in plus/minus pairs so that one dump's strings are held at a time.
 
-    A minus solution whose bits are those of the mirrored plus solution of its pair is
-    written from the plus strings in mirrored order, which are the strings it formats to;
-    equal values are not enough, since -0.0 == 0.0 formats differently."""
+    Every dump is the grid's one row template, each node's fixed ``x',x_N,`` text and a
+    ``%s``, filled with the solution's strings.  A minus solution whose bits are those of
+    the mirrored plus solution of its pair is written from the plus strings in mirrored
+    order, which are the strings it formats to; equal values are not enough, since
+    -0.0 == 0.0 formats differently."""
     xs = [f"{x:.17g}" for x in grid.x_nodes().tolist()]
-    ys = [f"{y:.17g}" for y in grid.y_nodes().tolist()]
-    xcol, ycol = xs * grid.ny, [y for y in ys for _ in xs]  # row-major like solution.ravel()
+    template = "".join(f"{x},{y:.17g},%s\n" for y in grid.y_nodes().tolist() for x in xs)  # row-major like u
     for idx in range(max(len(plus), len(minus))):
         strings = None
         for sign_name, solutions in (("plus", plus), ("minus", minus)):
@@ -302,11 +310,8 @@ def write_solution_dumps(out_dir: Path, k_index: int, grid: Grid2D, plus: list, 
                 strings = strings[:, ::-1]
             else:
                 strings = _u_strings(u)
-            write_csv(
-                out_dir / f"solution_{sign_name}_{k_index}_{idx}.csv",
-                ["xprime", "xn", "u"],
-                zip(xcol, ycol, strings.ravel().tolist()),
-            )
+            body = template % tuple(strings.ravel().tolist())
+            write_csv(out_dir / f"solution_{sign_name}_{k_index}_{idx}.csv", ["xprime", "xn", "u"], body)
 
 
 def write_summary(cfg: RunConfig, subcommand: str, results: dict) -> None:
@@ -368,7 +373,8 @@ def cmd_check_f(cfg: RunConfig) -> dict:
         (s, eval_f(cfg.model, s), eval_fprime(cfg.model, s), eval_F(cfg.model, s))
         for s in samples
     ]
-    write_csv(cfg.output_dir / "check-f.csv", ["s", "f", "fprime", "F"], rows)
+    header = ["s", "f", "fprime", "F"]
+    write_csv(cfg.output_dir / "check-f.csv", header, format_rows(header, rows))
     return {
         "superlinear": report.superlinear,
         "sign": report.sign,
@@ -380,7 +386,8 @@ def cmd_check_f(cfg: RunConfig) -> dict:
 def cmd_solve_1d(cfg: RunConfig) -> dict:
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
     rows = zip(sol.grid, sol.values, sol.derivative_values)
-    write_csv(cfg.output_dir / "solve-1d.csv", ["x", "u", "uprime"], rows)
+    header = ["x", "u", "uprime"]
+    write_csv(cfg.output_dir / "solve-1d.csv", header, format_rows(header, rows))
     return {
         "amplitude": sol.amplitude,
         "nodal_count": sol.nodal_count,
@@ -394,15 +401,14 @@ def cmd_spectrum_1d(cfg: RunConfig) -> dict:
     # the chain's alphas; zero counts and eigenfunctions are those of the eig_M grid
     alphas, spec = extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
     rows = [(i + 1, alphas[i], int(spec.zero_counts[i])) for i in range(k)]
-    write_csv(cfg.output_dir / "spectrum-1d.csv", ["i", "alpha_i", "zero_count_i"], rows)
+    header = ["i", "alpha_i", "zero_count_i"]
+    write_csv(cfg.output_dir / "spectrum-1d.csv", header, format_rows(header, rows))
     if cfg.options["emit_eigenfunctions"]:
         nodes = np.linspace(0.0, 1.0, spec.grid_size + 1)
+        header = ["x", "z"]
         for i in range(k):
-            write_csv(
-                cfg.output_dir / f"eigenfunction_{i + 1}.csv",
-                ["x", "z"],
-                zip(nodes, spec.eigenfunctions[i]),
-            )
+            body = format_rows(header, zip(nodes, spec.eigenfunctions[i]))
+            write_csv(cfg.output_dir / f"eigenfunction_{i + 1}.csv", header, body)
     return {
         "amplitude": sol.amplitude,
         "alphas": list(alphas),
@@ -429,7 +435,8 @@ def cmd_base_eigs(cfg: RunConfig) -> dict:
         (j, lam, int(mult), "|".join(" ".join(map(str, lab)) for lab in labs))
         for j, (lam, mult, labs) in enumerate(zip(spec.lambdas, spec.multiplicities, spec.labels))
     ]
-    write_csv(cfg.output_dir / "base-eigs.csv", ["j", "lambda_j", "multiplicity", "label"], rows)
+    header = ["j", "lambda_j", "multiplicity", "label"]
+    write_csv(cfg.output_dir / "base-eigs.csv", header, format_rows(header, rows))
     return {"count": len(spec.lambdas), "total_multiplicity": int(spec.multiplicities.sum())}
 
 
@@ -444,7 +451,8 @@ def cmd_morse(cfg: RunConfig) -> dict:
     report = morse_index(alphas, base)
     t_min, t_max, samples = cfg.t_range
     sweep = [(s.t, s.m, s.degenerate) for s in morse_vs_t(alphas, base, np.linspace(t_min, t_max, samples))]
-    write_csv(cfg.output_dir / "morse.csv", ["t", "m", "degenerate"], sweep)
+    header = ["t", "m", "degenerate"]
+    write_csv(cfg.output_dir / "morse.csv", header, format_rows(header, sweep))
     return {
         "m": report.m,
         "m_xn": report.m_xn,
@@ -462,11 +470,8 @@ def cmd_bifurcation_points(cfg: RunConfig) -> dict:
     for p in points:
         for i, j in p.pairs:
             rows.append((p.t_bar, i, j, p.kernel_multiplicity, p.simple))
-    write_csv(
-        cfg.output_dir / "bifurcation-points.csv",
-        ["t_bar", "i", "j", "multiplicity", "simple"],
-        rows,
-    )
+    header = ["t_bar", "i", "j", "multiplicity", "simple"]
+    write_csv(cfg.output_dir / "bifurcation-points.csv", header, format_rows(header, rows))
     return {"count": len(points), "t_bars": [p.t_bar for p in points]}
 
 
@@ -491,11 +496,8 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
     direct = smallest_eigenvalues(op, k)
     rel = np.abs(direct - composed) / np.abs(composed)
     rows = [(i + 1, composed[i], direct[i], rel[i]) for i in range(k)]
-    write_csv(
-        cfg.output_dir / "verify-decomposition.csv",
-        ["idx", "composed", "direct_2d", "rel_mismatch"],
-        rows,
-    )
+    header = ["idx", "composed", "direct_2d", "rel_mismatch"]
+    write_csv(cfg.output_dir / "verify-decomposition.csv", header, format_rows(header, rows))
     return {"t": t, "max_rel_mismatch": float(np.max(rel)), "k": k}
 
 
@@ -525,6 +527,7 @@ def cmd_continue(cfg: RunConfig) -> dict:
         "energy_one_dim": energy_ref,
     }
     halves = continue_half_branches(ctx, point, steps=steps, t_max=t_max)
+    header = ["t", "deviation", "distance_to_1d", "nodal_count", "newton_iters", "energy"]
     for sign_name, branch in halves.branches.items():
         results[f"outcome_{sign_name}"] = halves.outcomes[sign_name]
         rows = [
@@ -538,11 +541,7 @@ def cmd_continue(cfg: RunConfig) -> dict:
             )
             for bp in branch
         ]
-        write_csv(
-            cfg.output_dir / f"branch_{sign_name}_{k_index}.csv",
-            ["t", "deviation", "distance_to_1d", "nodal_count", "newton_iters", "energy"],
-            rows,
-        )
+        write_csv(cfg.output_dir / f"branch_{sign_name}_{k_index}.csv", header, format_rows(header, rows))
         if branch:
             results[f"deviation_first_{sign_name}"] = branch[0].deviation
             results[f"points_{sign_name}"] = len(branch)

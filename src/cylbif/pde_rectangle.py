@@ -22,6 +22,7 @@ height-only states.  Only the direct check, ``assemble_linearized``, builds the
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -73,7 +74,7 @@ FIRST_STEP_REL = 1e-2
 SWITCH_EPS_REL = 1e-1
 #: a solve within this multiple of the Newton tol of u_ref is on the height-only solution
 FALLBACK_TOL_REL = 10.0
-#: a failed solve whose residual stopped within this multiple of the rounding floor stalled on it
+#: a solve whose residual stopped, or flattened, within this multiple of the rounding floor stalled on it
 FLOOR_STALL_REL = 10.0
 #: the first minus point mirrors the first plus point when they differ by less than this share of max|u|
 REFLECTION_TOL_REL = 1e-6
@@ -87,8 +88,6 @@ FORCING_ETA_MAX = 0.1
 KRYLOV_FLOOR_REL = 0.05
 #: GMRES restart length and inner-iteration cap of one linear solve
 KRYLOV_RESTART, KRYLOV_MAX_ITERS = 50, 100
-
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
 @dataclass(frozen=True)
@@ -147,6 +146,20 @@ def _rounding_floor(u: np.ndarray, grid: Grid2D, t: float, l_base: float) -> flo
     return float(np.max(np.abs(u))) * stencil * np.finfo(float).eps
 
 
+@functools.cache
+def _x_modes(n: int) -> np.ndarray:
+    """The half-weighted, unit-normalized cosines cos(k pi x'), k = 0..n-1, in the columns,
+    on n x'-nodes; read-only, since every _TensorSum on n nodes shares them."""
+    k, hx = np.arange(n), 1.0 / (n - 1)
+    dx = np.ones(n)
+    dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
+    # cos(k pi x_i) = cos(pi (i k mod 2(n-1)) h_x): the reduced argument stays below 2 pi
+    modes = dx[:, None] * np.cos((np.outer(k, k) % (2 * (n - 1))) * (math.pi * hx))
+    modes /= np.linalg.norm(modes, axis=0)
+    modes.flags.writeable = False
+    return modes
+
+
 def _weighted_norm(u: np.ndarray, grid: Grid2D) -> float:
     wx = _trapezoid_weights(grid.nx)
     wy = _trapezoid_weights(grid.ny)
@@ -198,9 +211,12 @@ class _TensorSum:
         dy = np.ones(grid.ny - 1)
         dy[0] = 1.0 / math.sqrt(2.0)
         self.dvec = np.kron(dy, dx)
-        # cos(k pi x_i) = cos(pi (i k mod 2(nx-1)) h_x): the reduced argument stays below 2 pi
-        self.modes = dx[:, None] * np.cos((np.outer(k, k) % (2 * (n - 1))) * (math.pi * grid.hx))
-        self.modes /= np.linalg.norm(self.modes, axis=0)
+
+    @property
+    def modes(self) -> np.ndarray:
+        """The x'-modes of this grid's width, built at the first use of that width; only
+        the separable solve needs them."""
+        return _x_modes(self.grid.nx)
 
     def apply(self, dof: np.ndarray) -> np.ndarray:
         """D_t on true grid values U: S_y W + W S_x^T, W = diag(dy) U diag(dx), unweighted."""
@@ -219,9 +235,11 @@ class _TensorSum:
         if info != 0:
             raise NonConvergenceError("separable preconditioner is singular")
 
+        modes = self.modes
+
         def solve(b):
-            z = lapack.dgttrs(*factor, (b.reshape(q2.shape) @ self.modes).T.ravel())[0]
-            return (self.modes @ z.reshape(q2.shape[::-1])).T.ravel()
+            z = lapack.dgttrs(*factor, (b.reshape(q2.shape) @ modes).T.ravel())[0]
+            return (modes @ z.reshape(q2.shape[::-1])).T.ravel()
 
         return solve, (q2 - qbar[:, None]).ravel()
 
@@ -299,7 +317,9 @@ def newton_solve(
     """Inexact Newton iteration on R(u) = D_t u - f(u), D_t applied as its 1D factors;
     each step is a GMRES solve of v -> v - (q - qbar) * P v, P the separable solve at
     the x'-average qbar of q = f'(u).  A solve that reaches KRYLOV_MAX_ITERS raises
-    NonConvergenceError.
+    NonConvergenceError, and so does an iteration that has flattened on the rounding
+    floor: its residual lies within FLOOR_STALL_REL of ``_rounding_floor`` and above
+    half the residual two iterations earlier, so ``tol`` is out of reach.
 
     ``reference_1d`` (full-grid array) fixes the yardstick for
     ``distance_to_1d``; without it the distance is reported as NaN.
@@ -314,9 +334,17 @@ def newton_solve(
     r = op.apply(u) - eval_f(model, u)
     rnorm = float(np.max(np.abs(r)))
     r0 = max(rnorm, 1.0)
+    history = [rnorm]  # the residual before each iteration and after the last
     iters = krylov_iters = 0
     try:
         while rnorm > tol:
+            floor = _rounding_floor(u, grid, t, l_base)
+            if iters >= 2 and rnorm <= FLOOR_STALL_REL * floor and rnorm >= 0.5 * history[-3]:
+                raise NonConvergenceError(
+                    f"newton flattened at residual {rnorm:.3g} after {iters} iterations, within "
+                    f"{FLOOR_STALL_REL:g} times its rounding floor {floor:.3g}",
+                    residual=rnorm,
+                )
             if iters >= max_iters:
                 raise NonConvergenceError(
                     f"newton did not reach tol {tol} in {max_iters} iterations", residual=rnorm
@@ -342,6 +370,7 @@ def newton_solve(
             u = u + precond(z) / op.dvec
             r = op.apply(u) - eval_f(model, u)
             rnorm = float(np.max(np.abs(r)))
+            history.append(rnorm)
             iters += 1
             if not np.isfinite(rnorm) or rnorm > 1e8 * r0:
                 raise NonConvergenceError(f"newton diverged (residual {rnorm})", residual=rnorm)
@@ -394,19 +423,26 @@ def one_dimensionality_deviation(u, grid: Grid2D) -> float:
 
 
 def count_nodal_domains_2d(u, grid: Grid2D, tol: float) -> int:
-    """4-connected constant-sign components of {|u| > tol}."""
-    from scipy import ndimage  # on first call: only runs that count nodal domains pay its import
+    """4-connected constant-sign components of {|u| > tol}: the connected components of the
+    graph whose nodes are the horizontal runs of one sign and whose edges join two runs
+    wherever cells of that sign sit one above the other."""
+    from scipy.sparse.csgraph import connected_components  # on first call: only runs that count pay its import
 
     if tol < 0.0:
         raise ValidationError("tolerance must be >= 0")
     full = _as_full(u, grid)
-    pos = full > tol
-    neg = full < -tol
-    if not (pos.any() or neg.any()):
+    sign = (full > tol).astype(np.int8) - (full < -tol)
+    if not sign.any():
         raise DegenerateInputError("all samples below tolerance; no nodal information")
-    _, n_pos = ndimage.label(pos, structure=_FOUR_CONNECTED)
-    _, n_neg = ndimage.label(neg, structure=_FOUR_CONNECTED)
-    return int(n_pos + n_neg)
+    start = sign != 0  # a run starts at each signed cell whose left neighbour has another sign
+    start[:, 1:] &= sign[:, 1:] != sign[:, :-1]
+    run = np.cumsum(start).reshape(sign.shape) - 1  # the run of each signed cell, numbered row-major
+    joined = (sign[:-1] != 0) & (sign[:-1] == sign[1:])
+    runs = int(run[-1, -1]) + 1
+    graph = sparse.coo_matrix(
+        (np.ones(int(joined.sum())), (run[:-1][joined], run[1:][joined])), shape=(runs, runs)
+    )
+    return int(connected_components(graph, directed=False)[0])
 
 
 def eval_energy(u, t: float, model: NonlinearityModel, grid: Grid2D, l_base: float = 1.0) -> float:

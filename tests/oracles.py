@@ -10,12 +10,14 @@ These deliberately avoid the code paths they are meant to check:
 * Bessel functions are summed from the defining power series in decimal
   arithmetic and their derivative zeros located by plain bisection (no
   scipy.special);
-* Morse counts are brute-forced over all mode pairs.
+* Morse counts are brute-forced over all mode pairs;
+* 2D nodal domains are counted by flood fill (no scipy.sparse.csgraph).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from decimal import Decimal, localcontext
 
 
@@ -144,4 +146,25 @@ def brute_force_negative_count(alphas, lambdas, multiplicities) -> int:
         for lam, mult in zip(lambdas, multiplicities):
             if a + lam < 0.0:
                 count += int(mult)
+    return count
+
+
+def flood_fill_domains(u, tol: float) -> int:
+    """4-connected constant-sign components of {|u| > tol} in a 2D array, by breadth-first flood fill."""
+    sign = [[(v > tol) - (v < -tol) for v in row] for row in u]
+    rows, cols = len(sign), len(sign[0])
+    seen, count = set(), 0
+    for i in range(rows):
+        for j in range(cols):
+            if sign[i][j] == 0 or (i, j) in seen:
+                continue
+            count += 1
+            seen.add((i, j))
+            queue = deque([(i, j)])
+            while queue:
+                a, b = queue.popleft()
+                for c, d in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
+                    if 0 <= c < rows and 0 <= d < cols and (c, d) not in seen and sign[c][d] == sign[i][j]:
+                        seen.add((c, d))
+                        queue.append((c, d))
     return count

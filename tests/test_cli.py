@@ -18,7 +18,7 @@ import cylbif.cli as cli
 import cylbif.pde_rectangle as pde
 import cylbif.sturm_liouville as sl
 from cylbif import Interval, LaneEmden, extrapolated_alphas, neumann_eigenvalues
-from cylbif.cli import CSV_CHUNK_ROWS, main, write_csv
+from cylbif.cli import CSV_CHUNK_ROWS, format_rows, main, write_csv
 from cylbif.errors import NonConvergenceError
 from oracles import brute_force_negative_count, ellipk_agm, jprime_zero
 
@@ -307,7 +307,7 @@ class TestSubcommands:
 
 
 def _fmt_reference(x) -> str:
-    """The per-value formatter ``write_csv`` used before it formatted whole chunks."""
+    """The per-value formatter that CSV tables used before they were formatted in whole chunks."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -318,6 +318,10 @@ def _fmt_reference(x) -> str:
 def _csv_reference(header, rows) -> bytes:
     lines = [",".join(header)] + [",".join(v if isinstance(v, str) else _fmt_reference(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode()
+
+
+def write_table(path, header, rows):
+    write_csv(path, header, format_rows(header, rows))
 
 
 class TestWriteCsv:
@@ -340,20 +344,21 @@ class TestWriteCsv:
     def test_every_kind_matches_the_reference(self, tmp_path):
         header = ["b", "i", "f", "f64", "f32", "s"]
         rows = self.mixed_rows()
-        write_csv(tmp_path / "mixed.csv", header, rows)
+        write_table(tmp_path / "mixed.csv", header, rows)
         assert (tmp_path / "mixed.csv").read_bytes() == _csv_reference(header, rows)
         text = (tmp_path / "mixed.csv").read_text()
         for token in (",-0,", ",nan,", ",-inf,", ",4.9406564584124654e-324,", ",1e+22,", ",0.33333333333333331,"):
             assert token in text, token
 
     def test_empty_rows_write_the_header(self, tmp_path):
-        write_csv(tmp_path / "empty.csv", ["a", "b"], [])
+        assert format_rows(["a", "b"], []) == ""
+        write_table(tmp_path / "empty.csv", ["a", "b"], [])
         assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
     @pytest.mark.parametrize("count", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 7])
     def test_generators_across_chunks(self, tmp_path, count):
         rows = [(k, k / 7.0, k % 3 == 0, str(k)) for k in range(count)]
-        write_csv(tmp_path / "gen.csv", ["k", "x", "b", "s"], (row for row in rows))
+        write_table(tmp_path / "gen.csv", ["k", "x", "b", "s"], (row for row in rows))
         assert (tmp_path / "gen.csv").read_bytes() == _csv_reference(["k", "x", "b", "s"], rows)
 
     @pytest.mark.parametrize(
@@ -367,9 +372,9 @@ class TestWriteCsv:
             [(1,)] * CSV_CHUNK_ROWS + [(np.float64(2.0),)],  # in a later chunk
         ],
     )
-    def test_a_column_of_mixed_kinds_is_rejected(self, tmp_path, rows):
+    def test_a_column_of_mixed_kinds_is_rejected(self, rows):
         with pytest.raises(TypeError, match="column a mixes"):
-            write_csv(tmp_path / "bad.csv", ["a"], rows)
+            format_rows(["a"], rows)
 
     @pytest.mark.parametrize(
         "subcommand, overrides",
@@ -390,13 +395,21 @@ class TestWriteCsv:
         ],
     )
     def test_caller_rows_match_the_reference(self, tmp_path, monkeypatch, subcommand, overrides):
-        written = []
+        rendered, written = {}, []
 
-        def capture(path, header, rows):
+        def render(header, rows):
             rows = list(rows)
-            write_csv(path, header, rows)
+            body = format_rows(header, rows)
+            rendered[body] = rows
+            return body
+
+        def capture(path, header, body):
+            write_csv(path, header, body)
+            # a dump is filled into its grid's row template, not rendered from rows: read its rows back
+            rows = rendered[body] if body in rendered else [tuple(map(float, line.split(","))) for line in body.splitlines()]
             written.append((path, header, rows))
 
+        monkeypatch.setattr(cli, "format_rows", render)
         monkeypatch.setattr(cli, "write_csv", capture)
         cfg = write_config(tmp_path, **overrides)
         assert main([subcommand, "--config", str(cfg)]) == 0
@@ -413,7 +426,7 @@ class TestWriteCsv:
 
 def test_mirrored_dumps_match_the_float_path(tmp_path, monkeypatch):
     # a minus dump written from the permuted plus strings must carry the bytes of formatting it
-    grid = pde.Grid2D(16, 16)
+    grid = pde.Grid2D(16, 21)  # nx != ny: a template with x' and x_N swapped writes other bytes
     plus = np.random.default_rng(0).standard_normal((grid.ny, grid.nx))
     plus[-1] = 0.0
     plus[3, 2] = 0.0
@@ -428,7 +441,7 @@ def test_mirrored_dumps_match_the_float_path(tmp_path, monkeypatch):
     assert len(formatted) == 3  # both plus dumps and the signed minus one
     x, y = np.meshgrid(grid.x_nodes(), grid.y_nodes())
     for idx, minus in enumerate((same, signed)):
-        write_csv(tmp_path / "reference.csv", ["xprime", "xn", "u"], zip(*(a.ravel().tolist() for a in (x, y, minus))))
+        write_table(tmp_path / "reference.csv", ["xprime", "xn", "u"], zip(*(a.ravel().tolist() for a in (x, y, minus))))
         assert (tmp_path / f"solution_minus_1_{idx}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert b",-0\n" in (tmp_path / "solution_minus_1_1.csv").read_bytes()
     assert b",-0\n" not in (tmp_path / "solution_minus_1_0.csv").read_bytes()
@@ -450,13 +463,13 @@ print(json.dumps([name in sys.modules for name in ("scipy.special", "scipy.ndima
         ("morse", {}, [False, False]),
         ("base-eigs", {"base": {"type": "disk", "radius": 1.0}, "options": {"cutoff": 100.0}}, [True, False]),
         ("verify-decomposition", {"grids": {"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32}}, [False, False]),
-        # scipy.ndimage imports scipy.special itself
+        # the 2D nodal count uses scipy.sparse.csgraph, neither of the two
         ("continue", {"grids": {"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32}, "options": {"branch_steps": 1}},
-         [True, True]),
+         [False, False]),
     ],
 )
 def test_scipy_special_and_ndimage_load_only_where_called(tmp_path, subcommand, overrides, loaded):
-    # a fresh interpreter: the Bessel zeros load scipy.special, the 2D nodal count scipy.ndimage
+    # a fresh interpreter: the Bessel zeros load scipy.special, and nothing loads scipy.ndimage
     cfg = write_config(tmp_path, **overrides)
     args = [subcommand, "--config", str(cfg)] if subcommand else []
     paths = [str(Path(pde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -598,13 +611,16 @@ class TestContract:
         assert main(["continue", "--config", str(cfg)]) == 3
         found = re.search(r"reference solve: .* rounding floor .* is (\S+) against tol 2e-09", caplog.text)
         assert found, caplog.text
-        assert len(floors) == 1 and found.group(1) == f"{floors[0]:.3g}"
-        assert 8e-9 < floors[0] < 1e-8
+        # Newton's own floor-stall checks come first; the message names the last floor computed
+        assert found.group(1) == f"{floors[-1]:.3g}"
+        assert 8e-9 < floors[-1] < 1e-8
 
     def test_switch_stalled_at_the_rounding_floor_is_nonconvergence(self, tmp_path, caplog):
         # p = 2.6, n = 3 at 48 x 48: the reference polish at t = 1 meets newton_tol 1e-8, but
         # the first branch point t = 0.3549 stiffens the x'-stencil by 1/t^2, and every switch
-        # attempt stalls near the floor there, about 1e-8: tol is unmet, no branch is missing
+        # attempt stalls near the floor there, about 1e-8: tol is unmet, no branch is missing.
+        # Newton stops once its residual flattens there instead of spending its 25 iterations
+        caplog.set_level(logging.DEBUG, logger="cylbif.pde")
         cfg = write_config(
             tmp_path,
             model={"type": "lane_emden", "p": 2.6},
@@ -621,6 +637,8 @@ class TestContract:
         assert found, caplog.text
         assert float(found.group(1)) == pytest.approx(0.3549, abs=1e-4)
         assert 9e-9 < float(found.group(2)) < 1.1e-8
+        attempts = [int(k) for k in re.findall(r"newton t = 0\.3548\d*: (\d+) iterations", caplog.text)]
+        assert len(attempts) == 3 and max(attempts) <= 10, attempts
 
     def test_continue_outcome_after_recovered_halving(self, tmp_path, monkeypatch):
         # one failed continuation solve halves the step; the half-branch still

@@ -32,6 +32,7 @@ from cylbif import (
 )
 from cylbif.errors import BranchNotFoundError
 from cylbif.morse_bifurcation import BifurcationPoint
+from oracles import flood_fill_domains
 
 
 def weighted_norm(u, grid):
@@ -176,6 +177,19 @@ class TestOperator:
         assert np.max(np.abs(xi - ref)) <= 1e-15 * scale
         assert np.max(np.abs(vecs.T @ vecs - np.eye(nx))) <= 1e-13
         assert np.max(np.abs(sx @ vecs - vecs * xi)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("nx", [22, 48, 200])
+    def test_x_modes_are_built_once_per_width(self, nx):
+        # the modes as each _TensorSum built them for itself, from its grid's h_x;
+        # at nx = 22, pi * h_x and pi / (nx - 1) differ in the last bit
+        hx, k = Grid2D(nx, 16).hx, np.arange(nx)
+        dx = np.ones(nx)
+        dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
+        ref = dx[:, None] * np.cos((np.outer(k, k) % (2 * (nx - 1))) * (math.pi * hx))
+        ref /= np.linalg.norm(ref, axis=0)
+        shared = pde._TensorSum(Grid2D(nx, 16), 1.3, 0.7).modes
+        assert pde._TensorSum(Grid2D(nx, 40), 0.4, 1.0).modes is shared
+        assert shared.tobytes() == ref.tobytes() and not shared.flags.writeable
 
     @pytest.mark.parametrize("n", [48, 200])
     def test_factored_apply_matches_the_assembled_matrix(self, cubic_model, n):
@@ -348,6 +362,33 @@ class TestDiagnostics:
         assert count_nodal_domains_2d(mode, grid64, 1e-8) == 2
         with pytest.raises(DegenerateInputError):
             count_nodal_domains_2d(np.zeros((64, 64)), grid64, 1e-8)
+
+    @pytest.mark.parametrize("nx, ny", [(16, 40), (37, 16), (23, 23)])
+    @pytest.mark.parametrize("positive, band", [(0.5, 0.0), (0.3, 0.2), (0.6, 0.3), (0.85, 0.1), (0.45, 0.5)])
+    def test_nodal_counts_match_flood_fill(self, nx, ny, positive, band):
+        # shares of positive, in-band and negative samples; in-band ones include |u| == tol exactly
+        grid, tol = Grid2D(nx, ny), 1e-3
+        rng = np.random.default_rng([nx, ny, int(100 * positive), int(100 * band)])
+        for _ in range(5):
+            sign = rng.choice([1, 0, -1], size=(ny, nx), p=[positive, band, 1.0 - positive - band])
+            in_band = tol * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(ny, nx))
+            u = np.where(sign == 0, in_band, sign * tol * (1.0 + rng.random((ny, nx))))
+            assert count_nodal_domains_2d(u, grid, tol) == flood_fill_domains(u.tolist(), tol)
+
+    def test_nodal_count_hand_cases(self):
+        grid = Grid2D(16, 20)
+        y, x = np.indices((grid.ny, grid.nx))
+        checkerboard = np.where((x + y) % 2 == 0, 1.0, -1.0)  # every cell its own domain
+        assert count_nodal_domains_2d(checkerboard, grid, 0.0) == grid.nx * grid.ny
+        ring = -np.ones((grid.ny, grid.nx))  # a positive ring splits the negative plane into hole and outside
+        ring[4:12, 3:10] = 1.0
+        ring[6:10, 5:8] = -1.0
+        assert count_nodal_domains_2d(ring, grid, 0.0) == 3
+        corners = np.zeros((grid.ny, grid.nx))  # blocks that share only a corner are not 4-connected
+        corners[2:5, 2:5] = corners[5:9, 5:8] = 1.0
+        assert count_nodal_domains_2d(corners, grid, 0.0) == 2
+        for u in (checkerboard, ring, corners):
+            assert count_nodal_domains_2d(u, grid, 0.0) == flood_fill_domains(u.tolist(), 0.0)
 
     def test_energy_of_zero_is_zero(self, cubic_model, grid64):
         assert eval_energy(np.zeros((64, 64)), 1.0, cubic_model, grid64) == 0.0
