@@ -299,7 +299,8 @@ def write_solution_dumps(out_dir: Path, k_index: int, grid: Grid2D, plus: list, 
     order, which are the strings it formats to; equal values are not enough, since
     -0.0 == 0.0 formats differently."""
     xs = [f"{x:.17g}" for x in grid.x_nodes().tolist()]
-    template = "".join(f"{x},{y:.17g},%s\n" for y in grid.y_nodes().tolist() for x in xs)  # row-major like u
+    rows = (f",{y:.17g},%s\n" for y in grid.y_nodes().tolist())
+    template = "".join(row.join(xs) + row for row in rows)  # row-major like u: each x then its row's text
     for idx in range(max(len(plus), len(minus))):
         strings = None
         for sign_name, solutions in (("plus", plus), ("minus", minus)):

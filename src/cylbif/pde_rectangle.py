@@ -13,11 +13,12 @@ x'-independent functions are preserved by the stencil, the solution of
 the height-only problem is a fixed point of D_t u = f(u) at every t, and
 branch detection can compare against that stored fixed point.  D_t is held
 as its two 1D factors, D_t = I (x) S_x(t) + S_y (x) I.  Newton applies them for
-its residuals and solves with GMRES, right-preconditioned by the separable solve P
-of the tensor sum D_t - diag qbar, qbar the x'-average of q = f'(u), in the
+its residuals and solves with flexible GMRES, right-preconditioned by the separable
+solve P of the tensor sum D_t - diag qbar, qbar the x'-average of q = f'(u), in the
 closed-form x'-modes; the operator v -> v - (q - qbar) * P v is the identity at
-height-only states.  Only the direct check, ``assemble_linearized``, builds the
-2D matrix.
+height-only states.  Flexible GMRES keeps each P v_j of its basis, so P is applied
+once per Krylov iteration.  Only the direct check, ``assemble_linearized``, builds
+the 2D matrix.
 """
 
 from __future__ import annotations
@@ -304,6 +305,51 @@ class BranchPoint:
     residual: float
 
 
+def _fgmres(precond, rest, b, atol, vs, zs):
+    """Flexible GMRES (Saad 1993) for J s = b, where J z = v - rest * z at z = P v, P the
+    separable solve ``precond``: each iteration applies P once and keeps z_j = P v_j in
+    ``zs``, so the step s = sum_j y_j z_j and a cycle's residual
+    b - sum_j y_j (v_j - rest * z_j) cost no further apply.  The rows of ``vs`` hold the
+    orthonormal basis, built by classical Gram-Schmidt with one reorthogonalization; the
+    rows of ``zs`` set the cycle length m, and KRYLOV_MAX_ITERS // m cycles run at most.
+    Returns the step, the Krylov iterations and whether |b - J s| reached ``atol``."""
+    m = zs.shape[0]
+    step, r, iters = np.zeros_like(b), b, 0
+    for _cycle in range(KRYLOV_MAX_ITERS // m):
+        beta = float(np.linalg.norm(r))
+        if beta <= atol:
+            return step, iters, True
+        vs[0] = r / beta
+        hess, rot = np.zeros((m, m + 1)), np.zeros((m, 2))  # row k: column k of the Hessenberg matrix
+        g = np.zeros(m + 1)  # the rotated right-hand side beta e_1
+        g[0] = beta
+        for k in range(m):
+            zs[k] = precond(vs[k])
+            w = vs[k] - rest * zs[k]
+            w_norm, basis, h = float(np.linalg.norm(w)), vs[: k + 1], hess[k]
+            for _ in range(2):  # the second pass removes what rounding left of the first
+                coef = basis @ w
+                w -= coef @ basis
+                h[: k + 1] += coef
+            h[k + 1] = np.linalg.norm(w)
+            breakdown = h[k + 1] <= np.finfo(float).eps * w_norm
+            if not breakdown:
+                vs[k + 1] = w / h[k + 1]
+            for i, (c, s) in enumerate(rot[:k]):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            c, s, h[k] = lapack.dlartg(h[k], h[k + 1])
+            rot[k], h[k + 1] = (c, s), 0.0
+            g[k], g[k + 1] = c * g[k], -s * g[k]
+            iters += 1
+            if abs(g[k + 1]) <= atol or breakdown:
+                break
+        y = lapack.dtrtrs(hess[: k + 1, : k + 1], g[: k + 1], lower=1, trans=1)[0]
+        cycle = y @ zs[: k + 1]
+        step += cycle
+        r = r - y @ vs[: k + 1] + rest * cycle
+    return step, iters, float(np.linalg.norm(r)) <= atol
+
+
 def newton_solve(
     initial,
     t: float,
@@ -315,8 +361,11 @@ def newton_solve(
     reference_1d: np.ndarray | None = None,
 ) -> BranchPoint:
     """Inexact Newton iteration on R(u) = D_t u - f(u), D_t applied as its 1D factors;
-    each step is a GMRES solve of v -> v - (q - qbar) * P v, P the separable solve at
-    the x'-average qbar of q = f'(u).  A solve that reaches KRYLOV_MAX_ITERS raises
+    each step is a flexible GMRES solve (``_fgmres``) of the Jacobian, right-preconditioned
+    by P, the separable solve at the x'-average qbar of q = f'(u): its Krylov operator is
+    v -> v - (q - qbar) * P v, and the step is assembled from the stored P v_j, so a solve
+    applies P once per Krylov iteration and at no other time.  Both bases are allocated
+    once per call.  A solve that reaches KRYLOV_MAX_ITERS raises
     NonConvergenceError, and so does an iteration that has flattened on the rounding
     floor: its residual lies within FLOOR_STALL_REL of ``_rounding_floor`` and above
     half the residual two iterations earlier, so ``tol`` is out of reach.
@@ -330,12 +379,13 @@ def newton_solve(
         raise ValidationError("max_iters must be >= 1")
     full = _as_full(initial, grid)
     op = _TensorSum(grid, t, l_base)
-    u = full[:-1].ravel()  # the unknowns: every row but the Dirichlet one
+    u = full[:-1].flatten()  # the unknowns, a copy: every row but the Dirichlet one
     r = op.apply(u) - eval_f(model, u)
     rnorm = float(np.max(np.abs(r)))
     r0 = max(rnorm, 1.0)
     history = [rnorm]  # the residual before each iteration and after the last
     iters = krylov_iters = 0
+    vs, zs = np.empty((KRYLOV_RESTART + 1, u.size)), np.empty((KRYLOV_RESTART, u.size))  # the Krylov bases
     try:
         while rnorm > tol:
             floor = _rounding_floor(u, grid, t, l_base)
@@ -357,17 +407,13 @@ def newton_solve(
             ratio = bnorm / bnorm_prev if iters else 1.0
             eta, bnorm_prev = min(FORCING_ETA_MAX, FORCING_GAMMA * ratio**2, bnorm), bnorm
             precond, rest = op.separable(eval_fprime(model, u))
-            residuals = []  # right preconditioning: GMRES minimizes the true linear residual
-            z, info = spla.gmres(
-                spla.LinearOperator((u.size, u.size), matvec=lambda v: v - rest * precond(v), dtype=float), -b,
-                rtol=eta, atol=KRYLOV_FLOOR_REL * tol, restart=KRYLOV_RESTART,
-                maxiter=KRYLOV_MAX_ITERS // KRYLOV_RESTART, callback=residuals.append, callback_type="pr_norm",
-            )
-            krylov_iters += len(residuals)
-            if info != 0:
-                log.debug("gmres stalled at t = %.8g after %d iterations", t, len(residuals))
-                raise NonConvergenceError(f"gmres stalled after {len(residuals)} iterations", residual=rnorm)
-            u = u + precond(z) / op.dvec
+            atol = max(eta * bnorm, KRYLOV_FLOOR_REL * tol)
+            step, krylov, converged = _fgmres(precond, rest, -b, atol, vs, zs)
+            krylov_iters += krylov
+            if not converged:
+                log.debug("gmres stalled at t = %.8g after %d iterations", t, krylov)
+                raise NonConvergenceError(f"gmres stalled after {krylov} iterations", residual=rnorm)
+            u += step / op.dvec
             r = op.apply(u) - eval_f(model, u)
             rnorm = float(np.max(np.abs(r)))
             history.append(rnorm)

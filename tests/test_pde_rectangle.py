@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,53 @@ class TestNewton:
         b = np.random.default_rng(0).standard_normal(grid64.ndof)
         ref = splu(op.matrix.tocsc()).solve(b)
         assert np.max(np.abs(solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_each_krylov_iteration_applies_p_once(self, ctx48, first_crossing, monkeypatch, caplog):
+        # flexible GMRES keeps z_j = P v_j: neither the step nor a cycle's residual applies P again
+        applies = []
+        separable = pde._TensorSum.separable
+
+        def counted(self, q):
+            solve, rest = separable(self, q)
+            return (lambda b: applies.append(1) or solve(b)), rest
+
+        monkeypatch.setattr(pde._TensorSum, "separable", counted)
+        with caplog.at_level(logging.DEBUG, logger="cylbif.pde"):
+            bp = ctx48.solve(ctx48.u_ref + 0.1 * ctx48.ref_norm * ctx48.kernel, 1.01 * first_crossing.t_bar)
+        krylov = int(re.search(r"(\d+) krylov iterations", caplog.text).group(1))
+        assert bp.newton_iters > 0 and krylov >= bp.newton_iters
+        assert len(applies) == krylov
+
+    def test_flexible_step_solves_the_assembled_jacobian(self, cubic_model, cubic_solutions, first_crossing):
+        # the assembled matrix is built without P, so this checks the flexible residual, not P's exactness
+        grid = Grid2D(32, 32)
+        ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
+        t = 1.01 * first_crossing.t_bar
+        full = ctx.u_ref + 0.1 * ctx.ref_norm * ctx.kernel
+        u = full[:-1].ravel()
+        op = pde._TensorSum(grid, t, 1.0)
+        b = op.dvec * (op.apply(u) - eval_f(cubic_model, u))
+        atol = 1e-8 * np.linalg.norm(b)
+        precond, rest = op.separable(eval_fprime(cubic_model, u))
+        vs, zs = np.empty((pde.KRYLOV_RESTART + 1, u.size)), np.empty((pde.KRYLOV_RESTART, u.size))
+        step, iters, converged = pde._fgmres(precond, rest, -b, atol, vs, zs)
+        assert converged and iters > 1
+        jacobian = assemble_linearized(full, t, cubic_model, grid).matrix
+        assert np.linalg.norm(jacobian @ step + b) <= 1.01 * atol
+
+    def test_restarted_solve_reaches_the_same_point(self, ctx48, first_crossing, monkeypatch, caplog):
+        guess, t = ctx48.u_ref + 0.1 * ctx48.ref_norm * ctx48.kernel, 1.01 * first_crossing.t_bar
+        ref = ctx48.solve(guess, t)
+        # restarting every 2 iterations stagnates here, as scipy's GMRES(2) did: the second
+        # Newton step's linear solve runs into the 100-iteration cap
+        monkeypatch.setattr(pde, "KRYLOV_RESTART", 3)
+        with caplog.at_level(logging.DEBUG, logger="cylbif.pde"):
+            bp = ctx48.solve(guess, t)
+        krylov = int(re.search(r"(\d+) krylov iterations", caplog.text).group(1))
+        assert krylov > 3 * bp.newton_iters  # some linear solve ran past one cycle
+        assert bp.residual <= ctx48.tol and bp.distance_to_1d > 1e-3
+        grid = ctx48.grid
+        assert weighted_norm(bp.solution - ref.solution, grid) / weighted_norm(ref.solution, grid) <= 1e-8
 
     def test_wrong_side_guess_hits_stall_cap(self, branch_ctx, first_crossing, caplog):
         # below t_bar no branch exists; a kick far outside the switching range
