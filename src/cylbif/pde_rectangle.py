@@ -82,6 +82,8 @@ REFLECTION_TOL_REL = 1e-6
 #: backtracking solves at offsets dt * BACKTRACK_RATIO**k, k = 1..BACKTRACK_OFFSETS
 BACKTRACK_OFFSETS = 5
 BACKTRACK_RATIO = 0.12
+#: branch points, besides the anchor u_ref, through which a continuation guess is extrapolated
+PREDICT_POINTS = 4
 #: Eisenstat-Walker forcing (choice 2) of the Newton steps; eta_0 is the cap
 FORCING_GAMMA = 0.9
 FORCING_ETA_MAX = 0.1
@@ -422,7 +424,8 @@ def newton_solve(
                 raise NonConvergenceError(f"newton diverged (residual {rnorm})", residual=rnorm)
     finally:
         log.debug(
-            "newton t = %.8g: %d iterations, %d krylov iterations, residual %.3g", t, iters, krylov_iters, rnorm
+            "newton t = %.8g: %d iterations, %d krylov iterations, residual %.3g, started at %.3g",
+            t, iters, krylov_iters, rnorm, history[0],
         )
 
     solution = np.zeros((grid.ny, grid.nx))
@@ -617,9 +620,11 @@ def continue_branch(
     below roughly 0.6 of that amplitude contracts back to the trivial
     branch, so the perturbation has to be commensurate with the branch,
     not merely nonzero.  Subsequent points use natural-parameter
-    continuation with a secant predictor and step halving (at most 6
-    halvings per step).  No point is solved past ``t_max``: a step that would
-    cross it is cut to end there, and the branch ends at it.
+    continuation with step halving (at most 6 halvings per step), each solve
+    started from ``_predict``: the branch is smooth in sigma = sqrt|t - t_bar|,
+    so the guess is extrapolated in sigma through u_ref at sigma = 0 and the
+    last PREDICT_POINTS points.  No point is solved past ``t_max``: a step that
+    would cross it is cut to end there, and the branch ends at it.
 
     Returns the ordered branch and why it ended: ``reached_t_limit`` after
     ``steps`` points or at ``t_max``, ``stalled`` when continuation gave up
@@ -675,23 +680,40 @@ def continue_branch(
     return _follow(ctx, branch, direction, dt0, steps, t_max)
 
 
+def _predict(ctx: BranchContext, points: list[BranchPoint], t: float) -> np.ndarray:
+    """The guess at ``t`` for the branch through ``points``: Lagrange extrapolation in
+    sigma = sqrt|t - t_bar_discrete| through the anchor (0, u_ref) and the last
+    PREDICT_POINTS points.  At a simple crossing u = u_ref + s w + s^2 v_2 + ... with
+    t - t_bar = tau_2 s^2 + ..., so a branch state is smooth in sigma and passes through
+    u_ref at sigma = 0, where in t it has a square-root singularity.  A point whose sigma
+    coincides with a node already taken, the anchor's or a later point's, is dropped."""
+    def sigma(t_k):
+        return math.sqrt(abs(t_k - ctx.t_bar_discrete))
+
+    nodes, deviations = [0.0], []  # nodes[k] is the sigma of deviations[k - 1]
+    for bp in reversed(points[-PREDICT_POINTS:]):
+        if sigma(bp.t) not in nodes:
+            nodes.append(sigma(bp.t))
+            deviations.append(bp.solution - ctx.u_ref)
+    x = sigma(t)
+    guess = ctx.u_ref.copy()
+    for k, deviation in enumerate(deviations, start=1):
+        guess += math.prod((x - s) / (nodes[k] - s) for i, s in enumerate(nodes) if i != k) * deviation
+    return guess
+
+
 def _follow(
     ctx: BranchContext, branch: list[BranchPoint], direction: int, dt: float, steps: int, t_max: float
 ) -> tuple[list[BranchPoint], str]:
-    """Continue ``branch`` from its last point by steps of ``dt``, halved on a failed solve."""
+    """Continue ``branch`` from its last point by steps of ``dt``, halved on a failed solve;
+    each solve starts from ``_predict``."""
     halvings = 0
     while len(branch) < steps and branch[-1].t < t_max:
         t_next = branch[-1].t + direction * dt
         if t_next > t_max:  # a failed solve there halves the shortened step
             t_next, dt = t_max, t_max - branch[-1].t
-        if len(branch) >= 2:
-            prev, last = branch[-2], branch[-1]
-            slope = (last.solution - prev.solution) / (last.t - prev.t)
-            guess = last.solution + slope * (t_next - last.t)
-        else:
-            guess = branch[-1].solution
         try:
-            bp = ctx.solve(guess, t_next)
+            bp = ctx.solve(_predict(ctx, branch, t_next), t_next)
         except NonConvergenceError:
             halvings += 1
             dt *= 0.5
@@ -786,22 +808,26 @@ def backtrack_branch(ctx: BranchContext, start: BranchPoint) -> list[BranchPoint
     """Follow the branch back toward the discrete bifurcation point.
 
     From ``start`` at offset dt = start.t - ctx.t_bar_discrete, solves at
-    offsets dt * BACKTRACK_RATIO**k for k = 1..BACKTRACK_OFFSETS.  Along the
-    true branch the distance to the height-only solution shrinks
-    monotonically to 0 like sqrt(offset), so each solve is seeded on that
-    law: the previous solution's deviation from u_ref scaled by
-    sqrt(BACKTRACK_RATIO).
+    offsets dt * BACKTRACK_RATIO**k for k = 1..BACKTRACK_OFFSETS, each from
+    ``_predict`` through ``start`` and the backtrack points solved so far.  Along the
+    true branch the distance to the height-only solution shrinks monotonically to 0
+    like sqrt(offset), so the backtrack keeps only branch points: it stops at the first
+    solve that fell back onto u_ref or whose distance is not below the previous one,
+    ``start``'s included, and returns the points before it.
     """
     t_bar = ctx.t_bar_discrete
     dt = start.t - t_bar
     if dt == 0.0:
         raise ValidationError("start point must sit away from the bifurcation scaling")
-    shrink = math.sqrt(BACKTRACK_RATIO)
-    out = []
-    prev = start.solution
+    points = [start]
     for k in range(1, BACKTRACK_OFFSETS + 1):
         t_k = t_bar + dt * BACKTRACK_RATIO**k
-        bp = ctx.solve(ctx.u_ref + shrink * (prev - ctx.u_ref), t_k)
-        out.append(bp)
-        prev = bp.solution
-    return out
+        bp = ctx.solve(_predict(ctx, points, t_k), t_k)
+        if _fell_back(ctx, bp) or not bp.distance_to_1d < points[-1].distance_to_1d:
+            log.info(
+                "backtrack left the branch at t = %.8g (distance %.3g after %.3g); kept %d points",
+                t_k, bp.distance_to_1d, points[-1].distance_to_1d, k - 1,
+            )
+            break
+        points.append(bp)
+    return points[1:]

@@ -640,6 +640,24 @@ class TestContract:
         attempts = [int(k) for k in re.findall(r"newton t = 0\.3548\d*: (\d+) iterations", caplog.text)]
         assert len(attempts) == 3 and max(attempts) <= 10, attempts
 
+    def test_backtrack_reports_only_branch_points(self, tmp_path, caplog):
+        # from the first plus point at distance 0.226, the first backtrack solve of p = 2.5,
+        # n = 2 at 48 x 48 lands at distance 1.62, on another solution; it ends the backtrack
+        caplog.set_level(logging.INFO, logger="cylbif")
+        cfg = write_config(
+            tmp_path,
+            model={"type": "lane_emden", "p": 2.5},
+            nodal_n=2,
+            grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48},
+            t_range={"t_min": 0.5, "t_max": 5.0, "samples": 20},
+            options={"branch_steps": 2, "dump_solutions": False},
+        )
+        assert main(["continue", "--config", str(cfg)]) == 0
+        start = float(read_csv_rows(tmp_path / "out" / "branch_plus_1.csv")[0]["distance_to_1d"])
+        distances = [start] + read_summary(tmp_path)["results"]["backtrack_distances"]
+        assert all(a > b > 1e-7 for a, b in zip(distances, distances[1:]))
+        assert re.search(r"backtrack left the branch at t = \S+ \(distance 1\.6\d* after 0\.226\); kept 0 points", caplog.text)
+
     def test_continue_outcome_after_recovered_halving(self, tmp_path, monkeypatch):
         # one failed continuation solve halves the step; the half-branch still
         # collects every requested point, so it did not stall

@@ -1,6 +1,8 @@
 import logging
+import logging.handlers
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,6 +112,24 @@ def height_only_200(cubic_model, cubic_solutions):
 def first_crossing(cubic_alphas_n1):
     t_bar = math.pi / math.sqrt(-float(cubic_alphas_n1[0]))
     return BifurcationPoint(t_bar=t_bar, pairs=[(1, 1)], kernel_multiplicity=1, simple=True)
+
+
+@pytest.fixture(scope="module")
+def followed_64(branch_ctx, first_crossing):
+    """Both 8-point half-branches of the 64 x 64 crossing, the backtrack from the first plus
+    point, and the debug log of their solves."""
+    handler = logging.handlers.BufferingHandler(10_000)
+    logger = logging.getLogger("cylbif.pde")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        halves = continue_half_branches(branch_ctx, first_crossing, steps=8, t_max=2 * first_crossing.t_bar)
+        back = backtrack_branch(branch_ctx, halves.branches["plus"][0])
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return halves, back, [record.getMessage() for record in handler.buffer]
 
 
 class TestOperator:
@@ -589,6 +609,56 @@ class TestBranch:
         assert dists[-1] < 1e-3
         assert all(bp.nodal_count_2d == 1 for bp in back)
 
+    def test_square_root_predictor_counts(self, followed_64):
+        # predicting in t (a secant, the first point unchanged as the second guess, the
+        # backtrack's sqrt(BACKTRACK_RATIO) shrink) takes 5, 5, 3, 3, 3, 3, 3, 3 and 4, 4, 4, 4, 1
+        halves, back, _ = followed_64
+        assert [bp.newton_iters for bp in halves.branches["plus"]] == [5, 3, 3, 2, 1, 1, 1, 1]
+        assert [bp.newton_iters for bp in back] == [4, 2, 1, 0, 0]
+
+    def test_every_point_meets_the_newton_tol(self, followed_64, branch_ctx, cubic_model, grid64):
+        # 0-iteration points are predictions or reflections accepted as they are; each
+        # recorded residual is recomputed on the assembled matrix, to rounding (1e-3 tol)
+        halves, back, log_lines = followed_64
+        points = halves.branches["plus"] + halves.branches["minus"] + back
+        assert len(points) == 21 and sum(bp.newton_iters == 0 for bp in points) == 9
+        for bp in points:
+            lap = assemble_linearized(np.zeros((grid64.ny, grid64.nx)), bp.t, cubic_model, grid64)
+            v = bp.solution[:-1].ravel()
+            residual = float(np.max(np.abs(lap.apply(v) - eval_f(cubic_model, v))))
+            assert bp.residual <= branch_ctx.tol
+            assert residual == pytest.approx(bp.residual, abs=1e-3 * branch_ctx.tol)
+        # each solve's debug line ends with the residual it started from
+        solves = [
+            re.fullmatch(r"newton t = \S+: (\d+) iterations, \d+ krylov iterations, residual (\S+), started at (\S+)", line)
+            for line in log_lines
+            if line.startswith("newton t = ")
+        ]
+        assert len(solves) == 21 and all(solves)
+        for found in solves:
+            iters, final, start = int(found.group(1)), float(found.group(2)), float(found.group(3))
+            assert start == final if iters == 0 else start > branch_ctx.tol >= final
+
+    @pytest.mark.parametrize(
+        "distances, kept",
+        [([0.03], 0), ([0.01, 0.02], 1), ([0.01, 0.01], 1), ([0.01, 0.005, 1e-7], 2), ([0.01, 0.005, 1e-13], 2)],
+    )
+    def test_backtrack_keeps_only_branch_points(self, branch_ctx, monkeypatch, caplog, distances, kept):
+        # a solve that fell back onto u_ref, or whose distance is not below the previous
+        # one (the start's included), ends the backtrack; the points before it are kept
+        t_bar = branch_ctx.t_bar_discrete
+        start = pde.BranchPoint(1.01 * t_bar, branch_ctx.u_ref + 0.02 * branch_ctx.kernel, 0.1, 1, 3, 0.02, 0.0)
+        solved = iter(distances + [1e-4] * pde.BACKTRACK_OFFSETS)
+
+        def solve_at(initial, t, *args, **kwargs):
+            return pde.BranchPoint(t, initial, 0.1, 1, 2, next(solved), 0.0)
+
+        monkeypatch.setattr(pde, "newton_solve", solve_at)
+        caplog.set_level(logging.INFO, logger="cylbif.pde")
+        back = backtrack_branch(branch_ctx, start)
+        assert [bp.distance_to_1d for bp in back] == distances[:kept]
+        assert f"kept {kept} points" in caplog.text
+
     def test_kernel_crossing_eigenvalue_vanishes(self, branch_ctx, first_crossing, cubic_model, grid64):
         # at the continuum scaling the smallest-magnitude eigenvalue sits at
         # discretization size; at the discrete scaling it vanishes outright
@@ -639,6 +709,64 @@ class TestBranch:
         mirrored = plus.solution[:, ::-1]
         scale = np.max(np.abs(mirrored))
         assert np.max(np.abs(minus.solution - mirrored)) / scale < 1e-8
+
+
+class TestPredictor:
+    """_predict extrapolates in sigma = sqrt|t - t_bar| through the anchor (0, u_ref)."""
+
+    T_BAR = 1.3
+
+    @pytest.fixture
+    def quartic(self):
+        # u(sigma) = u_ref + sum_k sigma^k a_k, and points at four offsets on one side
+        rng = np.random.default_rng(5)
+        ctx = SimpleNamespace(u_ref=rng.standard_normal((6, 5)), t_bar_discrete=self.T_BAR)
+        coefs = rng.standard_normal((4, 6, 5))
+
+        def state(t):
+            sigma = math.sqrt(abs(t - self.T_BAR))
+            return ctx.u_ref + sum(sigma ** (k + 1) * coefs[k] for k in range(4))
+
+        points = [pde.BranchPoint(self.T_BAR + d, state(self.T_BAR + d), 0.0, 1, 1, 0.0, 0.0) for d in (0.04, 0.03, 0.02, 0.01)]
+        return ctx, state, points
+
+    @pytest.mark.parametrize("t", [T_BAR + 0.05, T_BAR + 0.001, T_BAR + 1e-7])
+    def test_reproduces_a_quartic_in_sigma(self, quartic, t):
+        ctx, state, points = quartic
+        expected = state(t)
+        assert np.max(np.abs(pde._predict(ctx, points, t) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_fewer_points_give_the_lower_degree_interpolant(self, quartic, count):
+        # through the anchor and the last `count` points: u_ref + sum_{k <= count} sigma^k b_k
+        ctx, _, points = quartic
+        used = points[-count:]
+        sigmas = np.sqrt([bp.t - self.T_BAR for bp in used])
+        vander = sigmas[:, None] ** np.arange(1, count + 1)
+        b = np.linalg.solve(vander, np.stack([(bp.solution - ctx.u_ref).ravel() for bp in used]))
+        t = self.T_BAR + 0.05
+        expected = ctx.u_ref + (math.sqrt(0.05) ** np.arange(1, count + 1) @ b).reshape(ctx.u_ref.shape)
+        assert np.max(np.abs(pde._predict(ctx, used, t) - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_only_the_last_points_count(self, quartic):
+        ctx, _, points = quartic
+        stray = pde.BranchPoint(self.T_BAR + 0.09, np.full_like(ctx.u_ref, 1e6), 0.0, 1, 1, 0.0, 0.0)
+        t = self.T_BAR + 0.05
+        assert np.array_equal(pde._predict(ctx, [stray] + points, t), pde._predict(ctx, points, t))
+        assert pde.PREDICT_POINTS == len(points)
+
+    def test_a_node_with_a_taken_sigma_is_dropped(self, quartic):
+        # a point at t_bar shares the anchor's sigma = 0, one mirrored across t_bar and a
+        # repeated one share a later point's; each would make the Lagrange weights infinite
+        ctx, _, points = quartic
+        t = self.T_BAR + 0.05
+        on_anchor = pde.BranchPoint(self.T_BAR, np.full_like(ctx.u_ref, 7.0), 0.0, 1, 1, 0.0, 0.0)
+        mirrored = pde.BranchPoint(2 * self.T_BAR - points[2].t, points[2].solution, 0.0, 1, 1, 0.0, 0.0)
+        reference = pde._predict(ctx, points[1:], t)
+        for extra in (on_anchor, mirrored, points[-1]):
+            guess = pde._predict(ctx, [points[1], extra, *points[2:]], t)
+            assert np.all(np.isfinite(guess))
+            assert np.max(np.abs(guess - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 class TestHalfBranches:
