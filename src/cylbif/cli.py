@@ -7,11 +7,10 @@ provenance) into the output directory, and exits 0 on success, 2 on
 validation failure, 3 on numerical non-convergence, 4 when no
 solution/branch exists, 64 on usage errors.
 
-Identical configurations produce bitwise-identical CSV output at a fixed BLAS
-thread count: iteration orders are fixed, the sparse eigensolver starts from a
-fixed-seed vector and nothing is seeded from the clock.  The thread count
-changes how BLAS sums, so `continue` and `verify-decomposition` at 200 x 200
-write other last digits under one thread than under two.
+Identical configurations produce bitwise-identical CSV output: iteration
+orders are fixed and nothing is seeded from the clock.  Only `continue` depends
+on the BLAS thread count, which changes how BLAS sums its Krylov dot products:
+at 200 x 200 it writes other last digits under one thread than under two.
 """
 
 from __future__ import annotations
@@ -58,13 +57,11 @@ from .nonlinearity import (
 from .ode_shooting import OneDimSolution, ShootingConfig, find_one_dim_solution, integrate_ivp
 from .pde_rectangle import (
     Grid2D,
-    assemble_linearized,
     backtrack_branch,
+    certified_spectrum,
     continue_half_branches,
-    embed_one_dim,
     eval_energy,
     make_branch_context,
-    smallest_eigenvalues,
 )
 from .sturm_liouville import extrapolated_alphas, nondegeneracy_margin, one_dim_morse, oscillation_check
 
@@ -493,13 +490,22 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
 
     grid = Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
     u1d, _ = integrate_ivp(cfg.model, sol.amplitude, grid.ny - 1)
-    op = assemble_linearized(embed_one_dim(u1d, grid), t, cfg.model, grid, length)
-    direct = smallest_eigenvalues(op, k)
+    spectrum = certified_spectrum(u1d, t, cfg.model, grid, length, k)
+    direct = spectrum.values
     rel = np.abs(direct - composed) / np.abs(composed)
     rows = [(i + 1, composed[i], direct[i], rel[i]) for i in range(k)]
     header = ["idx", "composed", "direct_2d", "rel_mismatch"]
     write_csv(cfg.output_dir / "verify-decomposition.csv", header, format_rows(header, rows))
-    return {"t": t, "max_rel_mismatch": float(np.max(rel)), "k": k}
+    return {
+        "t": t,
+        "max_rel_mismatch": float(np.max(rel)),
+        "k": k,
+        "certificate": {
+            "shift": spectrum.shift,
+            "negative_pivots": spectrum.negative_pivots,
+            "max_residual": spectrum.max_residual,
+        },
+    }
 
 
 def cmd_continue(cfg: RunConfig) -> dict:

@@ -17,8 +17,10 @@ its residuals and solves with flexible GMRES, right-preconditioned by the separa
 solve P of the tensor sum D_t - diag qbar, qbar the x'-average of q = f'(u), in the
 closed-form x'-modes; the operator v -> v - (q - qbar) * P v is the identity at
 height-only states.  Flexible GMRES keeps each P v_j of its basis, so P is applied
-once per Krylov iteration.  Only the direct check, ``assemble_linearized``, builds
-the 2D matrix.
+once per Krylov iteration.  Only ``assemble_linearized`` builds the 2D matrix, for the
+direct checks: ``certified_spectrum`` certifies the sum set on it at a height-only state
+by tensor-product residuals and one Sylvester count, and ``smallest_eigenvalues`` solves
+for its smallest eigenvalues at any state.
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ from .morse_bifurcation import BifurcationPoint
 __all__ = [
     "Grid2D",
     "Linearized2D",
+    "CertifiedSpectrum",
     "BranchPoint",
     "BranchContext",
     "HalfBranches",
     "assemble_linearized",
     "smallest_eigenvalues",
+    "certified_spectrum",
     "newton_solve",
     "embed_one_dim",
     "make_branch_context",
@@ -91,6 +95,8 @@ FORCING_ETA_MAX = 0.1
 KRYLOV_FLOOR_REL = 0.05
 #: GMRES restart length and inner-iteration cap of one linear solve
 KRYLOV_RESTART, KRYLOV_MAX_ITERS = 50, 100
+#: a certified_spectrum candidate's residual |A v - theta v| may be at most this multiple of eps * |A|_inf
+CERTIFICATE_RESIDUAL_REL = 100.0
 
 
 @dataclass(frozen=True)
@@ -147,6 +153,23 @@ def _rounding_floor(u: np.ndarray, grid: Grid2D, t: float, l_base: float) -> flo
     max|u| * (2/(t l h_x)^2 + 2/h_y^2) * eps, the stencil's largest row sum times eps."""
     stencil = 2.0 / (t * l_base * grid.hx) ** 2 + 2.0 / grid.hy**2
     return float(np.max(np.abs(u))) * stencil * np.finfo(float).eps
+
+
+@functools.cache
+def _grid_parts(grid: Grid2D) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """The parts of every _TensorSum on ``grid`` that do not depend on t: the height stencil
+    S_y at zero potential, the height half weights dy and dvec = dy (x) dx, the weights of
+    the symmetrization; read-only, since every _TensorSum on the grid shares them."""
+    height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
+    sy = sparse.diags([height.off, height.diag, height.off], [-1, 0, 1], format="csr")
+    dx = np.ones(grid.nx)
+    dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
+    dy = np.ones(grid.ny - 1)
+    dy[0] = 1.0 / math.sqrt(2.0)
+    dvec = np.kron(dy, dx)
+    for part in (sy.data, sy.indices, sy.indptr, dy, dvec):
+        part.flags.writeable = False
+    return sy, dy, dvec
 
 
 @functools.cache
@@ -207,13 +230,7 @@ class _TensorSum:
         off = np.full(n - 1, -c)
         off[0] = off[-1] = -c * math.sqrt(2.0)
         self.sx = sparse.diags([off, np.full(n, 2.0 * c), off], [-1, 0, 1], format="csr")
-        height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
-        self.sy = sparse.diags([height.off, height.diag, height.off], [-1, 0, 1], format="csr")
-        dx = np.ones(n)
-        dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
-        dy = np.ones(grid.ny - 1)
-        dy[0] = 1.0 / math.sqrt(2.0)
-        self.dvec = np.kron(dy, dx)
+        self.sy, self.dy, self.dvec = _grid_parts(grid)
 
     @property
     def modes(self) -> np.ndarray:
@@ -258,24 +275,33 @@ def assemble_linearized(
     return Linearized2D(matrix=matrix, dvec=op.dvec, sigma_floor=-max(0.0, float(np.max(q))) - 1.0)
 
 
-def smallest_eigenvalues(operator: Linearized2D, k: int, maxiter: int | None = None) -> np.ndarray:
-    """k smallest eigenvalues via shift-invert Lanczos below the spectrum,
-    started from a fixed-seed random vector so that repeated calls agree; its sparse
-    LU of the shift makes it the direct check of the sum-set decomposition.
+def _symmetric_lu(matrix: sparse.csr_matrix, shift: float):
+    """splu of ``matrix - shift I`` in the minimum-degree ordering of A + A^T, taking the
+    diagonal pivot wherever it is nonzero: about half the fill of splu's default column
+    ordering.  While the pivots stay on the diagonal (perm_r = perm_c = p), the factors of
+    the symmetric A - shift I are P (A - shift I) P^T = L U with U = D L^T, so by Sylvester's
+    law the negative entries of diag(U) count the eigenvalues of A below the shift."""
+    try:
+        return spla.splu(
+            (matrix - shift * sparse.eye(matrix.shape[0])).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU found no nonzero pivot in a column
+        raise NonConvergenceError(f"the LU of A - {shift:.6g} I has a zero pivot ({exc})") from exc
 
-    The shift sigma_floor lies below the spectrum, so A - sigma I is SPD: it is
-    factored once, in the minimum-degree ordering of A + A^T with diagonal pivots,
-    which has about half the fill of splu's default column ordering.
+
+def smallest_eigenvalues(operator: Linearized2D, k: int, maxiter: int | None = None) -> np.ndarray:
+    """k smallest eigenvalues via shift-invert Lanczos below the spectrum, started from a
+    fixed-seed random vector so that repeated calls agree; unlike ``certified_spectrum`` it
+    needs no height-only state.  The shift sigma_floor lies below the spectrum, so
+    A - sigma I is SPD and ``_symmetric_lu`` factors it once.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     n = operator.matrix.shape[0]
-    lu = spla.splu(
-        (operator.matrix - operator.sigma_floor * sparse.eye(n)).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    lu = _symmetric_lu(operator.matrix, operator.sigma_floor)
     try:
         vals = spla.eigsh(
             operator.matrix,
@@ -292,6 +318,91 @@ def smallest_eigenvalues(operator: Linearized2D, k: int, maxiter: int | None = N
             f"eigenvalue iteration converged only {len(exc.eigenvalues)}/{k} pairs"
         ) from exc
     return np.sort(vals)
+
+
+@dataclass(frozen=True)
+class CertifiedSpectrum:
+    """The k smallest eigenvalues of the assembled D_t - f'(u) at a height-only u, and the
+    certificate behind them: ``negative_pivots`` eigenvalues lie below ``shift``, as many as
+    candidates do, and no candidate's residual exceeds ``max_residual``."""
+
+    values: np.ndarray
+    shift: float
+    negative_pivots: int
+    max_residual: float
+
+
+def certified_spectrum(
+    u1d, t: float, model: NonlinearityModel, grid: Grid2D, l_base: float, k: int
+) -> CertifiedSpectrum:
+    """The k smallest eigenvalues of ``assemble_linearized`` at the height-only state with
+    profile ``u1d`` (ny samples), certified instead of iterated for.
+
+    At such a state the matrix is the tensor sum of the height block S_y - diag f'(u1d),
+    whose eigenpairs (mu_a, z_a) come from one tridiagonal eigensolve, and the x'-block,
+    whose eigenpairs (xi_b, c_b) are ``_TensorSum``'s closed-form modes.  The candidates
+    z_a (x) c_b of the smallest sums mu_a + xi_b, in the matrix's symmetrized coordinates,
+    are taken in increasing order.  Each one's Rayleigh quotient theta and residual
+    |A v - theta v| are computed on the assembled A; a residual above
+    CERTIFICATE_RESIDUAL_REL * eps * |A|_inf raises NonConvergenceError.  The candidates are
+    orthonormal, so by Kahan's theorem (Parlett, The Symmetric Eigenvalue Problem, ch. 11)
+    distinct eigenvalues of A lie within R = |residuals|_2 of them.  The shift sigma is the
+    midpoint of the first gap at or after index k wider than 2R, and ``_symmetric_lu``
+    factors A - sigma I once: its negative pivots must equal the number of candidates below
+    sigma, which certifies that no eigenvalue below sigma was missed.  A pivot that left
+    the diagonal, a zero pivot or another count raises NonConvergenceError.
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    # the smallest `pool` sums of a pool x pool table are the smallest of all sums
+    pool = min(2 * (k + 1), grid.ny - 2, grid.nx)
+    if pool < k + 1:
+        raise ValidationError(f"a {grid.nx} x {grid.ny} grid has too few height modes for k = {k}")
+    u1d = np.asarray(u1d, dtype=float)
+    matrix = assemble_linearized(embed_one_dim(u1d, grid), t, model, grid, l_base).matrix
+    bound = CERTIFICATE_RESIDUAL_REL * np.finfo(float).eps * float(abs(matrix).sum(axis=1).max())
+    height = sl_eigenpairs(assemble_sl_operator(eval_fprime(model, u1d), grid.ny - 1), k=pool)
+    op = _TensorSum(grid, t, l_base)
+    zs = height.eigenfunctions[:, :-1] * op.dy  # symmetrized; only the norm is off
+    sums = height.alphas[:, None] + op.xi[None, :pool]
+    thetas, residuals = [], []
+    # sums and residuals by numpy's pairwise add.reduce, not BLAS, so the bytes do not depend on its threads
+    for a, b in zip(*np.unravel_index(np.argsort(sums, axis=None, kind="stable")[:pool], sums.shape)):
+        v = np.kron(zs[a], op.modes[:, b])
+        v /= math.sqrt(np.add.reduce(v * v))
+        av = matrix @ v
+        theta = float(np.add.reduce(v * av))
+        residual = math.sqrt(np.add.reduce((av - theta * v) ** 2))
+        if not residual <= bound:
+            raise NonConvergenceError(
+                f"certificate: candidate (height mode {a + 1}, x' mode {b}) has residual {residual:.3g} "
+                f"above the bound {bound:.3g}; the operator is not the tensor sum at this state"
+            )
+        thetas.append(theta)
+        residuals.append(residual)
+        ordered, gap = np.sort(thetas), 2.0 * math.sqrt(math.fsum(r * r for r in residuals))
+        below = next((m for m in range(k, len(ordered)) if ordered[m] - ordered[m - 1] > gap), None)
+        if below is not None:
+            break
+    else:
+        raise NonConvergenceError(
+            f"certificate: no gap wider than {gap:.3g} at or after index {k} among the {pool} smallest candidates"
+        )
+    shift = 0.5 * float(ordered[below - 1] + ordered[below])
+    lu = _symmetric_lu(matrix, shift)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NonConvergenceError(f"certificate: a pivot of the LU at shift {shift:.6g} left the diagonal")
+    pivots = lu.U.diagonal()
+    if not np.all(pivots):
+        raise NonConvergenceError(f"certificate: the LU at shift {shift:.6g} has a zero pivot")
+    negative = int(np.count_nonzero(pivots < 0.0))
+    if negative != below:
+        raise NonConvergenceError(
+            f"certificate: {negative} eigenvalues lie below the shift {shift:.6g} but {below} candidates do"
+        )
+    return CertifiedSpectrum(
+        values=ordered[:k], shift=shift, negative_pivots=negative, max_residual=max(residuals)
+    )
 
 
 @dataclass

@@ -231,10 +231,47 @@ class TestSubcommands:
     def test_verify_decomposition(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["verify-decomposition", "--config", str(cfg)]) == 0
-        summary = read_summary(tmp_path)
-        assert summary["results"]["max_rel_mismatch"] < 5e-3
+        results = read_summary(tmp_path)["results"]
+        assert results["max_rel_mismatch"] < 5e-3
         rows = read_csv_rows(tmp_path / "out" / "verify-decomposition.csv")
         assert len(rows) == 10
+        certificate = results["certificate"]
+        assert certificate["negative_pivots"] == 10
+        assert float(rows[-1]["direct_2d"]) < certificate["shift"]
+        assert 0.0 < certificate["max_residual"] < 1e-9
+
+    def test_verify_decomposition_factors_once_and_runs_no_lanczos(self, tmp_path, monkeypatch):
+        # the default column ordering fills 3.66e6 entries at 200 x 200, the minimum-degree one 1.93e6
+        cfg = write_config(tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 200, "ny": 200})
+        splu, fills = pde.spla.splu, []
+
+        def spy(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            fills.append(lu.nnz)
+            return lu
+
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("verify-decomposition ran an eigsh")
+
+        monkeypatch.setattr(pde.spla, "splu", spy)
+        monkeypatch.setattr(pde.spla, "eigsh", no_eigsh)
+        assert main(["verify-decomposition", "--config", str(cfg)]) == 0
+        assert len(fills) == 1 and fills[0] <= 2.2e6
+
+    def test_verify_decomposition_of_a_non_separable_operator_exits_3(self, tmp_path, monkeypatch, caplog):
+        assemble = pde.assemble_linearized
+
+        def spiked(u, t, model, grid, l_base=1.0):
+            lin = assemble(u, t, model, grid, l_base)
+            lin.matrix = lin.matrix.tolil()
+            lin.matrix[grid.ndof // 2, grid.ndof // 2] -= 50.0
+            lin.matrix = lin.matrix.tocsr()
+            return lin
+
+        monkeypatch.setattr(pde, "assemble_linearized", spiked)
+        assert main(["verify-decomposition", "--config", str(write_config(tmp_path))]) == 3
+        assert "certificate: candidate" in caplog.text and "residual" in caplog.text
+        assert not (tmp_path / "out" / "verify-decomposition.csv").exists()
 
     def test_continue_emits_branches(self, tmp_path):
         cfg = write_config(
@@ -792,6 +829,25 @@ class TestContract:
                 outputs.append({name: (out / name).read_bytes() for name in names})
             assert len(outputs[0]) == (3 if subcommand == "continue" else 2), sorted(outputs[0])
             assert outputs[0] == outputs[1], subcommand
+
+
+def test_verify_decomposition_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # BLAS sums in another order under another thread count; the certificate sums without it
+    cfg = write_config(tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 200, "ny": 200})
+    paths = [str(Path(pde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cylbif", "verify-decomposition", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({name: (out / name).read_bytes() for name in ("verify-decomposition.csv", "summary.json")})
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_imports_only_public_names():

@@ -1,3 +1,4 @@
+import functools
 import logging
 import logging.handlers
 import math
@@ -12,6 +13,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 import cylbif.pde_rectangle as pde
 from cylbif import (
+    CubicFamily,
     DegenerateInputError,
     Grid2D,
     LaneEmden,
@@ -20,6 +22,7 @@ from cylbif import (
     assemble_linearized,
     assemble_sl_operator,
     backtrack_branch,
+    certified_spectrum,
     continue_branch,
     continue_half_branches,
     count_nodal_domains_2d,
@@ -27,10 +30,12 @@ from cylbif import (
     eval_energy,
     eval_f,
     eval_fprime,
+    find_one_dim_solution,
     integrate_ivp,
     make_branch_context,
     newton_solve,
     one_dimensionality_deviation,
+    sl_eigenpairs,
     smallest_eigenvalues,
 )
 from cylbif.errors import BranchNotFoundError
@@ -132,6 +137,17 @@ def followed_64(branch_ctx, first_crossing):
     return halves, back, [record.getMessage() for record in handler.buffer]
 
 
+@pytest.fixture(scope="module")
+def height_profile():
+    """The height-only profile with n nodal domains on the ny = size grid, shot once per case."""
+
+    @functools.cache
+    def profile(model, n, size):
+        return integrate_ivp(model, find_one_dim_solution(model, n).amplitude, size - 1)[0]
+
+    return profile
+
+
 class TestOperator:
     def test_matrix_is_exactly_symmetric(self, embedded_n1, cubic_model, grid64):
         op = assemble_linearized(embedded_n1, 1.3, cubic_model, grid64)
@@ -212,6 +228,20 @@ class TestOperator:
         assert pde._TensorSum(Grid2D(nx, 40), 0.4, 1.0).modes is shared
         assert shared.tobytes() == ref.tobytes() and not shared.flags.writeable
 
+    def test_grid_parts_are_built_once_per_grid(self):
+        # S_y and the weights as each _TensorSum built them for itself
+        grid = Grid2D(48, 40)
+        height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
+        dx, dy = np.ones(grid.nx), np.ones(grid.ny - 1)
+        dx[0] = dx[-1] = dy[0] = 1.0 / math.sqrt(2.0)
+        first, second = pde._TensorSum(grid, 1.3, 0.7), pde._TensorSum(Grid2D(48, 40), 0.4, 1.0)
+        for name in ("sy", "dy", "dvec"):
+            assert getattr(second, name) is getattr(first, name), name
+        assert first.sy.toarray().tobytes() == height.dense().tobytes()
+        assert first.dy.tobytes() == dy.tobytes() and first.dvec.tobytes() == np.kron(dy, dx).tobytes()
+        assert not any(a.flags.writeable for a in (first.sy.data, first.sy.indices, first.sy.indptr, first.dy, first.dvec))
+        assert pde._TensorSum(Grid2D(48, 48), 1.3, 0.7).sy is not first.sy
+
     @pytest.mark.parametrize("n", [48, 200])
     def test_factored_apply_matches_the_assembled_matrix(self, cubic_model, n):
         # f'(0) = 0, so the assembled operator at u = 0 is the bare D_t
@@ -255,6 +285,72 @@ class TestOperator:
         sums = np.sort((mu[:, None] + xi[None, :]).ravel())[:10]
         direct = smallest_eigenvalues(op, 10)
         assert np.max(np.abs(direct - sums) / np.abs(sums)) <= 1e-10
+
+
+class FakeLU:
+    """What certified_spectrum reads of a SuperLU factor: the two permutations and U."""
+
+    def __init__(self, perm_r, perm_c, pivots):
+        self.perm_r, self.perm_c, self.U = np.asarray(perm_r), np.asarray(perm_c), sparse.diags(pivots)
+
+
+class TestCertifiedSpectrum:
+    @pytest.mark.parametrize("model", [LaneEmden(4.0), CubicFamily(1.0, 1.0)], ids=["le4", "cubic"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("size", [48, 200])
+    def test_matches_shift_invert_lanczos(self, height_profile, model, n, size):
+        grid, u1d = Grid2D(size, size), height_profile(model, n, size)
+        for t in (0.5, 1.0, 2.0):
+            cert = certified_spectrum(u1d, t, model, grid, 1.0, 10)
+            ref = smallest_eigenvalues(assemble_linearized(embed_one_dim(u1d, grid), t, model, grid), 10)
+            assert np.max(np.abs(cert.values - ref) / np.abs(ref)) <= 1e-10, t
+            assert cert.negative_pivots == 10 and cert.values[-1] < cert.shift
+
+    def test_a_pair_coinciding_at_index_k_moves_the_shift_to_the_next_gap(self, height_profile, cubic_model):
+        # mu_1 + xi_2(t) = mu_2 + xi_0 at t^2 = xi_2(1) / (mu_2 - mu_1), since xi scales as 1/t^2
+        grid = Grid2D(48, 48)
+        u1d = height_profile(cubic_model, 1, 48)
+        mu = sl_eigenpairs(assemble_sl_operator(eval_fprime(cubic_model, u1d), grid.ny - 1), k=4).alphas
+        t = math.sqrt(pde._TensorSum(grid, 1.0, 1.0).xi[2] / (mu[1] - mu[0]))
+        sums = np.sort((mu[:, None] + pde._TensorSum(grid, t, 1.0).xi[None, :8]).ravel())
+        k = int(np.argmin(np.diff(sums[:6]))) + 1  # the pair sits at indices k and k + 1
+        assert sums[k] - sums[k - 1] <= 1e-12 * abs(sums[k])
+        cert = certified_spectrum(u1d, t, cubic_model, grid, 1.0, k)
+        assert cert.negative_pivots == k + 1
+        assert sums[k] < cert.shift < sums[k + 1]
+        assert cert.values == pytest.approx(sums[:k], rel=1e-10)
+
+    def test_a_potential_that_is_not_separable_fails_the_residuals(self, height_profile, cubic_model, monkeypatch):
+        grid = Grid2D(48, 48)
+        assemble = pde.assemble_linearized
+
+        def spiked(*args, **kwargs):
+            lin = assemble(*args, **kwargs)
+            spike = np.zeros(grid.ndof)
+            spike[grid.ndof // 2] = 50.0
+            lin.matrix = (lin.matrix - sparse.diags(spike)).tocsr()
+            return lin
+
+        monkeypatch.setattr(pde, "assemble_linearized", spiked)
+        with pytest.raises(NonConvergenceError, match="certificate: candidate .* has residual"):
+            certified_spectrum(height_profile(cubic_model, 1, 48), 1.0, cubic_model, grid, 1.0, 10)
+
+    @pytest.mark.parametrize(
+        "perm_r, pivots, message",
+        [
+            ([1, 0, 2], [-1.0, 2.0, 3.0], "left the diagonal"),
+            ([0, 1, 2], [-1.0, 0.0, 3.0], "zero pivot"),
+            ([0, 1, 2], [-1.0, -2.0, 3.0], "2 eigenvalues lie below the shift .* but 10 candidates do"),
+        ],
+    )
+    def test_a_void_or_wrong_count_raises(self, height_profile, cubic_model, monkeypatch, perm_r, pivots, message):
+        monkeypatch.setattr(pde, "_symmetric_lu", lambda matrix, shift: FakeLU(perm_r, [0, 1, 2], pivots))
+        with pytest.raises(NonConvergenceError, match=f"certificate: .*{message}"):
+            certified_spectrum(height_profile(cubic_model, 1, 48), 1.0, cubic_model, Grid2D(48, 48), 1.0, 10)
+
+    def test_a_singular_factor_is_nonconvergence(self):
+        with pytest.raises(NonConvergenceError, match="zero pivot"):
+            pde._symmetric_lu(sparse.diags([1.0, 0.0, 2.0], format="csr"), 0.0)
 
 
 class TestNewton:
