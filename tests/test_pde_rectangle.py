@@ -287,13 +287,6 @@ class TestOperator:
         assert np.max(np.abs(direct - sums) / np.abs(sums)) <= 1e-10
 
 
-class FakeLU:
-    """What certified_spectrum reads of a SuperLU factor: the two permutations and U."""
-
-    def __init__(self, perm_r, perm_c, pivots):
-        self.perm_r, self.perm_c, self.U = np.asarray(perm_r), np.asarray(perm_c), sparse.diags(pivots)
-
-
 class TestCertifiedSpectrum:
     @pytest.mark.parametrize("model", [LaneEmden(4.0), CubicFamily(1.0, 1.0)], ids=["le4", "cubic"])
     @pytest.mark.parametrize("n", [1, 2])
@@ -344,7 +337,9 @@ class TestCertifiedSpectrum:
         ],
     )
     def test_a_void_or_wrong_count_raises(self, height_profile, cubic_model, monkeypatch, perm_r, pivots, message):
-        monkeypatch.setattr(pde, "_symmetric_lu", lambda matrix, shift: FakeLU(perm_r, [0, 1, 2], pivots))
+        # what certified_spectrum reads of a SuperLU factor: the two permutations and U
+        fake = SimpleNamespace(perm_r=np.array(perm_r), perm_c=np.arange(3), U=sparse.diags(pivots))
+        monkeypatch.setattr(pde, "_symmetric_lu", lambda matrix, shift: fake)
         with pytest.raises(NonConvergenceError, match=f"certificate: .*{message}"):
             certified_spectrum(height_profile(cubic_model, 1, 48), 1.0, cubic_model, Grid2D(48, 48), 1.0, 10)
 
