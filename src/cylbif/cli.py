@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +85,14 @@ EXIT_NO_SOLUTION = 4
 EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
-# rows formatted per % operation in format_rows; a fixed size keeps the value tuples small
-CSV_CHUNK_ROWS = 4096
 
 # single defaults table; every entry can be overridden per run
 DEFAULT_GRIDS = {"ode_M": 2000, "eig_M": 2000, "nx": 200, "ny": 200}
 DEFAULT_TOLERANCES = {
     "tol_terminal": 1e-10,
     "tol_amplitude": 1e-12,
+    # two decades above the 2D residual's inf-norm rounding floor
+    # max|u| * (2/(t l h_x)^2 + 2/h_y^2) * eps, 3.5e-11 * max|u| at 200 x 200 with t = l = 1
     "newton_tol": 1e-8,
 }
 DEFAULT_OPTIONS = {
@@ -248,27 +248,26 @@ def _conversion(kind: type) -> str:
 
 
 def format_rows(header: list[str], rows) -> str:
-    """``rows`` as CSV lines under ``header``, ``CSV_CHUNK_ROWS`` rows per ``%`` operation.
+    """``rows`` as CSV lines under ``header``, rendered by one ``%`` operation.
 
     The first row fixes each column's kind: strings as they are, booleans as
     ``true``/``false``, integers in decimal, anything else as ``%.17g`` of the
     float (``-0``, ``nan``, ``inf``).  A later value of another kind raises TypeError.
     """
-    rows, kinds, parts = iter(rows), None, []
-    for chunk in iter(lambda: list(islice(rows, CSV_CHUNK_ROWS)), []):
-        if kinds is None:
-            kinds = [_conversion(type(v)) for v in chunk[0]]
-            line = ",".join("%s" if kind == "bool" else kind for kind in kinds) + "\n"
-        flat = list(chain.from_iterable(chunk))
-        for c, kind in enumerate(kinds):
-            column = flat[c :: len(kinds)]
-            found = {_conversion(t) for t in set(map(type, column))}
-            if found != {kind}:
-                raise TypeError(f"column {header[c]} mixes {sorted(found)} values")
-            if kind == "bool":
-                flat[c :: len(kinds)] = ["true" if v else "false" for v in column]
-        parts.append((line * len(chunk)) % tuple(flat))
-    return "".join(parts)
+    rows = list(rows)
+    if not rows:
+        return ""
+    kinds = [_conversion(type(v)) for v in rows[0]]
+    line = ",".join("%s" if kind == "bool" else kind for kind in kinds) + "\n"
+    flat = list(chain.from_iterable(rows))
+    for c, kind in enumerate(kinds):
+        column = flat[c :: len(kinds)]
+        found = {_conversion(t) for t in set(map(type, column))}
+        if found != {kind}:
+            raise TypeError(f"column {header[c]} mixes {sorted(found)} values")
+        if kind == "bool":
+            flat[c :: len(kinds)] = ["true" if v else "false" for v in column]
+    return (line * len(rows)) % tuple(flat)
 
 
 def write_csv(path: Path, header: list[str], body: str) -> None:
@@ -324,16 +323,8 @@ def write_summary(cfg: RunConfig, subcommand: str, results: dict) -> None:
         "results": results,
     }
     with open(cfg.output_dir / "summary.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _shooting_config(cfg: RunConfig) -> ShootingConfig:
@@ -522,18 +513,16 @@ def cmd_continue(cfg: RunConfig) -> dict:
     log.info("switching at t_bar = %.8g (pair %s)", point.t_bar, point.pairs[0])
 
     grid = Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
-    i, j = point.pairs[0]
-    ctx = make_branch_context(cfg.model, grid, length, sol.amplitude, i=i, j=j, tol=cfg.tolerances["newton_tol"])
+    ctx = make_branch_context(cfg.model, grid, length, sol.amplitude, point, tol=cfg.tolerances["newton_tol"])
     steps = int(cfg.options["branch_steps"])
-    energy_ref = eval_energy(ctx.u_ref, point.t_bar, cfg.model, grid, length)
 
     results = {
-        "t_bar": point.t_bar,
+        "t_bar": ctx.t_bar,
         "t_bar_discrete": ctx.t_bar_discrete,
-        "kernel_pair": [i, j],
-        "energy_one_dim": energy_ref,
+        "kernel_pair": list(point.pairs[0]),
+        "energy_one_dim": eval_energy(ctx.u_ref, ctx.t_bar, cfg.model, grid, length),
     }
-    halves = continue_half_branches(ctx, point, steps=steps, t_max=t_max)
+    halves = continue_half_branches(ctx, steps=steps, t_max=t_max)
     header = ["t", "deviation", "distance_to_1d", "nodal_count", "newton_iters", "energy"]
     for sign_name, branch in halves.branches.items():
         results[f"outcome_{sign_name}"] = halves.outcomes[sign_name]

@@ -620,8 +620,8 @@ def eval_energy(u, t: float, model: NonlinearityModel, grid: Grid2D, l_base: flo
 
 @dataclass
 class BranchContext:
-    """Everything a branch continuation needs: the reference fixed point,
-    the kernel mode and the discrete dilation at which it is a kernel."""
+    """Everything a branch continuation needs at one simple crossing: the reference
+    fixed point, the kernel mode, and the continuum and discrete dilations of the crossing."""
 
     model: NonlinearityModel
     grid: Grid2D
@@ -629,6 +629,7 @@ class BranchContext:
     u_ref: np.ndarray  # discrete height-only fixed point on the 2D grid
     kernel: np.ndarray  # unit-norm (ny, nx) mode z_i(y) cos(j pi x'), Dirichlet row included
     j: int  # the kernel's x'-mode
+    t_bar: float  # the continuum crossing: where the first point and the step are placed
     t_bar_discrete: float  # the linearization at u_ref is singular here
     tol: float
 
@@ -654,13 +655,15 @@ def make_branch_context(
     grid: Grid2D,
     l_base: float,
     amplitude: float,
-    i: int,
-    j: int,
-    tol: float = 1e-8,
+    point: BifurcationPoint,
+    tol: float,
 ) -> BranchContext:
-    """Prepare the reference fixed point, kernel mode and discrete crossing.
+    """Prepare the reference fixed point, kernel mode and discrete crossing of ``point``.
 
-    The height-only initial guess is re-integrated at the grid's own
+    ``point`` must be simple, with one pair (i, j): the height-block eigenvalue and
+    the x'-mode of the kernel.  Anything else raises ValidationError before anything
+    is integrated.  Its ``t_bar``, the continuum crossing, is stored next to the
+    discrete one.  The height-only initial guess is re-integrated at the grid's own
     y-resolution and polished by one Newton solve, so the stored reference
     is the exact discrete fixed point (the same object at every t).
 
@@ -672,11 +675,15 @@ def make_branch_context(
     with kernel z_i(y) cos(j pi X), i.e. cos(j pi x'/L) on the unit square.
     Backtracking toward this value (rather than the continuum scaling, which
     differs by O(h^2)) lets the branch be followed arbitrarily close to the
-    pitchfork.  The default ``tol`` keeps two decades of margin above the
-    inf-norm residual floor max|u| * (2/(t l h_x)^2 + 2/h_y^2) * eps, which is
-    3.5e-11 * max|u| at 200 x 200 with t = l = 1.  A reference polish that fails
-    raises NonConvergenceError naming that floor next to ``tol``.
+    pitchfork.  A reference polish that fails raises NonConvergenceError naming
+    the inf-norm residual floor max|u| * (2/(t l h_x)^2 + 2/h_y^2) * eps next to ``tol``.
     """
+    if not point.simple or len(point.pairs) != 1:
+        raise ValidationError(
+            f"branch switching requires a simple kernel, got multiplicity {point.kernel_multiplicity} "
+            f"and pairs {point.pairs}"
+        )
+    ((i, j),) = point.pairs
     if not 1 <= j < grid.nx:
         raise ValidationError(f"x' mode index must lie in [1, {grid.nx - 1}] for a dilation-driven crossing, got {j}")
     u1d, _ = integrate_ivp(model, amplitude, grid.ny - 1)
@@ -708,6 +715,7 @@ def make_branch_context(
         u_ref=seed.solution,
         kernel=kernel,
         j=j,
+        t_bar=point.t_bar,
         t_bar_discrete=math.sqrt(xi_j / (-mu_i)),
         tol=tol,
     )
@@ -715,17 +723,16 @@ def make_branch_context(
 
 def continue_branch(
     ctx: BranchContext,
-    point: BifurcationPoint,
     direction: int,
     steps: int,
     t_max: float,
     sign: int = 1,
 ) -> tuple[list[BranchPoint], str]:
-    """Switch onto the bifurcating branch at a simple point and follow it by Newton.
+    """Switch onto the bifurcating branch at ``ctx``'s crossing and follow it by Newton.
 
     The first solve starts from u_ref + eps * w at t = t_bar + direction *
-    dt0, dt0 = FIRST_STEP_REL * t_bar, with eps = sign * SWITCH_EPS_REL *
-    |u_ref| escalated over {1x, 2x, 4x} if Newton falls back onto the
+    dt0, with t_bar = ctx.t_bar, dt0 = FIRST_STEP_REL * t_bar and eps = sign *
+    SWITCH_EPS_REL * |u_ref| escalated over {1x, 2x, 4x} if Newton falls back onto the
     height-only solution; ``sign`` picks the half-branch.  Near the
     pitchfork the new solution sits at amplitude ~sqrt(dt) and a guess
     below roughly 0.6 of that amplitude contracts back to the trivial
@@ -747,15 +754,11 @@ def continue_branch(
     ``continue_half_branches`` follows both signs and, for odd j, takes the
     minus half-branch after its first point from the plus one.
     """
-    if not point.simple:
-        raise ValidationError(
-            f"branch switching requires a simple kernel, got multiplicity {point.kernel_multiplicity}"
-        )
     if direction not in (-1, 1) or sign not in (-1, 1):
         raise ValidationError("direction and sign must be +1 or -1")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    t_bar = point.t_bar
+    t_bar = ctx.t_bar
     dt0 = FIRST_STEP_REL * t_bar
     eps0 = sign * (SWITCH_EPS_REL * ctx.ref_norm)
 
@@ -863,8 +866,8 @@ class HalfBranches:
     reflections: bool | None
 
 
-def continue_half_branches(ctx: BranchContext, point: BifurcationPoint, steps: int, t_max: float) -> HalfBranches:
-    """Follow both half-branches at a simple crossing toward larger t.
+def continue_half_branches(ctx: BranchContext, steps: int, t_max: float) -> HalfBranches:
+    """Follow both half-branches at ``ctx``'s crossing toward larger t.
 
     Each sign is switched onto by ``continue_branch``.  A sign with no first
     point reads ``branch_not_found``.  For odd j the discrete problem is
@@ -883,7 +886,7 @@ def continue_half_branches(ctx: BranchContext, point: BifurcationPoint, steps: i
     outcomes: dict[str, str] = {}
     for name, sign, count in (("plus", 1, steps), ("minus", -1, 1)):  # the minus side's first point only
         try:
-            branches[name], outcomes[name] = continue_branch(ctx, point, +1, steps=count, t_max=t_max, sign=sign)
+            branches[name], outcomes[name] = continue_branch(ctx, +1, steps=count, t_max=t_max, sign=sign)
         except BranchNotFoundError as exc:
             log.info("no %s half-branch: %s", name, exc)
             branches[name], outcomes[name] = [], "branch_not_found"
@@ -905,7 +908,7 @@ def continue_half_branches(ctx: BranchContext, point: BifurcationPoint, steps: i
         minus += reflected
         outcomes["minus"] = _outcome(ctx, minus, steps, t_max)
     elif minus:
-        branches["minus"], outcomes["minus"] = _follow(ctx, minus, +1, FIRST_STEP_REL * point.t_bar, steps, t_max)
+        branches["minus"], outcomes["minus"] = _follow(ctx, minus, +1, FIRST_STEP_REL * ctx.t_bar, steps, t_max)
     for name, taken in (("plus", []), ("minus", reflected)):
         log.info(
             "%s half-branch: %d Newton-solved, %d reflected (%d of them polished, largest residual %.3g)",

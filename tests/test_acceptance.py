@@ -225,13 +225,13 @@ def test_criterion_09_local_bifurcation(cubic_n1):
         point = BifurcationPoint(t_bar=t_bar1, pairs=[(1, 1)], kernel_multiplicity=1, simple=True)
 
         grid = Grid2D(200, 200)
-        ctx = make_branch_context(model, grid, 1.0, amplitude, i=1, j=1)
+        ctx = make_branch_context(model, grid, 1.0, amplitude, point, tol=1e-8)
 
         sides = {}
         for direction in (+1, -1):
             t_side = t_bar1 * (1.0 + direction * 0.01)
             try:
-                sides[direction] = continue_branch(ctx, point, direction, steps=1, t_max=2 * t_bar1)[0][0]
+                sides[direction] = continue_branch(ctx, direction, steps=1, t_max=2 * t_bar1)[0][0]
             except BranchNotFoundError:
                 # Newton still converges at this offset, onto the trivial branch
                 fallback = ctx.solve(ctx.u_ref, t_side)

@@ -18,7 +18,7 @@ import cylbif.cli as cli
 import cylbif.pde_rectangle as pde
 import cylbif.sturm_liouville as sl
 from cylbif import Interval, LaneEmden, extrapolated_alphas, neumann_eigenvalues
-from cylbif.cli import CSV_CHUNK_ROWS, format_rows, main, write_csv
+from cylbif.cli import format_rows, main, write_csv
 from cylbif.errors import NonConvergenceError
 from oracles import brute_force_negative_count, ellipk_agm, jprime_zero
 
@@ -392,7 +392,8 @@ class TestWriteCsv:
         write_table(tmp_path / "empty.csv", ["a", "b"], [])
         assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
-    @pytest.mark.parametrize("count", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 7])
+    # the sizes around 4,096 and twice it that the renderer once split its rows at
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 8199])
     def test_generators_across_chunks(self, tmp_path, count):
         rows = [(k, k / 7.0, k % 3 == 0, str(k)) for k in range(count)]
         write_table(tmp_path / "gen.csv", ["k", "x", "b", "s"], (row for row in rows))
@@ -406,7 +407,7 @@ class TestWriteCsv:
             [(1.0,), (2,)],
             [(True,), (1,)],
             [("a",), (1.5,)],
-            [(1,)] * CSV_CHUNK_ROWS + [(np.float64(2.0),)],  # in a later chunk
+            [(1,)] * 4096 + [(np.float64(2.0),)],  # thousands of rows after the first
         ],
     )
     def test_a_column_of_mixed_kinds_is_rejected(self, rows):
@@ -862,6 +863,20 @@ def test_cli_imports_only_public_names():
             public = getattr(module, "__all__", [name for name in vars(module) if not name.startswith("_")])
             missing = names - set(public)
             assert not missing, (node.module, sorted(missing))
+
+
+def test_no_pde_function_takes_both_a_context_and_a_point():
+    # a BranchContext owns its crossing, so no public function takes a BifurcationPoint
+    # next to one: the two could describe different crossings
+    checked = set()
+    for node in ast.parse(Path(pde.__file__).read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name in pde.__all__:
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            annotations = [ast.unparse(arg.annotation) for arg in args if arg.annotation is not None]
+            takes = {kind for kind in ("BranchContext", "BifurcationPoint") if any(kind in a for a in annotations)}
+            assert takes != {"BranchContext", "BifurcationPoint"}, node.name
+            checked.add(node.name)
+    assert {"make_branch_context", "continue_branch", "continue_half_branches", "backtrack_branch"} <= checked
 
 
 def test_installed_entry_point_and_log_env(tmp_path):

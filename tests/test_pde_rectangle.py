@@ -94,14 +94,18 @@ def embedded_n1(cubic_model, cubic_solutions, grid64):
     return embed_one_dim(u1d, grid64)
 
 
-@pytest.fixture(scope="module")
-def branch_ctx(cubic_model, cubic_solutions, grid64):
-    return make_branch_context(cubic_model, grid64, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
+def simple_point(i: int, j: int, t_bar: float = 1.0) -> BifurcationPoint:
+    return BifurcationPoint(t_bar=t_bar, pairs=[(i, j)], kernel_multiplicity=1, simple=True)
 
 
 @pytest.fixture(scope="module")
-def ctx48(cubic_model, cubic_solutions):
-    return make_branch_context(cubic_model, Grid2D(48, 48), 1.0, cubic_solutions[1].amplitude, i=1, j=1)
+def branch_ctx(cubic_model, cubic_solutions, grid64, first_crossing):
+    return make_branch_context(cubic_model, grid64, 1.0, cubic_solutions[1].amplitude, first_crossing, tol=1e-8)
+
+
+@pytest.fixture(scope="module")
+def ctx48(cubic_model, cubic_solutions, first_crossing):
+    return make_branch_context(cubic_model, Grid2D(48, 48), 1.0, cubic_solutions[1].amplitude, first_crossing, tol=1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +119,7 @@ def height_only_200(cubic_model, cubic_solutions):
 
 @pytest.fixture(scope="module")
 def first_crossing(cubic_alphas_n1):
-    t_bar = math.pi / math.sqrt(-float(cubic_alphas_n1[0]))
-    return BifurcationPoint(t_bar=t_bar, pairs=[(1, 1)], kernel_multiplicity=1, simple=True)
+    return simple_point(1, 1, math.pi / math.sqrt(-float(cubic_alphas_n1[0])))
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +132,7 @@ def followed_64(branch_ctx, first_crossing):
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
     try:
-        halves = continue_half_branches(branch_ctx, first_crossing, steps=8, t_max=2 * first_crossing.t_bar)
+        halves = continue_half_branches(branch_ctx, steps=8, t_max=2 * first_crossing.t_bar)
         back = backtrack_branch(branch_ctx, halves.branches["plus"][0])
     finally:
         logger.removeHandler(handler)
@@ -438,7 +441,7 @@ class TestNewton:
     def test_flexible_step_solves_the_assembled_jacobian(self, cubic_model, cubic_solutions, first_crossing):
         # the assembled matrix is built without P, so this checks the flexible residual, not P's exactness
         grid = Grid2D(32, 32)
-        ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
+        ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, first_crossing, tol=1e-8)
         t = 1.01 * first_crossing.t_bar
         full = ctx.u_ref + 0.1 * ctx.ref_norm * ctx.kernel
         u = full[:-1].ravel()
@@ -579,21 +582,20 @@ class TestKernelMode:
     def test_context_rejects_pairs_without_crossing(self, cubic_model, cubic_solutions, grid64):
         amplitude = cubic_solutions[1].amplitude
         with pytest.raises(ValidationError):
-            make_branch_context(cubic_model, grid64, 1.0, amplitude, i=1, j=0)
+            make_branch_context(cubic_model, grid64, 1.0, amplitude, simple_point(1, 0), tol=1e-8)
         with pytest.raises(ValidationError, match="mode index"):
-            make_branch_context(cubic_model, grid64, 1.0, amplitude, i=1, j=grid64.nx)
+            make_branch_context(cubic_model, grid64, 1.0, amplitude, simple_point(1, grid64.nx), tol=1e-8)
         # the single-domain solution has one negative height eigenvalue
         with pytest.raises(ValidationError, match="nonnegative"):
-            make_branch_context(cubic_model, grid64, 1.0, amplitude, i=2, j=1)
+            make_branch_context(cubic_model, grid64, 1.0, amplitude, simple_point(2, 1), tol=1e-8)
 
-    def test_kernel_residual_shrinks_at_second_order(self, cubic_model, cubic_solutions, cubic_alphas_n1):
+    def test_kernel_residual_shrinks_at_second_order(self, cubic_model, cubic_solutions, cubic_alphas_n1, first_crossing):
         # at the continuum scaling the discrete kernel is off by O(h^2)
-        t_bar = math.pi / math.sqrt(-float(cubic_alphas_n1[0]))
         res = {}
         for nn in (60, 120):
             grid = Grid2D(nn, nn)
-            ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, i=1, j=1)
-            op = assemble_linearized(ctx.u_ref, t_bar, cubic_model, grid)
+            ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, first_crossing, tol=1e-8)
+            op = assemble_linearized(ctx.u_ref, ctx.t_bar, cubic_model, grid)
             dof = ctx.kernel[: grid.ny - 1, :].ravel()
             res[nn] = float(np.max(np.abs(op.apply(dof))))
             scale = abs(cubic_alphas_n1[0]) * 2.0 + float(np.max(eval_fprime(cubic_model, ctx.u_ref)))
@@ -606,7 +608,7 @@ class TestBranch:
         found = {}
         for direction in (+1, -1):
             try:
-                branch, _ = continue_branch(branch_ctx, first_crossing, direction, steps=1, t_max=2 * first_crossing.t_bar)
+                branch, _ = continue_branch(branch_ctx, direction, steps=1, t_max=2 * first_crossing.t_bar)
                 found[direction] = branch[0]
             except BranchNotFoundError:
                 found[direction] = None
@@ -618,7 +620,7 @@ class TestBranch:
         assert bp.nodal_count_2d == 1
 
     def test_continuation_returns_ordered_points(self, branch_ctx, first_crossing):
-        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=2 * first_crossing.t_bar)
+        branch, outcome = continue_branch(branch_ctx, +1, steps=3, t_max=2 * first_crossing.t_bar)
         assert len(branch) == 3
         assert outcome == "reached_t_limit"  # by the step count
         ts = [bp.t for bp in branch]
@@ -630,7 +632,7 @@ class TestBranch:
     def test_continuation_ends_at_t_max(self, branch_ctx, first_crossing):
         # the first point sits at 1.01 * t_bar; the next step would reach 1.02 * t_bar
         t_max = 1.015 * first_crossing.t_bar
-        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=5, t_max=t_max)
+        branch, outcome = continue_branch(branch_ctx, +1, steps=5, t_max=t_max)
         assert [bp.t for bp in branch] == [pytest.approx(1.01 * first_crossing.t_bar, rel=1e-14), t_max]
         assert outcome == "reached_t_limit"
         assert all(bp.residual <= branch_ctx.tol for bp in branch)
@@ -648,7 +650,7 @@ class TestBranch:
             return real_solve(initial, t, *args, **kwargs)
 
         monkeypatch.setattr(pde, "newton_solve", fail_past_first_point)
-        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=2 * first_crossing.t_bar)
+        branch, outcome = continue_branch(branch_ctx, +1, steps=3, t_max=2 * first_crossing.t_bar)
         assert outcome == "stalled"
         assert [bp.t for bp in branch] == [t1]
         assert len(failures) == 7
@@ -662,7 +664,7 @@ class TestBranch:
             return real_solve(initial if t == t1 else branch_ctx.u_ref, t, *args, **kwargs)
 
         monkeypatch.setattr(pde, "newton_solve", collapse_past_first_point)
-        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=2, t_max=2 * first_crossing.t_bar)
+        branch, outcome = continue_branch(branch_ctx, +1, steps=2, t_max=2 * first_crossing.t_bar)
         assert outcome == "returned_to_one_dimensional"
         assert len(branch) == 2 and branch[-1].distance_to_1d < pde.FALLBACK_TOL_REL * branch_ctx.tol
 
@@ -678,18 +680,18 @@ class TestBranch:
 
         monkeypatch.setattr(pde, "newton_solve", solve_at)
         with pytest.raises(BranchNotFoundError, match="escalating"):
-            continue_branch(branch_ctx, first_crossing, +1, steps=2, t_max=2 * first_crossing.t_bar)
+            continue_branch(branch_ctx, +1, steps=2, t_max=2 * first_crossing.t_bar)
         distances[t1] = 1.0
-        branch, outcome = continue_branch(branch_ctx, first_crossing, +1, steps=2, t_max=2 * first_crossing.t_bar)
+        branch, outcome = continue_branch(branch_ctx, +1, steps=2, t_max=2 * first_crossing.t_bar)
         assert [bp.distance_to_1d for bp in branch] == [1.0, threshold]
         assert outcome == "returned_to_one_dimensional"
 
     def test_first_point_past_t_max_is_not_a_branch(self, branch_ctx, first_crossing):
         with pytest.raises(BranchNotFoundError, match="t_max"):
-            continue_branch(branch_ctx, first_crossing, +1, steps=3, t_max=1.005 * first_crossing.t_bar)
+            continue_branch(branch_ctx, +1, steps=3, t_max=1.005 * first_crossing.t_bar)
 
     def test_backtrack_distance_shrinks_monotonically(self, branch_ctx, first_crossing):
-        start = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
+        start = continue_branch(branch_ctx, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
         back = backtrack_branch(branch_ctx, start)
         dists = [bp.distance_to_1d for bp in back]
         assert all(a > b for a, b in zip(dists, dists[1:]))
@@ -771,32 +773,42 @@ class TestBranch:
         assert counts[high] - counts[low] == 1
 
     def test_morse_bound_on_branch(self, branch_ctx, first_crossing, cubic_model, grid64):
-        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
+        bp = continue_branch(branch_ctx, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
         op = assemble_linearized(bp.solution, bp.t, cubic_model, grid64)
         vals = smallest_eigenvalues(op, 6)
         negatives = int(np.count_nonzero(vals < 0.0))
         assert negatives >= bp.nodal_count_2d
 
     def test_branch_energy_differs_from_reference(self, branch_ctx, first_crossing, cubic_model, grid64):
-        bp = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
+        bp = continue_branch(branch_ctx, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
         e_branch = eval_energy(bp.solution, bp.t, cubic_model, grid64)
         e_ref = eval_energy(branch_ctx.u_ref, bp.t, cubic_model, grid64)
         assert np.isfinite(e_branch) and np.isfinite(e_ref)
         assert abs(e_branch - e_ref) > 1e-8
 
-    def test_non_simple_point_rejected(self, branch_ctx):
-        fat = BifurcationPoint(t_bar=1.4, pairs=[(1, 1), (1, 2)], kernel_multiplicity=2, simple=False)
-        with pytest.raises(ValidationError):
-            continue_branch(branch_ctx, fat, +1, steps=1, t_max=3.0)
+    def test_non_simple_point_rejected(self, cubic_model, cubic_solutions, grid64, monkeypatch):
+        # the context owns the crossing, so it rejects a point with no single simple pair
+        # before it integrates or polishes anything
+        calls = []
+        for name in ("integrate_ivp", "newton_solve"):
+            monkeypatch.setattr(pde, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+        for point in (
+            BifurcationPoint(t_bar=1.4, pairs=[(1, 1), (1, 2)], kernel_multiplicity=2, simple=False),
+            BifurcationPoint(t_bar=1.4, pairs=[(1, 1)], kernel_multiplicity=2, simple=False),
+            BifurcationPoint(t_bar=1.4, pairs=[(1, 1), (1, 2)], kernel_multiplicity=1, simple=True),
+        ):
+            with pytest.raises(ValidationError, match="simple kernel"):
+                make_branch_context(cubic_model, grid64, 1.0, cubic_solutions[1].amplitude, point, tol=1e-8)
+        assert calls == []
 
     @pytest.mark.parametrize("sign", [0, 2])
     def test_sign_must_be_a_unit(self, branch_ctx, first_crossing, sign):
         with pytest.raises(ValidationError, match="sign"):
-            continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=3.0, sign=sign)
+            continue_branch(branch_ctx, +1, steps=1, t_max=3.0, sign=sign)
 
     def test_half_branches_are_reflections(self, branch_ctx, first_crossing):
-        plus = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar, sign=1)[0][0]
-        minus = continue_branch(branch_ctx, first_crossing, +1, steps=1, t_max=2 * first_crossing.t_bar, sign=-1)[0][0]
+        plus = continue_branch(branch_ctx, +1, steps=1, t_max=2 * first_crossing.t_bar, sign=1)[0][0]
+        minus = continue_branch(branch_ctx, +1, steps=1, t_max=2 * first_crossing.t_bar, sign=-1)[0][0]
         mirrored = plus.solution[:, ::-1]
         scale = np.max(np.abs(mirrored))
         assert np.max(np.abs(minus.solution - mirrored)) / scale < 1e-8
@@ -865,7 +877,7 @@ class TestHalfBranches:
 
     def test_minus_points_after_the_first_are_verified_reflections(self, ctx48, first_crossing, caplog):
         caplog.set_level(logging.INFO, logger="cylbif")
-        halves = continue_half_branches(ctx48, first_crossing, steps=4, t_max=2 * first_crossing.t_bar)
+        halves = continue_half_branches(ctx48, steps=4, t_max=2 * first_crossing.t_bar)
         plus, minus = halves.branches["plus"], halves.branches["minus"]
         assert halves.reflections is True
         assert len(plus) == len(minus) == 4
@@ -881,7 +893,7 @@ class TestHalfBranches:
 
     def test_reflections_are_polished_and_a_failed_polish_stalls(self, ctx48, first_crossing, monkeypatch):
         t_max = 2 * first_crossing.t_bar
-        plus, _ = continue_branch(ctx48, first_crossing, +1, steps=4, t_max=t_max)
+        plus, _ = continue_branch(ctx48, +1, steps=4, t_max=t_max)
         real_solve = pde.newton_solve
 
         def disturb_reflections(initial, t, *args, **kwargs):
@@ -892,7 +904,7 @@ class TestHalfBranches:
             return real_solve(initial, t, *args, **kwargs)
 
         monkeypatch.setattr(pde, "newton_solve", disturb_reflections)
-        halves = continue_half_branches(ctx48, first_crossing, steps=4, t_max=t_max)
+        halves = continue_half_branches(ctx48, steps=4, t_max=t_max)
         minus = halves.branches["minus"]
         assert halves.outcomes == {"plus": "reached_t_limit", "minus": "stalled"}
         assert [bp.t for bp in minus] == [bp.t for bp in plus[:2]]
@@ -902,9 +914,9 @@ class TestHalfBranches:
 
     def test_even_j_continues_both_halves(self, cubic_model, cubic_solutions, first_crossing):
         # cos(2 pi x') is even under x' -> 1 - x', so the minus half-branch is no mirror of the plus one
-        ctx = make_branch_context(cubic_model, Grid2D(48, 48), 1.0, cubic_solutions[1].amplitude, i=1, j=2)
-        point = BifurcationPoint(t_bar=2 * first_crossing.t_bar, pairs=[(1, 2)], kernel_multiplicity=1, simple=True)
-        halves = continue_half_branches(ctx, point, steps=3, t_max=2 * point.t_bar)
+        point = simple_point(1, 2, 2 * first_crossing.t_bar)
+        ctx = make_branch_context(cubic_model, Grid2D(48, 48), 1.0, cubic_solutions[1].amplitude, point, tol=1e-8)
+        halves = continue_half_branches(ctx, steps=3, t_max=2 * point.t_bar)
         assert halves.reflections is False
         assert halves.outcomes == {"plus": "reached_t_limit", "minus": "reached_t_limit"}
         assert len(halves.branches["minus"]) == 3
@@ -913,8 +925,8 @@ class TestHalfBranches:
     def test_a_first_minus_point_that_is_no_mirror_is_continued_by_newton(self, ctx48, first_crossing, monkeypatch):
         t_max = 2 * first_crossing.t_bar
         monkeypatch.setattr(pde, "REFLECTION_TOL_REL", 0.0)  # no first minus point passes as a mirror
-        halves = continue_half_branches(ctx48, first_crossing, steps=3, t_max=t_max)
-        expected, outcome = continue_branch(ctx48, first_crossing, +1, steps=3, t_max=t_max, sign=-1)
+        halves = continue_half_branches(ctx48, steps=3, t_max=t_max)
+        expected, outcome = continue_branch(ctx48, +1, steps=3, t_max=t_max, sign=-1)
         assert halves.reflections is False
         assert halves.outcomes["minus"] == outcome
         minus = halves.branches["minus"]
@@ -922,7 +934,7 @@ class TestHalfBranches:
         assert [bp.solution.tobytes() for bp in minus] == [bp.solution.tobytes() for bp in expected]
 
     def test_no_first_point_reads_branch_not_found(self, ctx48, first_crossing):
-        halves = continue_half_branches(ctx48, first_crossing, steps=3, t_max=1.005 * first_crossing.t_bar)
+        halves = continue_half_branches(ctx48, steps=3, t_max=1.005 * first_crossing.t_bar)
         assert halves.branches == {"plus": [], "minus": []}
         assert halves.outcomes == {"plus": "branch_not_found", "minus": "branch_not_found"}
         assert halves.reflections is None
