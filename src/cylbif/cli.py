@@ -471,7 +471,7 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
     alphas = _alphas_for(cfg, sol)
     k = 10
     top = float(alphas[-1])
-    base = neumann_eigenvalues(Interval(length), coverage_cutoff(alphas, t, top))
+    base = _base_spectrum(cfg, coverage_cutoff(alphas, t, top))
     # the sums up to the largest alpha are complete; interval eigenvalues are simple
     composed = compose_spectrum(alphas, base, cutoff=top, t=t).values()[:k]
     if composed.size < k:

@@ -48,7 +48,6 @@ from .morse_bifurcation import BifurcationPoint
 
 __all__ = [
     "Grid2D",
-    "Linearized2D",
     "CertifiedSpectrum",
     "BranchPoint",
     "BranchContext",
@@ -192,24 +191,6 @@ def _weighted_norm(u: np.ndarray, grid: Grid2D) -> float:
     return math.sqrt(grid.hx * grid.hy * float(np.einsum("i,j,ij->", wy, wx, u * u)))
 
 
-@dataclass
-class Linearized2D:
-    """Symmetrized sparse operator D_t - f'(u) together with its weights.
-
-    ``matrix`` is the similarity-transformed (symmetric) matrix; ``dvec``
-    holds the diagonal weights, so the action on true grid values v is
-    (matrix @ (dvec * v)) / dvec.  ``sigma_floor`` is a certified lower
-    bound for the spectrum, used as the shift in shift-invert solves.
-    """
-
-    matrix: sparse.csr_matrix
-    dvec: np.ndarray
-    sigma_floor: float
-
-    def apply(self, dof: np.ndarray) -> np.ndarray:
-        return (self.matrix @ (self.dvec * dof)) / self.dvec
-
-
 class _TensorSum:
     """D_t = I (x) S_x(t) + S_y (x) I on one (grid, t, l_base), the linearization at zero
     potential, kept as its symmetrized 1D factors: the height stencil S_y and the Neumann
@@ -264,15 +245,17 @@ class _TensorSum:
         return solve, (q2 - qbar[:, None]).ravel()
 
 
-def assemble_linearized(
-    u, t: float, model: NonlinearityModel, grid: Grid2D, l_base: float = 1.0
-) -> Linearized2D:
-    """Five-point D_t - f'(u) on the unit square: the only 2D matrix of the tensor sum."""
+def assemble_linearized(u, t: float, model: NonlinearityModel, grid: Grid2D, l_base: float) -> sparse.csr_matrix:
+    """Five-point D_t - f'(u) on the unit square: the only 2D matrix of the tensor sum.
+
+    The matrix A is the symmetrized one, in the weights dvec = dy (x) dx of ``_grid_parts``:
+    on true grid values v of the unknowns (every row but the Dirichlet one) the operator
+    acts as (A @ (dvec * v)) / dvec.
+    """
     full = _as_full(u, grid)
     op = _TensorSum(grid, t, l_base)
     q = eval_fprime(model, full[:-1].ravel())
-    matrix = (sparse.kronsum(op.sx, op.sy, format="csr") - sparse.diags(q)).tocsr()
-    return Linearized2D(matrix=matrix, dvec=op.dvec, sigma_floor=-max(0.0, float(np.max(q))) - 1.0)
+    return (sparse.kronsum(op.sx, op.sy, format="csr") - sparse.diags(q)).tocsr()
 
 
 def _symmetric_lu(matrix: sparse.csr_matrix, shift: float):
@@ -292,21 +275,27 @@ def _symmetric_lu(matrix: sparse.csr_matrix, shift: float):
         raise NonConvergenceError(f"the LU of A - {shift:.6g} I has a zero pivot ({exc})") from exc
 
 
-def smallest_eigenvalues(operator: Linearized2D, k: int, maxiter: int | None = None) -> np.ndarray:
-    """k smallest eigenvalues via shift-invert Lanczos below the spectrum, started from a
-    fixed-seed random vector so that repeated calls agree; unlike ``certified_spectrum`` it
-    needs no height-only state.  The shift sigma_floor lies below the spectrum, so
-    A - sigma I is SPD and ``_symmetric_lu`` factors it once.
+def smallest_eigenvalues(
+    u, t: float, model: NonlinearityModel, grid: Grid2D, l_base: float, k: int, maxiter: int | None = None
+) -> np.ndarray:
+    """k smallest eigenvalues of ``assemble_linearized`` at the state ``u`` via shift-invert
+    Lanczos below the spectrum, started from a fixed-seed random vector so that repeated
+    calls agree; unlike ``certified_spectrum`` it needs no height-only state.  D_t is
+    positive semidefinite, so D_t - diag q, q = f'(u), has no eigenvalue below -max q, and
+    the shift -max(0, max q) - 1 lies below the spectrum: A - shift I is SPD and
+    ``_symmetric_lu`` factors it once.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    n = operator.matrix.shape[0]
-    lu = _symmetric_lu(operator.matrix, operator.sigma_floor)
+    matrix = assemble_linearized(u, t, model, grid, l_base)
+    shift = -max(0.0, float(np.max(eval_fprime(model, _as_full(u, grid)[:-1].ravel())))) - 1.0
+    n = matrix.shape[0]
+    lu = _symmetric_lu(matrix, shift)
     try:
         vals = spla.eigsh(
-            operator.matrix,
+            matrix,
             k=k,
-            sigma=operator.sigma_floor,
+            sigma=shift,
             which="LM",
             v0=np.random.default_rng(0).standard_normal(n),
             maxiter=maxiter,
@@ -359,7 +348,7 @@ def certified_spectrum(
     if pool < k + 1:
         raise ValidationError(f"a {grid.nx} x {grid.ny} grid has too few height modes for k = {k}")
     u1d = np.asarray(u1d, dtype=float)
-    matrix = assemble_linearized(embed_one_dim(u1d, grid), t, model, grid, l_base).matrix
+    matrix = assemble_linearized(embed_one_dim(u1d, grid), t, model, grid, l_base)
     bound = CERTIFICATE_RESIDUAL_REL * np.finfo(float).eps * float(abs(matrix).sum(axis=1).max())
     height = sl_eigenpairs(assemble_sl_operator(eval_fprime(model, u1d), grid.ny - 1), k=pool)
     op = _TensorSum(grid, t, l_base)
@@ -470,7 +459,7 @@ def newton_solve(
     grid: Grid2D,
     tol: float,
     max_iters: int,
-    l_base: float = 1.0,
+    l_base: float,
     reference_1d: np.ndarray | None = None,
 ) -> BranchPoint:
     """Inexact Newton iteration on R(u) = D_t u - f(u), D_t applied as its 1D factors;
@@ -605,7 +594,7 @@ def count_nodal_domains_2d(u, grid: Grid2D, tol: float) -> int:
     return int(connected_components(graph, directed=False)[0])
 
 
-def eval_energy(u, t: float, model: NonlinearityModel, grid: Grid2D, l_base: float = 1.0) -> float:
+def eval_energy(u, t: float, model: NonlinearityModel, grid: Grid2D, l_base: float) -> float:
     """Transported energy: trapezoid quadrature of |grad u|^2_t / 2 - F(u).
 
     The x'-derivative carries the 1/(t L) metric factor; the height-only

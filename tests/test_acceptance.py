@@ -17,7 +17,6 @@ from cylbif import (
     Interval,
     LaneEmden,
     Rectangle,
-    assemble_linearized,
     assemble_sl_operator,
     backtrack_branch,
     continue_branch,
@@ -141,8 +140,7 @@ def test_criterion_05_spectrum_decomposition(cubic_n1):
         for nn in (100, 200):
             grid = Grid2D(nn, nn)
             u1d, _ = integrate_ivp(model, amplitude, grid.ny - 1)
-            op = assemble_linearized(embed_one_dim(u1d, grid), 1.0, model, grid)
-            direct = smallest_eigenvalues(op, 10)
+            direct = smallest_eigenvalues(embed_one_dim(u1d, grid), 1.0, model, grid, 1.0, 10)
             mismatch[nn] = float(np.max(np.abs(direct - composed) / np.abs(composed)))
         assert mismatch[200] <= 2e-3
         order = math.log2(mismatch[100] / mismatch[200])

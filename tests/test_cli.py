@@ -2,6 +2,7 @@ import ast
 import csv
 import importlib
 import importlib.util
+import inspect
 import json
 import logging
 import math
@@ -261,12 +262,10 @@ class TestSubcommands:
     def test_verify_decomposition_of_a_non_separable_operator_exits_3(self, tmp_path, monkeypatch, caplog):
         assemble = pde.assemble_linearized
 
-        def spiked(u, t, model, grid, l_base=1.0):
-            lin = assemble(u, t, model, grid, l_base)
-            lin.matrix = lin.matrix.tolil()
-            lin.matrix[grid.ndof // 2, grid.ndof // 2] -= 50.0
-            lin.matrix = lin.matrix.tocsr()
-            return lin
+        def spiked(u, t, model, grid, l_base):
+            matrix = assemble(u, t, model, grid, l_base).tolil()
+            matrix[grid.ndof // 2, grid.ndof // 2] -= 50.0
+            return matrix.tocsr()
 
         monkeypatch.setattr(pde, "assemble_linearized", spiked)
         assert main(["verify-decomposition", "--config", str(write_config(tmp_path))]) == 3
@@ -773,6 +772,15 @@ class TestContract:
         cfg = write_config(tmp_path, base={"type": "disk", "radius": 1.0})
         assert main(["verify-decomposition", "--config", str(cfg)]) == 2
 
+    def test_verify_decomposition_enumerates_the_base_within_max_modes(self, tmp_path, caplog):
+        # the base that covers t_verify = 1 up to alpha_max needs 12 interval modes here
+        cfg = write_config(
+            tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48}, options={"t_verify": 1.0, "max_modes": 5}
+        )
+        assert main(["verify-decomposition", "--config", str(cfg)]) == 2
+        assert "interval enumeration needs 12 modes > budget 5" in caplog.text
+        assert not (tmp_path / "out" / "verify-decomposition.csv").exists()
+
     def test_verify_decomposition_rejects_synthetic_alphas(self, tmp_path, caplog):
         # composing config alphas against the solved 2D operator checks nothing
         cfg = write_config(tmp_path, alphas=[-5.0, 1.0, 60.0, 200.0], grids={"nx": 32, "ny": 32})
@@ -877,6 +885,16 @@ def test_no_pde_function_takes_both_a_context_and_a_point():
             assert takes != {"BranchContext", "BifurcationPoint"}, node.name
             checked.add(node.name)
     assert {"make_branch_context", "continue_branch", "continue_half_branches", "backtrack_branch"} <= checked
+
+
+def test_every_pde_l_base_is_required():
+    # the state arguments (u, t, model, grid, l_base) stay uniform: no public function of
+    # pde_rectangle falls back on a unit base length that its caller did not pass
+    functions = {name: getattr(pde, name) for name in pde.__all__ if inspect.isfunction(getattr(pde, name))}
+    takes = {name for name, fn in functions.items() if "l_base" in inspect.signature(fn).parameters}
+    for name in takes:
+        assert inspect.signature(functions[name]).parameters["l_base"].default is inspect.Parameter.empty, name
+    assert {"assemble_linearized", "smallest_eigenvalues", "newton_solve", "eval_energy", "make_branch_context"} <= takes
 
 
 def test_installed_entry_point_and_log_env(tmp_path):

@@ -58,19 +58,26 @@ def neumann_block(n, c):
     return sx
 
 
+def grid_action(operator, grid, v):
+    """diag(dvec)^-1 operator(dvec * v), dvec the weights of the assembled matrix A: A's action
+    on true grid values v when ``operator`` multiplies by A, its solve's when it solves with A."""
+    dvec = pde._grid_parts(grid)[2]
+    return operator(dvec * v) / dvec
+
+
 def direct_newton(initial, t, model, grid, tol):
     """Exact Newton with one sparse LU per step: the reference for the Krylov solves."""
     # f'(0) = 0 for both families, so the operator at u = 0 is the bare D_t
-    lap = assemble_linearized(np.zeros((grid.ny, grid.nx)), t, model, grid)
+    lap = assemble_linearized(np.zeros((grid.ny, grid.nx)), t, model, grid, 1.0)
     v = initial[:-1].ravel().copy()
     for _ in range(25):
-        r = lap.apply(v) - eval_f(model, v)
+        r = grid_action(lap.dot, grid, v) - eval_f(model, v)
         if np.max(np.abs(r)) <= tol:
             full = np.zeros((grid.ny, grid.nx))
             full[:-1] = v.reshape(grid.ny - 1, grid.nx)
             return full
-        jac = (lap.matrix - sparse.diags(eval_fprime(model, v))).tocsc()
-        v = v + splu(jac).solve(-(lap.dvec * r)) / lap.dvec
+        jac = (lap - sparse.diags(eval_fprime(model, v))).tocsc()
+        v = v + grid_action(splu(jac).solve, grid, -r)
     raise AssertionError("reference Newton did not converge")
 
 
@@ -110,11 +117,11 @@ def ctx48(cubic_model, cubic_solutions, first_crossing):
 
 @pytest.fixture(scope="module")
 def height_only_200(cubic_model, cubic_solutions):
-    """Grid, dilation, height profile and linearization of a height-only state at the
+    """Grid, dilation, height profile and the state it embeds, of a height-only state at the
     benchmark's 200 x 200."""
     grid, t = Grid2D(200, 200), 1.0
     u1d, _ = integrate_ivp(cubic_model, cubic_solutions[1].amplitude, grid.ny - 1)
-    return grid, t, u1d, assemble_linearized(embed_one_dim(u1d, grid), t, cubic_model, grid)
+    return grid, t, u1d, embed_one_dim(u1d, grid)
 
 
 @pytest.fixture(scope="module")
@@ -153,13 +160,12 @@ def height_profile():
 
 class TestOperator:
     def test_matrix_is_exactly_symmetric(self, embedded_n1, cubic_model, grid64):
-        op = assemble_linearized(embedded_n1, 1.3, cubic_model, grid64)
-        assert abs(op.matrix - op.matrix.T).max() == 0.0
+        matrix = assemble_linearized(embedded_n1, 1.3, cubic_model, grid64, 1.0)
+        assert abs(matrix - matrix.T).max() == 0.0
 
     def test_free_laplacian_eigenvalues(self, grid64):
         # LaneEmden p=3 has f'(0) = 0, so u = 0 gives the pure operator
-        op = assemble_linearized(np.zeros((64, 64)), 1.0, LaneEmden(3.0), grid64)
-        vals = smallest_eigenvalues(op, 5)
+        vals = smallest_eigenvalues(np.zeros((64, 64)), 1.0, LaneEmden(3.0), grid64, 1.0, 5)
         assert vals == pytest.approx(mixed_laplacian_analytic(5), rel=3e-3)
         assert vals[0] == pytest.approx((math.pi / 2) ** 2, rel=1e-3)
         assert vals[1] == pytest.approx((math.pi / 2) ** 2 + math.pi**2, rel=1e-3)
@@ -168,13 +174,11 @@ class TestOperator:
         # adding c to the potential shifts the whole spectrum by -c
         from cylbif import CubicFamily
 
-        c = 2.5
-        op0 = assemble_linearized(np.zeros((64, 64)), 1.0, LaneEmden(3.0), grid64)
-        op1 = assemble_linearized(np.zeros((64, 64)), 1.0, CubicFamily(c1=c, c3=1.0), grid64)
-        diff = op0.matrix - op1.matrix
-        assert abs(diff - c * np.eye(grid64.ndof)).max() < 1e-12
-        v0 = smallest_eigenvalues(op0, 4)
-        v1 = smallest_eigenvalues(op1, 4)
+        c, zero = 2.5, np.zeros((64, 64))
+        models = (LaneEmden(3.0), CubicFamily(c1=c, c3=1.0))
+        op0, op1 = (assemble_linearized(zero, 1.0, model, grid64, 1.0) for model in models)
+        assert abs(op0 - op1 - c * np.eye(grid64.ndof)).max() < 1e-12
+        v0, v1 = (smallest_eigenvalues(zero, 1.0, model, grid64, 1.0, 4) for model in models)
         assert v1 == pytest.approx(v0 - c, rel=1e-10, abs=1e-8)
 
     def test_discrete_tensor_decomposition_is_exact(self, cubic_model, cubic_solutions):
@@ -184,8 +188,7 @@ class TestOperator:
         u1d, _ = integrate_ivp(cubic_model, cubic_solutions[1].amplitude, grid.ny - 1)
         emb = embed_one_dim(u1d, grid)
         t = 1.37
-        op = assemble_linearized(emb, t, cubic_model, grid)
-        dense = op.matrix.toarray()
+        dense = assemble_linearized(emb, t, cubic_model, grid, 1.0).toarray()
         eigs2d = np.sort(np.linalg.eigvalsh(dense))
 
         q = eval_fprime(cubic_model, u1d)
@@ -199,8 +202,7 @@ class TestOperator:
         # two independent routes: direct 2D eigenvalues vs alpha + lambda
         grid = Grid2D(100, 100)
         u1d, _ = integrate_ivp(cubic_model, cubic_solutions[1].amplitude, grid.ny - 1)
-        op = assemble_linearized(embed_one_dim(u1d, grid), 1.0, cubic_model, grid)
-        direct = smallest_eigenvalues(op, 10)
+        direct = smallest_eigenvalues(embed_one_dim(u1d, grid), 1.0, cubic_model, grid, 1.0, 10)
         lambdas = np.array([(j * math.pi) ** 2 for j in range(6)])
         composed = np.sort((cubic_alphas_n1[:8, None] + lambdas[None, :]).ravel())[:10]
         assert np.max(np.abs(direct - composed) / np.abs(composed)) <= 1e-3
@@ -252,18 +254,17 @@ class TestOperator:
         owner = pde._TensorSum(grid, t, l_base)
         assembled = assemble_linearized(np.zeros((n, n)), t, cubic_model, grid, l_base)
         for v in np.random.default_rng(0).standard_normal((3, grid.ndof)):
-            ref = assembled.apply(v)
+            ref = grid_action(assembled.dot, grid, v)
             assert np.max(np.abs(owner.apply(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_eigen_solver_nonconvergence_reported(self, embedded_n1, cubic_model, grid64):
-        op = assemble_linearized(embedded_n1, 1.0, cubic_model, grid64)
         with pytest.raises(NonConvergenceError, match=r"converged only \d+/8 pairs") as info:
-            smallest_eigenvalues(op, 8, maxiter=1)
+            smallest_eigenvalues(embedded_n1, 1.0, cubic_model, grid64, 1.0, 8, maxiter=1)
         # the residual field holds a norm elsewhere; an eigensolve that stops early has none
         assert info.value.residual is None
         assert isinstance(info.value.__cause__, ArpackNoConvergence)
 
-    def test_shift_invert_factors_once_in_a_symmetric_ordering(self, height_only_200, monkeypatch):
+    def test_shift_invert_factors_once_in_a_symmetric_ordering(self, cubic_model, height_only_200, monkeypatch):
         # splu's default column ordering fills 3.66e6 entries here, the minimum-degree one 1.93e6
         fills = []
 
@@ -272,21 +273,21 @@ class TestOperator:
             fills.append(lu.nnz)
             return lu
 
-        *_, op = height_only_200
+        grid, t, _, state = height_only_200
         monkeypatch.setattr(pde.spla, "splu", spy)
-        smallest_eigenvalues(op, 10)
+        smallest_eigenvalues(state, t, cubic_model, grid, 1.0, 10)
         assert len(fills) == 1
         assert fills[0] <= 2.2e6
 
     def test_shift_invert_matches_sum_set_at_benchmark_size(self, cubic_model, height_only_200):
         # the closed-form x'-eigenvalues plus the height block's at the same potential
-        grid, t, u1d, op = height_only_200
+        grid, t, u1d, state = height_only_200
         c = 1.0 / (t**2 * grid.hx**2)
         xi = 2.0 * c * (1.0 - np.cos(np.arange(10) * math.pi * grid.hx))
         sy = assemble_sl_operator(eval_fprime(cubic_model, u1d), grid.ny - 1)
         mu = eigh_tridiagonal(sy.diag, sy.off, eigvals_only=True, select="i", select_range=(0, 9))
         sums = np.sort((mu[:, None] + xi[None, :]).ravel())[:10]
-        direct = smallest_eigenvalues(op, 10)
+        direct = smallest_eigenvalues(state, t, cubic_model, grid, 1.0, 10)
         assert np.max(np.abs(direct - sums) / np.abs(sums)) <= 1e-10
 
 
@@ -298,7 +299,7 @@ class TestCertifiedSpectrum:
         grid, u1d = Grid2D(size, size), height_profile(model, n, size)
         for t in (0.5, 1.0, 2.0):
             cert = certified_spectrum(u1d, t, model, grid, 1.0, 10)
-            ref = smallest_eigenvalues(assemble_linearized(embed_one_dim(u1d, grid), t, model, grid), 10)
+            ref = smallest_eigenvalues(embed_one_dim(u1d, grid), t, model, grid, 1.0, 10)
             assert np.max(np.abs(cert.values - ref) / np.abs(ref)) <= 1e-10, t
             assert cert.negative_pivots == 10 and cert.values[-1] < cert.shift
 
@@ -321,11 +322,9 @@ class TestCertifiedSpectrum:
         assemble = pde.assemble_linearized
 
         def spiked(*args, **kwargs):
-            lin = assemble(*args, **kwargs)
             spike = np.zeros(grid.ndof)
             spike[grid.ndof // 2] = 50.0
-            lin.matrix = (lin.matrix - sparse.diags(spike)).tocsr()
-            return lin
+            return (assemble(*args, **kwargs) - sparse.diags(spike)).tocsr()
 
         monkeypatch.setattr(pde, "assemble_linearized", spiked)
         with pytest.raises(NonConvergenceError, match="certificate: candidate .* has residual"):
@@ -362,14 +361,14 @@ class TestNewton:
             assert bp.nodal_count_2d == 1
 
     def test_zero_initial_converges_to_zero(self, cubic_model, grid64):
-        bp = newton_solve(np.zeros((64, 64)), 1.0, cubic_model, grid64, tol=1e-10, max_iters=10)
+        bp = newton_solve(np.zeros((64, 64)), 1.0, cubic_model, grid64, tol=1e-10, max_iters=10, l_base=1.0)
         assert np.all(bp.solution == 0.0)
         assert bp.nodal_count_2d == 0
         assert bp.deviation == 0.0
 
     def test_two_domain_solution_embeds(self, cubic_model, cubic_solutions, grid64):
         u1d, _ = integrate_ivp(cubic_model, cubic_solutions[2].amplitude, grid64.ny - 1)
-        bp = newton_solve(embed_one_dim(u1d, grid64), 1.0, cubic_model, grid64, tol=1e-10, max_iters=20)
+        bp = newton_solve(embed_one_dim(u1d, grid64), 1.0, cubic_model, grid64, tol=1e-10, max_iters=20, l_base=1.0)
         assert bp.nodal_count_2d == 2
         assert bp.deviation < 1e-10
 
@@ -377,13 +376,13 @@ class TestNewton:
         u1d, _ = integrate_ivp(cubic_model, cubic_solutions[1].amplitude, grid64.ny - 1)
         rough = embed_one_dim(u1d, grid64) * 1.8
         with pytest.raises(NonConvergenceError):
-            newton_solve(rough, 1.0, cubic_model, grid64, tol=1e-12, max_iters=1)
+            newton_solve(rough, 1.0, cubic_model, grid64, tol=1e-12, max_iters=1, l_base=1.0)
 
     def test_branch_point_matches_direct_newton(self, cubic_model, ctx48, first_crossing):
         grid = ctx48.grid
         guess = ctx48.u_ref + 0.1 * ctx48.ref_norm * ctx48.kernel
         t = 1.01 * first_crossing.t_bar
-        bp = newton_solve(guess, t, cubic_model, grid, tol=1e-8, max_iters=25, reference_1d=ctx48.u_ref)
+        bp = newton_solve(guess, t, cubic_model, grid, tol=1e-8, max_iters=25, l_base=1.0, reference_1d=ctx48.u_ref)
         ref = direct_newton(guess, t, cubic_model, grid, tol=1e-8)
         assert bp.distance_to_1d > 1e-3
         assert weighted_norm(bp.solution - ref, grid) / weighted_norm(ref, grid) <= 1e-8
@@ -406,20 +405,20 @@ class TestNewton:
         q = eval_fprime(cubic_model, bp.solution[:-1].ravel())
         precond, rest = pde._TensorSum(ctx48.grid, t, 1.0).separable(q)
         v = np.random.default_rng(0).standard_normal(ctx48.grid.ndof)
-        jac_p = assemble_linearized(bp.solution, t, cubic_model, ctx48.grid).matrix @ precond(v)
+        jac_p = assemble_linearized(bp.solution, t, cubic_model, ctx48.grid, 1.0) @ precond(v)
         assert np.max(np.abs(v - rest * precond(v) - jac_p)) <= 1e-10 * np.max(np.abs(jac_p))
 
     def test_separable_solve_is_exact_at_height_only(self, branch_ctx, cubic_model, grid64):
         # at a height-only state the preconditioner is the Jacobian itself
         t = 1.3
-        op = assemble_linearized(branch_ctx.u_ref, t, cubic_model, grid64)
+        matrix = assemble_linearized(branch_ctx.u_ref, t, cubic_model, grid64, 1.0)
         q = eval_fprime(cubic_model, branch_ctx.u_ref[:-1].ravel())
         owner = pde._TensorSum(grid64, t, 1.0)
         xi = np.linalg.eigh(neumann_block(grid64.nx, 1.0 / (t**2 * grid64.hx**2)))[0]
         assert np.max(np.abs(owner.xi - xi)) <= 1e-12 * xi[-1]
         solve, _ = owner.separable(q)
         b = np.random.default_rng(0).standard_normal(grid64.ndof)
-        ref = splu(op.matrix.tocsc()).solve(b)
+        ref = splu(matrix.tocsc()).solve(b)
         assert np.max(np.abs(solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_each_krylov_iteration_applies_p_once(self, ctx48, first_crossing, monkeypatch, caplog):
@@ -452,7 +451,7 @@ class TestNewton:
         vs, zs = np.empty((pde.KRYLOV_RESTART + 1, u.size)), np.empty((pde.KRYLOV_RESTART, u.size))
         step, iters, converged = pde._fgmres(precond, rest, -b, atol, vs, zs)
         assert converged and iters > 1
-        jacobian = assemble_linearized(full, t, cubic_model, grid).matrix
+        jacobian = assemble_linearized(full, t, cubic_model, grid, 1.0)
         assert np.linalg.norm(jacobian @ step + b) <= 1.01 * atol
 
     def test_restarted_solve_reaches_the_same_point(self, ctx48, first_crossing, monkeypatch, caplog):
@@ -481,11 +480,11 @@ class TestNewton:
 
     def test_validation(self, cubic_model, grid64):
         with pytest.raises(ValidationError):
-            newton_solve(np.zeros((64, 64)), 1.0, cubic_model, grid64, tol=0.0, max_iters=5)
+            newton_solve(np.zeros((64, 64)), 1.0, cubic_model, grid64, tol=0.0, max_iters=5, l_base=1.0)
         with pytest.raises(ValidationError):
-            newton_solve(np.zeros((10, 10)), 1.0, cubic_model, grid64, tol=1e-8, max_iters=5)
+            newton_solve(np.zeros((10, 10)), 1.0, cubic_model, grid64, tol=1e-8, max_iters=5, l_base=1.0)
         with pytest.raises(ValidationError):
-            newton_solve(np.zeros((64, 64)), -1.0, cubic_model, grid64, tol=1e-8, max_iters=5)
+            newton_solve(np.zeros((64, 64)), -1.0, cubic_model, grid64, tol=1e-8, max_iters=5, l_base=1.0)
 
     def test_grid_floor(self):
         with pytest.raises(ValidationError):
@@ -553,11 +552,11 @@ class TestDiagnostics:
             assert count_nodal_domains_2d(u, grid, 0.0) == flood_fill_domains(u.tolist(), 0.0)
 
     def test_energy_of_zero_is_zero(self, cubic_model, grid64):
-        assert eval_energy(np.zeros((64, 64)), 1.0, cubic_model, grid64) == 0.0
+        assert eval_energy(np.zeros((64, 64)), 1.0, cubic_model, grid64, 1.0) == 0.0
 
     def test_energy_of_embedded_is_t_independent(self, embedded_n1, cubic_model, grid64):
-        e1 = eval_energy(embedded_n1, 1.0, cubic_model, grid64)
-        e2 = eval_energy(embedded_n1, 2.5, cubic_model, grid64)
+        e1 = eval_energy(embedded_n1, 1.0, cubic_model, grid64, 1.0)
+        e2 = eval_energy(embedded_n1, 2.5, cubic_model, grid64, 1.0)
         assert e1 == pytest.approx(e2, abs=1e-14)
         assert np.isfinite(e1)
 
@@ -575,9 +574,9 @@ class TestKernelMode:
     def test_kernel_is_exact_at_discrete_crossing(self, branch_ctx, cubic_model, grid64):
         # one height-block eigensolve at u_ref's potential gives both the mode
         # and t_bar_discrete, so the mode is the discrete kernel there
-        op = assemble_linearized(branch_ctx.u_ref, branch_ctx.t_bar_discrete, cubic_model, grid64)
+        matrix = assemble_linearized(branch_ctx.u_ref, branch_ctx.t_bar_discrete, cubic_model, grid64, 1.0)
         dof = branch_ctx.kernel[: grid64.ny - 1, :].ravel()
-        assert np.max(np.abs(op.apply(dof))) <= 1e-8
+        assert np.max(np.abs(grid_action(matrix.dot, grid64, dof))) <= 1e-8
 
     def test_context_rejects_pairs_without_crossing(self, cubic_model, cubic_solutions, grid64):
         amplitude = cubic_solutions[1].amplitude
@@ -595,9 +594,9 @@ class TestKernelMode:
         for nn in (60, 120):
             grid = Grid2D(nn, nn)
             ctx = make_branch_context(cubic_model, grid, 1.0, cubic_solutions[1].amplitude, first_crossing, tol=1e-8)
-            op = assemble_linearized(ctx.u_ref, ctx.t_bar, cubic_model, grid)
+            matrix = assemble_linearized(ctx.u_ref, ctx.t_bar, cubic_model, grid, 1.0)
             dof = ctx.kernel[: grid.ny - 1, :].ravel()
-            res[nn] = float(np.max(np.abs(op.apply(dof))))
+            res[nn] = float(np.max(np.abs(grid_action(matrix.dot, grid, dof))))
             scale = abs(cubic_alphas_n1[0]) * 2.0 + float(np.max(eval_fprime(cubic_model, ctx.u_ref)))
             assert res[nn] <= 10.0 * (grid.hx**2 + grid.hy**2) * scale
         assert res[60] / res[120] == pytest.approx(4.0, rel=0.35)
@@ -716,9 +715,9 @@ class TestBranch:
         points = halves.branches["plus"] + halves.branches["minus"] + back
         assert len(points) == 21 and sum(bp.newton_iters == 0 for bp in points) == 9
         for bp in points:
-            lap = assemble_linearized(np.zeros((grid64.ny, grid64.nx)), bp.t, cubic_model, grid64)
+            lap = assemble_linearized(np.zeros((grid64.ny, grid64.nx)), bp.t, cubic_model, grid64, 1.0)
             v = bp.solution[:-1].ravel()
-            residual = float(np.max(np.abs(lap.apply(v) - eval_f(cubic_model, v))))
+            residual = float(np.max(np.abs(grid_action(lap.dot, grid64, v) - eval_f(cubic_model, v))))
             assert bp.residual <= branch_ctx.tol
             assert residual == pytest.approx(bp.residual, abs=1e-3 * branch_ctx.tol)
         # each solve's debug line ends with the residual it started from
@@ -755,34 +754,45 @@ class TestBranch:
     def test_kernel_crossing_eigenvalue_vanishes(self, branch_ctx, first_crossing, cubic_model, grid64):
         # at the continuum scaling the smallest-magnitude eigenvalue sits at
         # discretization size; at the discrete scaling it vanishes outright
-        op = assemble_linearized(branch_ctx.u_ref, first_crossing.t_bar, cubic_model, grid64)
-        vals = smallest_eigenvalues(op, 4)
+        vals = smallest_eigenvalues(branch_ctx.u_ref, first_crossing.t_bar, cubic_model, grid64, 1.0, 4)
         assert np.min(np.abs(vals)) <= 10.0 * (grid64.hx**2 + grid64.hy**2) * abs(first_crossing.t_bar) ** -2 * 100
-        op_h = assemble_linearized(branch_ctx.u_ref, branch_ctx.t_bar_discrete, cubic_model, grid64)
-        vals_h = smallest_eigenvalues(op_h, 4)
+        vals_h = smallest_eigenvalues(branch_ctx.u_ref, branch_ctx.t_bar_discrete, cubic_model, grid64, 1.0, 4)
         assert np.min(np.abs(vals_h)) <= 1e-9
 
     def test_negative_count_changes_across_crossing(self, branch_ctx, cubic_model, grid64):
         t_bar_h = branch_ctx.t_bar_discrete
         counts = {}
         for t in (0.98 * t_bar_h, 1.02 * t_bar_h):
-            op = assemble_linearized(branch_ctx.u_ref, t, cubic_model, grid64)
-            vals = smallest_eigenvalues(op, 6)
+            vals = smallest_eigenvalues(branch_ctx.u_ref, t, cubic_model, grid64, 1.0, 6)
             counts[t] = int(np.count_nonzero(vals < 0.0))
         low, high = sorted(counts)
         assert counts[high] - counts[low] == 1
 
     def test_morse_bound_on_branch(self, branch_ctx, first_crossing, cubic_model, grid64):
         bp = continue_branch(branch_ctx, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
-        op = assemble_linearized(bp.solution, bp.t, cubic_model, grid64)
-        vals = smallest_eigenvalues(op, 6)
+        vals = smallest_eigenvalues(bp.solution, bp.t, cubic_model, grid64, 1.0, 6)
         negatives = int(np.count_nonzero(vals < 0.0))
         assert negatives >= bp.nodal_count_2d
 
+    def test_lanczos_shift_lies_below_the_spectrum(self, followed_64, cubic_model, grid64, monkeypatch):
+        # the reference owns its shift -max(0, max f'(u)) - 1, below the spectrum since D_t is
+        # positive semidefinite; the Lanczos comparisons at 200 x 200 are sensitive to its value
+        shifts, factor = [], pde._symmetric_lu
+
+        def spy(matrix, shift):
+            shifts.append(shift)
+            return factor(matrix, shift)
+
+        monkeypatch.setattr(pde, "_symmetric_lu", spy)
+        bp = followed_64[0].branches["plus"][0]
+        vals = smallest_eigenvalues(bp.solution, bp.t, cubic_model, grid64, 1.0, 6)
+        assert shifts == [-max(0.0, float(np.max(eval_fprime(cubic_model, bp.solution[:-1].ravel())))) - 1.0]
+        assert shifts[0] < vals[0]
+
     def test_branch_energy_differs_from_reference(self, branch_ctx, first_crossing, cubic_model, grid64):
         bp = continue_branch(branch_ctx, +1, steps=1, t_max=2 * first_crossing.t_bar)[0][0]
-        e_branch = eval_energy(bp.solution, bp.t, cubic_model, grid64)
-        e_ref = eval_energy(branch_ctx.u_ref, bp.t, cubic_model, grid64)
+        e_branch = eval_energy(bp.solution, bp.t, cubic_model, grid64, 1.0)
+        e_ref = eval_energy(branch_ctx.u_ref, bp.t, cubic_model, grid64, 1.0)
         assert np.isfinite(e_branch) and np.isfinite(e_ref)
         assert abs(e_branch - e_ref) > 1e-8
 
