@@ -9,8 +9,9 @@ solution/branch exists, 64 on usage errors.
 
 Identical configurations produce bitwise-identical CSV output: iteration
 orders are fixed and nothing is seeded from the clock.  Only `continue` depends
-on the BLAS thread count, which changes how BLAS sums its Krylov dot products:
-at 200 x 200 it writes other last digits under one thread than under two.
+on the BLAS thread count, which changes how BLAS sums the Krylov norms and dot
+products and the inverse x'-transform `modes @ z` of the separable solve: at
+200 x 200 it writes other last digits under one thread than under two.
 """
 
 from __future__ import annotations

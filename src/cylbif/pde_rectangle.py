@@ -70,7 +70,7 @@ log = logging.getLogger("cylbif.pde")
 
 #: default relative threshold for 2D nodal counting
 NODAL_REL_TOL_2D = 1e-6
-#: Newton iteration budget of every branch-stage solve
+#: Newton iteration budget of every solve
 BRANCH_MAX_ITERS = 25
 #: first continuation step, relative to the degeneracy scaling
 FIRST_STEP_REL = 1e-2
@@ -92,8 +92,8 @@ FORCING_GAMMA = 0.9
 FORCING_ETA_MAX = 0.1
 #: absolute GMRES floor on the symmetrized residual, relative to the Newton tol
 KRYLOV_FLOOR_REL = 0.05
-#: GMRES restart length and inner-iteration cap of one linear solve
-KRYLOV_RESTART, KRYLOV_MAX_ITERS = 50, 100
+#: Krylov iteration cap of one linear solve, a single Arnoldi pass
+KRYLOV_MAX_ITERS = 100
 #: a certified_spectrum candidate's residual |A v - theta v| may be at most this multiple of eps * |A|_inf
 CERTIFICATE_RESIDUAL_REL = 100.0
 
@@ -215,8 +215,8 @@ class _TensorSum:
 
     @property
     def modes(self) -> np.ndarray:
-        """The x'-modes of this grid's width, built at the first use of that width; only
-        the separable solve needs them."""
+        """The x'-modes of this grid's width, built at the first use of that width; the
+        separable solve and the candidates of ``certified_spectrum`` read them."""
         return _x_modes(self.grid.nx)
 
     def apply(self, dof: np.ndarray) -> np.ndarray:
@@ -410,46 +410,41 @@ class BranchPoint:
 def _fgmres(precond, rest, b, atol, vs, zs):
     """Flexible GMRES (Saad 1993) for J s = b, where J z = v - rest * z at z = P v, P the
     separable solve ``precond``: each iteration applies P once and keeps z_j = P v_j in
-    ``zs``, so the step s = sum_j y_j z_j and a cycle's residual
-    b - sum_j y_j (v_j - rest * z_j) cost no further apply.  The rows of ``vs`` hold the
-    orthonormal basis, built by classical Gram-Schmidt with one reorthogonalization; the
-    rows of ``zs`` set the cycle length m, and KRYLOV_MAX_ITERS // m cycles run at most.
-    Returns the step, the Krylov iterations and whether |b - J s| reached ``atol``."""
+    ``zs``, so the step s = sum_j y_j z_j and its residual b - sum_j y_j (v_j - rest * z_j)
+    cost no further apply.  The rows of ``vs`` hold the orthonormal basis, built by
+    classical Gram-Schmidt with one reorthogonalization; one Arnoldi pass runs, at most
+    as many iterations as ``zs`` has rows.  Returns the step, the Krylov iterations and
+    whether that residual, recomputed from the stored vectors, reached ``atol``."""
+    beta = float(np.linalg.norm(b))
+    if beta <= atol:
+        return np.zeros_like(b), 0, True
     m = zs.shape[0]
-    step, r, iters = np.zeros_like(b), b, 0
-    for _cycle in range(KRYLOV_MAX_ITERS // m):
-        beta = float(np.linalg.norm(r))
-        if beta <= atol:
-            return step, iters, True
-        vs[0] = r / beta
-        hess, rot = np.zeros((m, m + 1)), np.zeros((m, 2))  # row k: column k of the Hessenberg matrix
-        g = np.zeros(m + 1)  # the rotated right-hand side beta e_1
-        g[0] = beta
-        for k in range(m):
-            zs[k] = precond(vs[k])
-            w = vs[k] - rest * zs[k]
-            w_norm, basis, h = float(np.linalg.norm(w)), vs[: k + 1], hess[k]
-            for _ in range(2):  # the second pass removes what rounding left of the first
-                coef = basis @ w
-                w -= coef @ basis
-                h[: k + 1] += coef
-            h[k + 1] = np.linalg.norm(w)
-            breakdown = h[k + 1] <= np.finfo(float).eps * w_norm
-            if not breakdown:
-                vs[k + 1] = w / h[k + 1]
-            for i, (c, s) in enumerate(rot[:k]):
-                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-            c, s, h[k] = lapack.dlartg(h[k], h[k + 1])
-            rot[k], h[k + 1] = (c, s), 0.0
-            g[k], g[k + 1] = c * g[k], -s * g[k]
-            iters += 1
-            if abs(g[k + 1]) <= atol or breakdown:
-                break
-        y = lapack.dtrtrs(hess[: k + 1, : k + 1], g[: k + 1], lower=1, trans=1)[0]
-        cycle = y @ zs[: k + 1]
-        step += cycle
-        r = r - y @ vs[: k + 1] + rest * cycle
-    return step, iters, float(np.linalg.norm(r)) <= atol
+    vs[0] = b / beta
+    hess, rot = np.zeros((m, m + 1)), np.zeros((m, 2))  # row k: column k of the Hessenberg matrix
+    g = np.zeros(m + 1)  # the rotated right-hand side beta e_1
+    g[0] = beta
+    for k in range(m):
+        zs[k] = precond(vs[k])
+        w = vs[k] - rest * zs[k]
+        w_norm, basis, h = float(np.linalg.norm(w)), vs[: k + 1], hess[k]
+        for _ in range(2):  # the second pass removes what rounding left of the first
+            coef = basis @ w
+            w -= coef @ basis
+            h[: k + 1] += coef
+        h[k + 1] = np.linalg.norm(w)
+        breakdown = h[k + 1] <= np.finfo(float).eps * w_norm
+        if not breakdown:
+            vs[k + 1] = w / h[k + 1]
+        for i, (c, s) in enumerate(rot[:k]):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        c, s, h[k] = lapack.dlartg(h[k], h[k + 1])
+        rot[k], h[k + 1] = (c, s), 0.0
+        g[k], g[k + 1] = c * g[k], -s * g[k]
+        if abs(g[k + 1]) <= atol or breakdown:
+            break
+    y = lapack.dtrtrs(hess[: k + 1, : k + 1], g[: k + 1], lower=1, trans=1)[0]
+    step = y @ zs[: k + 1]
+    return step, k + 1, float(np.linalg.norm(b - y @ vs[: k + 1] + rest * step)) <= atol
 
 
 def newton_solve(
@@ -458,7 +453,6 @@ def newton_solve(
     model: NonlinearityModel,
     grid: Grid2D,
     tol: float,
-    max_iters: int,
     l_base: float,
     reference_1d: np.ndarray | None = None,
 ) -> BranchPoint:
@@ -466,19 +460,18 @@ def newton_solve(
     each step is a flexible GMRES solve (``_fgmres``) of the Jacobian, right-preconditioned
     by P, the separable solve at the x'-average qbar of q = f'(u): its Krylov operator is
     v -> v - (q - qbar) * P v, and the step is assembled from the stored P v_j, so a solve
-    applies P once per Krylov iteration and at no other time.  Both bases are allocated
-    once per call.  A solve that reaches KRYLOV_MAX_ITERS raises
-    NonConvergenceError, and so does an iteration that has flattened on the rounding
-    floor: its residual lies within FLOOR_STALL_REL of ``_rounding_floor`` and above
-    half the residual two iterations earlier, so ``tol`` is out of reach.
+    applies P once per Krylov iteration and at no other time.  Each solve is one Arnoldi
+    pass of at most KRYLOV_MAX_ITERS iterations, into two bases allocated once per call.
+    A linear solve that ends short of its tolerance raises NonConvergenceError, and so do
+    an iteration past BRANCH_MAX_ITERS and one that has flattened on the rounding floor:
+    its residual lies within FLOOR_STALL_REL of ``_rounding_floor`` and above half the
+    residual two iterations earlier, so ``tol`` is out of reach.
 
     ``reference_1d`` (full-grid array) fixes the yardstick for
     ``distance_to_1d``; without it the distance is reported as NaN.
     """
     if not tol > 0.0:
         raise ValidationError("newton tolerance must be positive")
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
     full = _as_full(initial, grid)
     op = _TensorSum(grid, t, l_base)
     u = full[:-1].flatten()  # the unknowns, a copy: every row but the Dirichlet one
@@ -487,7 +480,7 @@ def newton_solve(
     r0 = max(rnorm, 1.0)
     history = [rnorm]  # the residual before each iteration and after the last
     iters = krylov_iters = 0
-    vs, zs = np.empty((KRYLOV_RESTART + 1, u.size)), np.empty((KRYLOV_RESTART, u.size))  # the Krylov bases
+    vs, zs = np.empty((KRYLOV_MAX_ITERS + 1, u.size)), np.empty((KRYLOV_MAX_ITERS, u.size))  # the Krylov bases
     try:
         while rnorm > tol:
             floor = _rounding_floor(u, grid, t, l_base)
@@ -497,9 +490,9 @@ def newton_solve(
                     f"{FLOOR_STALL_REL:g} times its rounding floor {floor:.3g}",
                     residual=rnorm,
                 )
-            if iters >= max_iters:
+            if iters >= BRANCH_MAX_ITERS:
                 raise NonConvergenceError(
-                    f"newton did not reach tol {tol} in {max_iters} iterations", residual=rnorm
+                    f"newton did not reach tol {tol} in {BRANCH_MAX_ITERS} iterations", residual=rnorm
                 )
             b = op.dvec * r
             bnorm = float(np.linalg.norm(b))
@@ -633,7 +626,6 @@ class BranchContext:
             self.model,
             self.grid,
             tol=self.tol,
-            max_iters=BRANCH_MAX_ITERS,
             l_base=self.l_base,
             reference_1d=self.u_ref,
         )
@@ -678,7 +670,7 @@ def make_branch_context(
     u1d, _ = integrate_ivp(model, amplitude, grid.ny - 1)
     embedded = embed_one_dim(u1d, grid)
     try:
-        seed = newton_solve(embedded, 1.0, model, grid, tol=tol, max_iters=BRANCH_MAX_ITERS, l_base=l_base)
+        seed = newton_solve(embedded, 1.0, model, grid, tol=tol, l_base=l_base)
     except NonConvergenceError as exc:
         raise NonConvergenceError(
             f"reference solve: {exc}; the residual's rounding floor max|u|*(2/(t*l*h_x)^2 + 2/h_y^2)*eps "

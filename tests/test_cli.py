@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import cylbif.cli as cli
+import cylbif.morse_bifurcation as mb
 import cylbif.pde_rectangle as pde
 import cylbif.sturm_liouville as sl
 from cylbif import Interval, LaneEmden, extrapolated_alphas, neumann_eigenvalues
@@ -780,6 +781,32 @@ class TestContract:
         assert main(["verify-decomposition", "--config", str(cfg)]) == 2
         assert "interval enumeration needs 12 modes > budget 5" in caplog.text
         assert not (tmp_path / "out" / "verify-decomposition.csv").exists()
+
+    def test_verify_decomposition_needs_ten_composed_values_below_alpha_max(self, tmp_path, caplog, monkeypatch):
+        # two alphas of p = 4, n = 1 leave only 3 sums below the larger one, short of the 10 compared
+        monkeypatch.setattr(cli, "certified_spectrum", lambda *a, **k: pytest.fail("certified a short list"))
+        cfg = write_config(
+            tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48}, options={"t_verify": 1.0, "k_eigs": 2}
+        )
+        assert main(["verify-decomposition", "--config", str(cfg)]) == 2
+        assert re.search(r"only 3 composed eigenvalues lie below alpha_max = \S+; raise options.k_eigs", caplog.text)
+        assert not (tmp_path / "out" / "verify-decomposition.csv").exists()
+
+    def test_morse_formula_disagreeing_with_the_composed_count_exits_2(self, tmp_path, caplog, monkeypatch):
+        # a composed list with one negative entry too many contradicts the Morse formula
+        compose = mb.compose_spectrum
+
+        def one_more(*args, **kwargs):
+            composed = compose(*args, **kwargs)
+            composed.entries.insert(0, mb.ComposedEntry(value=-1.0, i=1, j=0, multiplicity=1))
+            return composed
+
+        monkeypatch.setattr(mb, "compose_spectrum", one_more)
+        cfg = write_config(tmp_path)
+        assert main(["morse", "--config", str(cfg)]) == 2
+        found = re.search(r"disagreement between the Morse formula \((\d+)\) and the composed negative count \((\d+)\)", caplog.text)
+        assert found and int(found.group(2)) == int(found.group(1)) + 1
+        assert not (tmp_path / "out" / "morse.csv").exists()
 
     def test_verify_decomposition_rejects_synthetic_alphas(self, tmp_path, caplog):
         # composing config alphas against the solved 2D operator checks nothing

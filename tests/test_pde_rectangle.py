@@ -361,28 +361,42 @@ class TestNewton:
             assert bp.nodal_count_2d == 1
 
     def test_zero_initial_converges_to_zero(self, cubic_model, grid64):
-        bp = newton_solve(np.zeros((64, 64)), 1.0, cubic_model, grid64, tol=1e-10, max_iters=10, l_base=1.0)
+        bp = newton_solve(np.zeros((64, 64)), 1.0, cubic_model, grid64, tol=1e-10, l_base=1.0)
         assert np.all(bp.solution == 0.0)
         assert bp.nodal_count_2d == 0
         assert bp.deviation == 0.0
 
     def test_two_domain_solution_embeds(self, cubic_model, cubic_solutions, grid64):
         u1d, _ = integrate_ivp(cubic_model, cubic_solutions[2].amplitude, grid64.ny - 1)
-        bp = newton_solve(embed_one_dim(u1d, grid64), 1.0, cubic_model, grid64, tol=1e-10, max_iters=20, l_base=1.0)
+        bp = newton_solve(embed_one_dim(u1d, grid64), 1.0, cubic_model, grid64, tol=1e-10, l_base=1.0)
         assert bp.nodal_count_2d == 2
         assert bp.deviation < 1e-10
 
-    def test_max_iters_enforced(self, cubic_model, cubic_solutions, grid64):
+    def test_max_iters_enforced(self, cubic_model, cubic_solutions, grid64, monkeypatch):
         u1d, _ = integrate_ivp(cubic_model, cubic_solutions[1].amplitude, grid64.ny - 1)
         rough = embed_one_dim(u1d, grid64) * 1.8
-        with pytest.raises(NonConvergenceError):
-            newton_solve(rough, 1.0, cubic_model, grid64, tol=1e-12, max_iters=1, l_base=1.0)
+        monkeypatch.setattr(pde, "BRANCH_MAX_ITERS", 1)
+        with pytest.raises(NonConvergenceError, match="in 1 iterations"):
+            newton_solve(rough, 1.0, cubic_model, grid64, tol=1e-12, l_base=1.0)
+
+    def test_a_diverging_step_is_nonconvergence(self, cubic_model, embedded_n1, grid64, monkeypatch):
+        # a linear solve that returns a wild step sends the residual past 1e8 times its start
+        fgmres = pde._fgmres
+
+        def wild(*args):
+            step, iters, converged = fgmres(*args)
+            return 1e12 * step, iters, converged
+
+        monkeypatch.setattr(pde, "_fgmres", wild)
+        with pytest.raises(NonConvergenceError, match="newton diverged") as exc:
+            newton_solve(1.5 * embedded_n1, 1.0, cubic_model, grid64, tol=1e-10, l_base=1.0)
+        assert exc.value.residual > 1e8
 
     def test_branch_point_matches_direct_newton(self, cubic_model, ctx48, first_crossing):
         grid = ctx48.grid
         guess = ctx48.u_ref + 0.1 * ctx48.ref_norm * ctx48.kernel
         t = 1.01 * first_crossing.t_bar
-        bp = newton_solve(guess, t, cubic_model, grid, tol=1e-8, max_iters=25, l_base=1.0, reference_1d=ctx48.u_ref)
+        bp = newton_solve(guess, t, cubic_model, grid, tol=1e-8, l_base=1.0, reference_1d=ctx48.u_ref)
         ref = direct_newton(guess, t, cubic_model, grid, tol=1e-8)
         assert bp.distance_to_1d > 1e-3
         assert weighted_norm(bp.solution - ref, grid) / weighted_norm(ref, grid) <= 1e-8
@@ -422,7 +436,7 @@ class TestNewton:
         assert np.max(np.abs(solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_each_krylov_iteration_applies_p_once(self, ctx48, first_crossing, monkeypatch, caplog):
-        # flexible GMRES keeps z_j = P v_j: neither the step nor a cycle's residual applies P again
+        # flexible GMRES keeps z_j = P v_j: neither the step nor its residual applies P again
         applies = []
         separable = pde._TensorSum.separable
 
@@ -448,25 +462,26 @@ class TestNewton:
         b = op.dvec * (op.apply(u) - eval_f(cubic_model, u))
         atol = 1e-8 * np.linalg.norm(b)
         precond, rest = op.separable(eval_fprime(cubic_model, u))
-        vs, zs = np.empty((pde.KRYLOV_RESTART + 1, u.size)), np.empty((pde.KRYLOV_RESTART, u.size))
+        vs, zs = np.empty((pde.KRYLOV_MAX_ITERS + 1, u.size)), np.empty((pde.KRYLOV_MAX_ITERS, u.size))
         step, iters, converged = pde._fgmres(precond, rest, -b, atol, vs, zs)
         assert converged and iters > 1
         jacobian = assemble_linearized(full, t, cubic_model, grid, 1.0)
         assert np.linalg.norm(jacobian @ step + b) <= 1.01 * atol
 
-    def test_restarted_solve_reaches_the_same_point(self, ctx48, first_crossing, monkeypatch, caplog):
-        guess, t = ctx48.u_ref + 0.1 * ctx48.ref_norm * ctx48.kernel, 1.01 * first_crossing.t_bar
-        ref = ctx48.solve(guess, t)
-        # restarting every 2 iterations stagnates here, as scipy's GMRES(2) did: the second
-        # Newton step's linear solve runs into the 100-iteration cap
-        monkeypatch.setattr(pde, "KRYLOV_RESTART", 3)
-        with caplog.at_level(logging.DEBUG, logger="cylbif.pde"):
-            bp = ctx48.solve(guess, t)
-        krylov = int(re.search(r"(\d+) krylov iterations", caplog.text).group(1))
-        assert krylov > 3 * bp.newton_iters  # some linear solve ran past one cycle
-        assert bp.residual <= ctx48.tol and bp.distance_to_1d > 1e-3
-        grid = ctx48.grid
-        assert weighted_norm(bp.solution - ref.solution, grid) / weighted_norm(ref.solution, grid) <= 1e-8
+    def test_one_pass_runs_past_half_the_cap(self):
+        # with P = I the Krylov operator is J = diag(1 - rest), here 60 distinct eigenvalues
+        # spread over [1, 100]: a residual of 1e-10 |b| takes 69 iterations, more than half
+        # the cap, and one pass runs them all
+        n = 120
+        rest = 1.0 - np.repeat(np.geomspace(1.0, 1e2, 60), 2)
+        b = np.random.default_rng(0).standard_normal(n)
+        atol = 1e-10 * np.linalg.norm(b)
+        applies = []
+        vs, zs = np.empty((pde.KRYLOV_MAX_ITERS + 1, n)), np.empty((pde.KRYLOV_MAX_ITERS, n))
+        step, iters, converged = pde._fgmres(lambda v: applies.append(1) or v.copy(), rest, b, atol, vs, zs)
+        assert converged and pde.KRYLOV_MAX_ITERS // 2 < iters < pde.KRYLOV_MAX_ITERS
+        assert len(applies) == iters
+        assert np.linalg.norm(step - rest * step - b) <= atol
 
     def test_wrong_side_guess_hits_stall_cap(self, branch_ctx, first_crossing, caplog):
         # below t_bar no branch exists; a kick far outside the switching range
@@ -480,11 +495,11 @@ class TestNewton:
 
     def test_validation(self, cubic_model, grid64):
         with pytest.raises(ValidationError):
-            newton_solve(np.zeros((64, 64)), 1.0, cubic_model, grid64, tol=0.0, max_iters=5, l_base=1.0)
+            newton_solve(np.zeros((64, 64)), 1.0, cubic_model, grid64, tol=0.0, l_base=1.0)
         with pytest.raises(ValidationError):
-            newton_solve(np.zeros((10, 10)), 1.0, cubic_model, grid64, tol=1e-8, max_iters=5, l_base=1.0)
+            newton_solve(np.zeros((10, 10)), 1.0, cubic_model, grid64, tol=1e-8, l_base=1.0)
         with pytest.raises(ValidationError):
-            newton_solve(np.zeros((64, 64)), -1.0, cubic_model, grid64, tol=1e-8, max_iters=5, l_base=1.0)
+            newton_solve(np.zeros((64, 64)), -1.0, cubic_model, grid64, tol=1e-8, l_base=1.0)
 
     def test_grid_floor(self):
         with pytest.raises(ValidationError):
@@ -587,6 +602,22 @@ class TestKernelMode:
         # the single-domain solution has one negative height eigenvalue
         with pytest.raises(ValidationError, match="nonnegative"):
             make_branch_context(cubic_model, grid64, 1.0, amplitude, simple_point(2, 1), tol=1e-8)
+
+    def test_a_reference_off_the_height_only_subspace_raises(
+        self, cubic_model, cubic_solutions, grid64, first_crossing, monkeypatch
+    ):
+        # a polish that returned an x'-dependent solution would give no height-only u_ref
+        solve = pde.newton_solve
+
+        def tilted(*args, **kwargs):
+            bp = solve(*args, **kwargs)
+            bp.solution[:-1] += 1e-6 * np.max(np.abs(bp.solution)) * np.cos(math.pi * grid64.x_nodes())
+            bp.deviation = one_dimensionality_deviation(bp.solution, grid64)
+            return bp
+
+        monkeypatch.setattr(pde, "newton_solve", tilted)
+        with pytest.raises(NonConvergenceError, match="reference solve left the height-only subspace"):
+            make_branch_context(cubic_model, grid64, 1.0, cubic_solutions[1].amplitude, first_crossing, tol=1e-8)
 
     def test_kernel_residual_shrinks_at_second_order(self, cubic_model, cubic_solutions, cubic_alphas_n1, first_crossing):
         # at the continuum scaling the discrete kernel is off by O(h^2)
