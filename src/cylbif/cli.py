@@ -23,7 +23,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -42,7 +42,6 @@ from .morse_bifurcation import (
     compose_spectrum,
     coverage_cutoff,
     degeneracy_times,
-    ground_state_flag,
     morse_index,
     morse_vs_t,
 )
@@ -365,12 +364,7 @@ def cmd_check_f(cfg: RunConfig) -> dict:
     ]
     header = ["s", "f", "fprime", "F"]
     write_csv(cfg.output_dir / "check-f.csv", header, format_rows(header, rows))
-    return {
-        "superlinear": report.superlinear,
-        "sign": report.sign,
-        "superlinear_failures": report.superlinear_failures,
-        "sign_failures": report.sign_failures,
-    }
+    return asdict(report)
 
 
 def cmd_solve_1d(cfg: RunConfig) -> dict:
@@ -443,14 +437,7 @@ def cmd_morse(cfg: RunConfig) -> dict:
     sweep = [(s.t, s.m, s.degenerate) for s in morse_vs_t(alphas, base, np.linspace(t_min, t_max, samples))]
     header = ["t", "m", "degenerate"]
     write_csv(cfg.output_dir / "morse.csv", header, format_rows(header, sweep))
-    return {
-        "m": report.m,
-        "m_xn": report.m_xn,
-        "contributions": report.contributions,
-        "degenerate": report.degenerate,
-        "zero_multiplicity": report.zero_multiplicity,
-        "ground_state_flag": ground_state_flag(alphas, base) if alphas[0] < 0 else False,
-    }
+    return asdict(report)
 
 
 def cmd_bifurcation_points(cfg: RunConfig) -> dict:

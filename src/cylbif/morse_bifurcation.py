@@ -10,6 +10,8 @@ with lambda counted with multiplicity, and the solution is degenerate
 exactly when some alpha_i + lambda_j vanishes.  Dilating the base by t
 rescales lambda_j to lambda_j / t^2, so each pair (alpha_i < 0,
 lambda_j > 0) produces the degeneracy scaling t = sqrt(lambda_j / -alpha_i).
+The paper's ground-state test lambda_1 < -alpha_1 is the i = 1 term of the
+sum at t = 1 being positive, reported as ``MorseReport.ground_state_flag``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "morse_index",
     "degeneracy_times",
     "morse_vs_t",
-    "ground_state_flag",
 ]
 
 #: relative tolerance for grouping coincident degeneracy scalings
@@ -69,11 +70,15 @@ class ComposedSpectrum:
 
 @dataclass
 class MorseReport:
+    """The Morse formula's terms at t = 1.  ``ground_state_flag`` is lambda_1 < -alpha_1 (a Morse-index-one
+    solution on this base is not height-only), read as ``contributions[0] > 0``; False if alpha_1 >= 0."""
+
     m: int
     m_xn: int
     contributions: list[int]
     degenerate: bool
     zero_multiplicity: int
+    ground_state_flag: bool
 
 
 @dataclass
@@ -200,7 +205,8 @@ def morse_index(alphas, base: BaseSpectrum) -> MorseReport:
                 "internal disagreement between the Morse formula "
                 f"({m}) and the composed negative count ({composed.negative_count()})"
             )
-    return MorseReport(m=m, m_xn=m_xn, contributions=contributions, degenerate=degenerate, zero_multiplicity=zero_mult)
+    flag = m_xn > 0 and contributions[0] > 0
+    return MorseReport(m, m_xn, contributions, degenerate, zero_mult, ground_state_flag=flag)
 
 
 def degeneracy_times(alphas, base: BaseSpectrum, t_max: float) -> list[BifurcationPoint]:
@@ -259,15 +265,3 @@ def morse_vs_t(alphas, base: BaseSpectrum, t_grid) -> list[MorseSample]:
         MorseSample(t=float(t), m=m_xn + int(c), degenerate=bool(z > 0))
         for t, c, z in zip(ts, contributions.sum(axis=1), zero_mult)
     ]
-
-
-def ground_state_flag(alphas, base: BaseSpectrum) -> bool:
-    """True iff lambda_1 < -alpha_1, i.e. any Morse-index-one solution of
-    the problem on this base cannot be one-dimensional.  A covering base
-    with no positive eigenvalue has lambda_1 past its cutoff, hence False."""
-    arr = _check_sorted(alphas)
-    if arr[0] >= 0.0:
-        raise ValidationError("ground-state test needs a negative leading eigenvalue")
-    _check_coverage(arr, base, 1.0, 0.0)
-    lambdas = np.asarray(base.lambdas)
-    return bool(np.any((lambdas > 0.0) & (lambdas < -float(arr[0]))))

@@ -24,7 +24,6 @@ from cylbif import (
     degeneracy_times,
     embed_one_dim,
     find_one_dim_solution,
-    ground_state_flag,
     integrate_ivp,
     linearized_spectrum,
     make_branch_context,
@@ -255,11 +254,11 @@ def test_criterion_09_local_bifurcation(cubic_n1):
 def test_criterion_10_ground_state_flag(cubic_n1):
     with criterion(10, "wide bases force non-one-dimensional ground states"):
         alphas = cubic_n1["alphas"]
-        narrow = neumann_eigenvalues(Interval(1.0), cutoff=50.0)
-        wide = neumann_eigenvalues(Interval(3.0), cutoff=50.0)
-        assert ground_state_flag(alphas, narrow) is False
-        assert ground_state_flag(alphas, wide) is True
+        narrow = morse_index(alphas, neumann_eigenvalues(Interval(1.0), cutoff=50.0)).ground_state_flag
+        wide = morse_index(alphas, neumann_eigenvalues(Interval(3.0), cutoff=50.0)).ground_state_flag
+        assert narrow is False
+        assert wide is True
         # consistency with lambda_1 = pi^2 / L^2
         a1 = -float(alphas[0])
-        assert (math.pi**2 / 1.0 < a1) == ground_state_flag(alphas, narrow)
-        assert (math.pi**2 / 9.0 < a1) == ground_state_flag(alphas, wide)
+        assert (math.pi**2 / 1.0 < a1) == narrow
+        assert (math.pi**2 / 9.0 < a1) == wide

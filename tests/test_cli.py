@@ -140,6 +140,19 @@ class TestSubcommands:
         assert len(rows) > 5 and all(len(row) == 4 for row in rows)
         assert rows[2][3] == label
 
+    @pytest.mark.parametrize(
+        "subcommand, keys",
+        [
+            ("check-f", ["sign", "sign_failures", "superlinear", "superlinear_failures"]),
+            ("morse", ["contributions", "degenerate", "ground_state_flag", "m", "m_xn", "zero_multiplicity"]),
+        ],
+    )
+    def test_results_are_the_report_fields(self, tmp_path, subcommand, keys):
+        # the results are the report's fields, so a new field changes summary.json visibly
+        cfg = write_config(tmp_path, alphas=[-30.0, 5.0])
+        assert main([subcommand, "--config", str(cfg)]) == 0
+        assert sorted(read_summary(tmp_path)["results"]) == keys
+
     def test_morse_summary(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["morse", "--config", str(cfg)]) == 0
@@ -485,6 +498,24 @@ def test_mirrored_dumps_match_the_float_path(tmp_path, monkeypatch):
     assert b",-0\n" not in (tmp_path / "solution_minus_1_0.csv").read_bytes()
 
 
+@pytest.mark.parametrize("plus_count, minus_count", [(2, 1), (1, 3)])
+def test_dumps_of_half_branches_of_unequal_length(tmp_path, plus_count, minus_count):
+    grid = pde.Grid2D(16, 17)
+    rng = np.random.default_rng(1)
+    plus = [rng.standard_normal((grid.ny, grid.nx)) for _ in range(plus_count)]
+    minus = [rng.standard_normal((grid.ny, grid.nx)) for _ in range(minus_count)]
+    cli.write_solution_dumps(tmp_path, 2, grid, plus, minus)
+    expected = {f"solution_plus_2_{i}.csv" for i in range(plus_count)}
+    expected |= {f"solution_minus_2_{i}.csv" for i in range(minus_count)}
+    assert {path.name for path in tmp_path.iterdir()} == expected
+    x, y = np.meshgrid(grid.x_nodes(), grid.y_nodes())
+    for sign_name, solutions in (("plus", plus), ("minus", minus)):
+        for idx, u in enumerate(solutions):
+            write_table(tmp_path / "reference.csv", ["xprime", "xn", "u"], zip(*(a.ravel().tolist() for a in (x, y, u))))
+            written = (tmp_path / f"solution_{sign_name}_2_{idx}.csv").read_bytes()
+            assert written == (tmp_path / "reference.csv").read_bytes()
+
+
 _IMPORT_PROBE = """
 import json, sys
 import cylbif.cli
@@ -605,6 +636,28 @@ class TestContract:
         cfg = write_config(tmp_path, grids={"nx": 64.0}, options={"k_eigs": 12.0}, nodal_n=1.0)
         assert main(["base-eigs", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"options": []}, "options must be a JSON object"),
+            (None, "config root must be a JSON object"),
+            ({"nodal_n": 0}, "nodal_n must be >= 1, got 0"),
+            ({"tolerances": {"newton_tol": -1}}, "all tolerances must be positive"),
+            ({"t_range": {"t_min": 0.5, "samples": 20}}, "t_range must provide t_min, t_max, samples"),
+            ({"t_range": [0.5, 3.0, 20]}, "t_range must provide t_min, t_max, samples"),
+            ({"t_range": {"t_min": 3.0, "t_max": 0.5, "samples": 20}}, "need 0 < t_min < t_max and samples >= 2"),
+            ({"t_range": {"t_min": 0.5, "t_max": 3.0, "samples": 1}}, "need 0 < t_min < t_max and samples >= 2"),
+            ({"alphas": [1, -1]}, "config alphas must be sorted ascending"),
+        ],
+    )
+    def test_config_value_failures_name_the_rule(self, tmp_path, caplog, overrides, message):
+        # overrides None writes a JSON list as the root
+        cfg = write_config(tmp_path, **(overrides or {}))
+        if overrides is None:
+            cfg.write_text(json.dumps([BASE_CONFIG]))
+        assert main(["morse", "--config", str(cfg)]) == 2
+        assert message in caplog.text
+
     def test_no_solution_exit_code(self, tmp_path):
         # c1 above (pi/2)^2 makes every trajectory oscillate before x = 1
         cfg = write_config(tmp_path, model={"type": "cubic", "c1": 10.0, "c3": 1.0})
@@ -625,6 +678,14 @@ class TestContract:
             options={"branch_steps": 1, "dump_solutions": False},
         )
         assert main(["continue", "--config", str(cfg)]) == 3
+
+    def test_shooting_bisection_budget_is_nonconvergence(self, tmp_path, caplog):
+        # tolerances no bisection can reach: the interval halves until the budget runs out
+        cfg = write_config(
+            tmp_path, grids={"ode_M": 200}, tolerances={"tol_terminal": 1e-300, "tol_amplitude": 1e-300}
+        )
+        assert main(["solve-1d", "--config", str(cfg)]) == 3
+        assert "terminal bisection did not converge in 200 iterations" in caplog.text
 
     def test_reference_polish_names_the_rounding_floor(self, tmp_path, caplog, monkeypatch):
         # the p = 2.5, n = 3 amplitude is 4580, so at 48 x 48 the residual

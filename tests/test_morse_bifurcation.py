@@ -18,7 +18,6 @@ from cylbif import (
     compose_spectrum,
     coverage_cutoff,
     degeneracy_times,
-    ground_state_flag,
     morse_index,
     morse_vs_t,
     neumann_eigenvalues,
@@ -281,29 +280,33 @@ class TestMorseSweep:
 
 
 class TestGroundStateFlag:
+    @staticmethod
+    def flag(alphas, base):
+        return morse_index(alphas, base).ground_state_flag
+
     def test_interval_examples(self):
-        assert not ground_state_flag([-5.0, 1.0], neumann_eigenvalues(Interval(1.0), cutoff=50.0))
-        assert ground_state_flag([-5.0, 1.0], neumann_eigenvalues(Interval(3.0), cutoff=50.0))
+        assert self.flag([-5.0, 1.0], neumann_eigenvalues(Interval(1.0), cutoff=50.0)) is False
+        assert self.flag([-5.0, 1.0], neumann_eigenvalues(Interval(3.0), cutoff=50.0)) is True
 
     def test_wide_base_from_computed_spectrum(self, cubic_alphas_n1):
         a1 = float(cubic_alphas_n1[0])
         t_bar1 = math.pi / math.sqrt(-a1)
         wide = Interval(2.0 * t_bar1)
-        assert ground_state_flag(cubic_alphas_n1, neumann_eigenvalues(wide, cutoff=50.0))
+        assert self.flag(cubic_alphas_n1, neumann_eigenvalues(wide, cutoff=50.0)) is True
 
     def test_needs_negative_leading_alpha(self):
+        # no negative alpha, no i = 1 term: the flag is False
         base = neumann_eigenvalues(Interval(1.0), cutoff=50.0)
-        with pytest.raises(ValidationError):
-            ground_state_flag([1.0, 2.0], base)
+        assert self.flag([1.0, 2.0], base) is False
 
     def test_covering_base_without_a_positive_eigenvalue(self):
         # lambda_1 = 100 pi^2 lies past a base enumerated to coverage_cutoff, so it exceeds -alpha_1
         alphas = [-5.0, 1.0]
         base = neumann_eigenvalues(Interval(0.1), cutoff=coverage_cutoff(alphas))
         assert base.lambdas.tolist() == [0.0]
-        assert not ground_state_flag(alphas, base)
+        assert self.flag(alphas, base) is False
         with pytest.raises(CoverageError):
-            ground_state_flag(alphas, neumann_eigenvalues(Interval(0.1), cutoff=4.0))
+            self.flag(alphas, neumann_eigenvalues(Interval(0.1), cutoff=4.0))
 
 
 def _dilated(domain, t):
@@ -336,10 +339,9 @@ class TestCoverageOwner:
         composed = self.agree_at_the_cutoff(domain, cutoff, lambda base: compose_spectrum(alphas, base, top, t_max).entries)
         assert composed and all(e.value <= top for e in composed)
 
-        # morse_index and ground_state_flag read the base at t = 1, here the domain dilated by t_max
+        # morse_index reads the base at t = 1, here the domain dilated by t_max
         dilated = _dilated(domain, t_max)
         self.agree_at_the_cutoff(dilated, coverage_cutoff(alphas), lambda base: morse_index(alphas, base))
-        self.agree_at_the_cutoff(dilated, coverage_cutoff(alphas), lambda base: ground_state_flag(alphas, base))
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # coincident pairs are not the point here

@@ -330,6 +330,20 @@ class TestCertifiedSpectrum:
         with pytest.raises(NonConvergenceError, match="certificate: candidate .* has residual"):
             certified_spectrum(height_profile(cubic_model, 1, 48), 1.0, cubic_model, grid, 1.0, 10)
 
+    def test_no_gap_among_the_candidates_raises(self, height_profile, cubic_model, monkeypatch):
+        # a random diagonal spreads the candidates' residuals past every gap between them
+        grid = Grid2D(48, 48)
+        assemble = pde.assemble_linearized
+        noise = 1e3 * np.random.default_rng(0).standard_normal(grid.ndof)
+
+        def noisy(*args, **kwargs):
+            return (assemble(*args, **kwargs) - sparse.diags(noise)).tocsr()
+
+        monkeypatch.setattr(pde, "assemble_linearized", noisy)
+        monkeypatch.setattr(pde, "CERTIFICATE_RESIDUAL_REL", 1e30)
+        with pytest.raises(NonConvergenceError, match="certificate: no gap wider than .* among the 22 smallest"):
+            certified_spectrum(height_profile(cubic_model, 1, 48), 1.0, cubic_model, grid, 1.0, 10)
+
     @pytest.mark.parametrize(
         "perm_r, pivots, message",
         [
