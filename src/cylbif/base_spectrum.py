@@ -38,7 +38,7 @@ __all__ = [
     "domain_from_dict",
 ]
 
-#: relative tolerance for merging numerically equal eigenvalues
+#: relative tolerance for merging numerically equal eigenvalues; only an exact 0 merges with 0
 MERGE_REL_TOL = 1e-9
 
 
@@ -95,7 +95,7 @@ def _merge(raw: list[tuple[float, int, tuple]], cutoff: float) -> BaseSpectrum:
     mults: list[int] = []
     labels: list[list[tuple]] = []
     for lam, mult, label in raw:
-        if values and lam - values[-1] <= MERGE_REL_TOL * max(1.0, abs(values[-1])):
+        if values and lam - values[-1] <= MERGE_REL_TOL * values[-1]:
             mults[-1] += mult
             labels[-1].append(label)
         else:
@@ -211,8 +211,6 @@ def neumann_eigenvalues(
             )
         for m in range(m_max + 1):
             lam_m = (m * math.pi / domain.a) ** 2
-            if lam_m > cutoff:
-                continue
             for n in range(n_max + 1):
                 lam = lam_m + (n * math.pi / domain.b) ** 2
                 if lam <= cutoff:

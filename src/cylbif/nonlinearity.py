@@ -13,6 +13,7 @@ flagged by :func:`check_hypotheses`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,8 +121,12 @@ def eval_F(model: NonlinearityModel, s):
 def check_hypotheses(model: NonlinearityModel, samples) -> HypothesisReport:
     """Check the superlinear and sign conditions at each nonzero sample.
 
+    A sample where f or f' over- or underflows is no evidence either way and is
+    skipped: f(s) and f(s)/s must be finite and normal, f'(s) finite.  Neither
+    family has f(s) = 0 at s != 0, so a zero f(s) has underflowed.
     Raises ``ValidationError`` when the sample list is empty or contains 0,
-    where neither quotient f(s)/s nor the sign condition is defined.
+    where neither quotient f(s)/s nor the sign condition is defined, or when
+    no sample is evidence.
     """
     samples = [float(s) for s in samples]
     if not samples:
@@ -131,11 +136,20 @@ def check_hypotheses(model: NonlinearityModel, samples) -> HypothesisReport:
 
     superlinear_failures = []
     sign_failures = []
+    evidence = 0
+    tiny = float(np.finfo(float).tiny)  # a nonzero f(s) or f(s)/s below it has underflowed
     for s in samples:
-        if not eval_fprime(model, s) > eval_f(model, s) / s:
+        with np.errstate(over="ignore"):
+            f, fprime = eval_f(model, s), eval_fprime(model, s)
+        if not (tiny <= abs(f) < math.inf and tiny <= abs(f / s) < math.inf and math.isfinite(fprime)):
+            continue
+        evidence += 1
+        if not fprime > f / s:
             superlinear_failures.append(s)
-        if not s * eval_f(model, s) > 0.0:
+        if not (f > 0.0) == (s > 0.0):
             sign_failures.append(s)
+    if not evidence:
+        raise ValidationError("f or f' over- or underflows at every hypothesis sample")
     return HypothesisReport(
         superlinear=not superlinear_failures,
         sign=not sign_failures,

@@ -155,34 +155,33 @@ def _rounding_floor(u: np.ndarray, grid: Grid2D, t: float, l_base: float) -> flo
 
 
 @functools.cache
-def _grid_parts(grid: Grid2D) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """The parts of every _TensorSum on ``grid`` that do not depend on t: the height stencil
-    S_y at zero potential, the height half weights dy and dvec = dy (x) dx, the weights of
-    the symmetrization; read-only, since every _TensorSum on the grid shares them."""
+def _grid_parts(grid: Grid2D):
+    """Every part of D_t that depends on ``grid`` alone, built once per grid: the height
+    stencil S_y at zero potential; the height half weights dy and dvec = dy (x) dx, the
+    weights of the symmetrization; the half-weighted, unit-normalized cosines cos(k pi x'),
+    k = 0..nx-1, in the columns of ``modes``; the off-diagonal of the block-tridiagonal
+    height systems of ``_TensorSum.separable``; and the x'-block S_x at c = 1, with its
+    -sqrt(2) Neumann couplings, and its closed-form eigenvalues xi_k = 2(1 - cos(k pi h_x)),
+    which ``_TensorSum`` scales.  Read-only, since every _TensorSum on the grid shares them."""
     height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
     sy = sparse.diags([height.off, height.diag, height.off], [-1, 0, 1], format="csr")
-    dx = np.ones(grid.nx)
+    n, k = grid.nx, np.arange(grid.nx)
+    dx = np.ones(n)
     dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
     dy = np.ones(grid.ny - 1)
     dy[0] = 1.0 / math.sqrt(2.0)
     dvec = np.kron(dy, dx)
-    for part in (sy.data, sy.indices, sy.indptr, dy, dvec):
-        part.flags.writeable = False
-    return sy, dy, dvec
-
-
-@functools.cache
-def _x_modes(n: int) -> np.ndarray:
-    """The half-weighted, unit-normalized cosines cos(k pi x'), k = 0..n-1, in the columns,
-    on n x'-nodes; read-only, since every _TensorSum on n nodes shares them."""
-    k, hx = np.arange(n), 1.0 / (n - 1)
-    dx = np.ones(n)
-    dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
     # cos(k pi x_i) = cos(pi (i k mod 2(n-1)) h_x): the reduced argument stays below 2 pi
-    modes = dx[:, None] * np.cos((np.outer(k, k) % (2 * (n - 1))) * (math.pi * hx))
+    modes = dx[:, None] * np.cos((np.outer(k, k) % (2 * (n - 1))) * (math.pi * grid.hx))
     modes /= np.linalg.norm(modes, axis=0)
-    modes.flags.writeable = False
-    return modes
+    blocks_off = np.tile(np.append(height.off, 0.0), n)[:-1]
+    off = np.full(n - 1, -1.0)
+    off[0] = off[-1] = -math.sqrt(2.0)
+    sx = sparse.diags([off, np.full(n, 2.0), off], [-1, 0, 1], format="csr")
+    xi = 2.0 * (1.0 - np.cos(k * math.pi * grid.hx))
+    for part in (sy.data, sy.indices, sy.indptr, dy, dvec, modes, blocks_off, sx.data, sx.indices, sx.indptr, xi):
+        part.flags.writeable = False
+    return sy, dy, dvec, modes, blocks_off, sx, xi
 
 
 def _weighted_norm(u: np.ndarray, grid: Grid2D) -> float:
@@ -193,10 +192,10 @@ def _weighted_norm(u: np.ndarray, grid: Grid2D) -> float:
 
 class _TensorSum:
     """D_t = I (x) S_x(t) + S_y (x) I on one (grid, t, l_base), the linearization at zero
-    potential, kept as its symmetrized 1D factors: the height stencil S_y and the Neumann
-    x'-block S_x with c = 1/(t L h_x)^2, whose eigenpairs are closed-form,
-    xi_k = 2c(1 - cos(k pi h_x)), k = 0..nx-1, with the half-weighted, unit-normalized
-    cosines cos(k pi x') in the columns of ``modes``."""
+    potential, kept as its symmetrized 1D factors.  The grid's parts are shared from
+    ``_grid_parts``; the only part that depends on t is the scale c = 1/(t L h_x)^2 of the
+    Neumann x'-block, S_x(t) = c S_x(1), so its closed-form eigenvalues are
+    xi_k = c xi_k(1) = 2c(1 - cos(k pi h_x)), k = 0..nx-1, on the cosine ``modes``."""
 
     def __init__(self, grid: Grid2D, t: float, l_base: float):
         if not (np.isfinite(t) and t > 0.0):
@@ -204,20 +203,9 @@ class _TensorSum:
         if not (np.isfinite(l_base) and l_base > 0.0):
             raise ValidationError(f"base length must be positive, got {l_base}")
         self.grid = grid
-        n = grid.nx
         c = 1.0 / ((t * l_base) ** 2 * grid.hx**2)
-        k = np.arange(n)
-        self.xi = 2.0 * c * (1.0 - np.cos(k * math.pi * grid.hx))
-        off = np.full(n - 1, -c)
-        off[0] = off[-1] = -c * math.sqrt(2.0)
-        self.sx = sparse.diags([off, np.full(n, 2.0 * c), off], [-1, 0, 1], format="csr")
-        self.sy, self.dy, self.dvec = _grid_parts(grid)
-
-    @property
-    def modes(self) -> np.ndarray:
-        """The x'-modes of this grid's width, built at the first use of that width; the
-        separable solve and the candidates of ``certified_spectrum`` read them."""
-        return _x_modes(self.grid.nx)
+        self.sy, self.dy, self.dvec, self.modes, self.blocks_off, sx, xi = _grid_parts(grid)
+        self.sx, self.xi = c * sx, c * xi
 
     def apply(self, dof: np.ndarray) -> np.ndarray:
         """D_t on true grid values U: S_y W + W S_x^T, W = diag(dy) U diag(dx), unweighted."""
@@ -231,8 +219,8 @@ class _TensorSum:
         diagonalization), factored together as one block-diagonal matrix."""
         q2 = q.reshape(self.grid.ny - 1, self.grid.nx)
         qbar = _x_average(q2)
-        off = np.tile(np.append(self.sy.diagonal(1), 0.0), self.grid.nx)[:-1]
-        *factor, info = lapack.dgttrf(off, (self.xi[:, None] + (self.sy.diagonal() - qbar)).ravel(), off)
+        diag = (self.xi[:, None] + (self.sy.diagonal() - qbar)).ravel()
+        *factor, info = lapack.dgttrf(self.blocks_off, diag, self.blocks_off)
         if info != 0:
             raise NonConvergenceError("separable preconditioner is singular")
 
@@ -719,7 +707,7 @@ def continue_branch(
     below roughly 0.6 of that amplitude contracts back to the trivial
     branch, so the perturbation has to be commensurate with the branch,
     not merely nonzero.  Subsequent points use natural-parameter
-    continuation with step halving (at most 6 halvings per step), each solve
+    continuation (``_follow``) by steps of dt0, halved at most 6 times per step, each solve
     started from ``_predict``: the branch is smooth in sigma = sqrt|t - t_bar|,
     so the guess is extrapolated in sigma through u_ref at sigma = 0 and the
     last PREDICT_POINTS points.  No point is solved past ``t_max``: a step that
@@ -739,12 +727,10 @@ def continue_branch(
         raise ValidationError("direction and sign must be +1 or -1")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    t_bar = ctx.t_bar
-    dt0 = FIRST_STEP_REL * t_bar
     eps0 = sign * (SWITCH_EPS_REL * ctx.ref_norm)
 
     branch: list[BranchPoint] = []
-    t1 = t_bar + direction * dt0
+    t1 = ctx.t_bar + direction * FIRST_STEP_REL * ctx.t_bar
     if t1 > t_max:
         raise BranchNotFoundError(f"the first branch point t = {t1:.6g} lies past t_max = {t_max:.6g}")
     attempts = (eps0, 2.0 * eps0, 4.0 * eps0)
@@ -772,7 +758,7 @@ def continue_branch(
         raise BranchNotFoundError(
             f"no branch found at t = {t1:.6g} after escalating the kernel perturbation"
         )
-    return _follow(ctx, branch, direction, dt0, steps, t_max)
+    return _follow(ctx, branch, direction, steps, t_max)
 
 
 def _predict(ctx: BranchContext, points: list[BranchPoint], t: float) -> np.ndarray:
@@ -798,10 +784,11 @@ def _predict(ctx: BranchContext, points: list[BranchPoint], t: float) -> np.ndar
 
 
 def _follow(
-    ctx: BranchContext, branch: list[BranchPoint], direction: int, dt: float, steps: int, t_max: float
+    ctx: BranchContext, branch: list[BranchPoint], direction: int, steps: int, t_max: float
 ) -> tuple[list[BranchPoint], str]:
-    """Continue ``branch`` from its last point by steps of ``dt``, halved on a failed solve;
-    each solve starts from ``_predict``."""
+    """Continue ``branch`` from its last point by steps of dt = FIRST_STEP_REL * t_bar, the
+    continuation step it owns, halved on a failed solve; each solve starts from ``_predict``."""
+    dt = FIRST_STEP_REL * ctx.t_bar
     halvings = 0
     while len(branch) < steps and branch[-1].t < t_max:
         t_next = branch[-1].t + direction * dt
@@ -889,7 +876,7 @@ def continue_half_branches(ctx: BranchContext, steps: int, t_max: float) -> Half
         minus += reflected
         outcomes["minus"] = _outcome(ctx, minus, steps, t_max)
     elif minus:
-        branches["minus"], outcomes["minus"] = _follow(ctx, minus, +1, FIRST_STEP_REL * ctx.t_bar, steps, t_max)
+        branches["minus"], outcomes["minus"] = _follow(ctx, minus, +1, steps, t_max)
     for name, taken in (("plus", []), ("minus", reflected)):
         log.info(
             "%s half-branch: %d Newton-solved, %d reflected (%d of them polished, largest residual %.3g)",

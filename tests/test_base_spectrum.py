@@ -12,6 +12,7 @@ from cylbif import (
     Rectangle,
     ResourceLimitError,
     ValidationError,
+    domain_from_dict,
     neumann_eigenvalues,
     scale_spectrum,
 )
@@ -210,3 +211,39 @@ class TestGuards:
             Rectangle(1.0, 0.0)
         with pytest.raises(ValidationError):
             Disk(0.0)
+
+
+class TestLargeBases:
+    def test_small_eigenvalues_stay_apart_from_zero(self):
+        # lambda_1 = (pi / 1e5)^2 = 9.87e-10 lay within an absolute merge tolerance of 1e-9
+        # below 1 and was folded into the constant mode
+        spec = neumann_eigenvalues(Interval(1e5), 1.0, max_modes=400_000)
+        assert spec.multiplicities[0] == 1 and len(spec.lambdas) == int(1e5 / math.pi) + 1
+        assert spec.lambdas[1] == (math.pi / 1e5) ** 2
+        disk = neumann_eigenvalues(Disk(6e4), 1e-8)
+        assert list(disk.multiplicities[:2]) == [1, 2]
+        assert disk.lambdas[1] == pytest.approx((jprime_zero(1, 1) / 6e4) ** 2, rel=1e-12)
+
+    def test_a_disk_cutoff_below_the_first_zero_keeps_the_constant_mode(self):
+        spec = neumann_eigenvalues(Disk(1.0), 0.5)
+        assert spec.lambdas.tolist() == [0.0] and spec.multiplicities.tolist() == [1]
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        # one mode is below the cutoff before the polish, two after it
+        (
+            lambda: neumann_eigenvalues(Disk(1.0), 5.0, max_modes=1),
+            ResourceLimitError,
+            "disk enumeration exceeded budget 1",
+        ),
+        (lambda: neumann_eigenvalues("square", 1.0), ValidationError, "unsupported base domain 'square'"),
+        (lambda: domain_from_dict([1.0]), ValidationError, r"base spec must be a dict with a 'type' key, got \[1.0\]"),
+        (lambda: domain_from_dict({"type": "annulus"}), ValidationError, "unknown base type 'annulus'"),
+    ],
+    ids=["disk-budget-after-polish", "unsupported-domain", "spec-not-a-dict", "unknown-type"],
+)
+def test_unreached_raises_name_the_rule(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -998,3 +998,11 @@ def test_installed_entry_point_and_log_env(tmp_path):
     )
     assert proc.returncode == 0
     assert "running base-eigs" in proc.stderr
+
+
+def test_an_unknown_log_level_falls_back_to_info(monkeypatch):
+    levels = []
+    monkeypatch.setenv("CYLBIF_LOG", "verbose")
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+    assert main(["no-such-subcommand"]) == cli.EXIT_USAGE
+    assert levels == [logging.INFO]

@@ -363,3 +363,19 @@ class TestCoverageOwner:
         assert coverage_cutoff([-5.0, 1.0], t_max=2.0, top=1.0) == pytest.approx(24.0, rel=1e-7)
         with pytest.raises(ValidationError):
             coverage_cutoff([-5.0, 1.0], t_max=0.0)
+
+
+UNIT_INTERVAL = synthetic_base([0.0, PI2], [1, 1], 10.0)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: morse_index([], UNIT_INTERVAL), "alphas must be a nonempty 1-d sequence"),
+        (lambda: morse_vs_t([-1.0, 2.0], UNIT_INTERVAL, []), "t_grid must be a nonempty 1-d sequence"),
+    ],
+    ids=["empty-alphas", "empty-t-grid"],
+)
+def test_unreached_raises_name_the_rule(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()

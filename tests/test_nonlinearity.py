@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylbif import (
@@ -106,14 +106,46 @@ def test_odd_symmetry(model, s):
 @settings(max_examples=40)
 @given(
     st.one_of(
-        st.floats(min_value=2.1, max_value=6.0).map(LaneEmden),
+        st.floats(min_value=2.0, max_value=200.0, exclude_min=True).map(LaneEmden),
         st.tuples(
             st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.1, max_value=5.0)
         ).map(lambda cc: CubicFamily(*cc)),
     )
 )
+# from p = 103.8, f(1000) overflows; from p = 110, f(1e-3) underflows too
+@example(LaneEmden(104.0))
+@example(LaneEmden(110.0))
+@example(LaneEmden(200.0))
 def test_hypotheses_hold_for_admissible_parameters(model):
     assert check_hypotheses(model, default_hypothesis_samples()).all_ok
+
+
+@pytest.mark.parametrize("p", [2.0, 1.0, -1000.0])
+def test_p_at_most_two_stays_rejected_where_f_underflows(p):
+    # s = +-1 is always evidence, and there f'(1) = p - 1 <= f(1) = 1
+    report = check_hypotheses(LaneEmden(p), default_hypothesis_samples())
+    assert not report.superlinear and {-1.0, 1.0} <= set(report.superlinear_failures)
+
+
+def test_a_sign_test_is_not_lost_to_an_underflowing_product():
+    # f(1e-200) = 1e-300 is normal, but s * f(s) = 1e-500 underflows to 0
+    assert check_hypotheses(LaneEmden(2.5), [1e-200, -1e-200]).all_ok
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: LaneEmden(math.nan), "LaneEmden exponent must be finite"),
+        (lambda: model_from_dict(["lane_emden", 3.0]), "model spec must be a dict with a 'type' key"),
+        (lambda: model_from_dict({"type": "cubic", "c1": 1.0}), "cubic model requires numeric fields 'c1' and 'c3'"),
+        (lambda: model_from_dict({"type": "cubic", "c1": "one", "c3": 1.0}), "cubic model requires numeric fields"),
+        (lambda: check_hypotheses(LaneEmden(4.0), [1e300, -1e300]), "over- or underflows at every hypothesis sample"),
+    ],
+    ids=["lane-emden-nan", "spec-not-a-dict", "cubic-missing-field", "cubic-non-numeric", "no-sample-is-evidence"],
+)
+def test_unreached_raises_name_the_rule(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 class TestDerivativeConsistency:

@@ -212,3 +212,31 @@ class TestResidual:
             )
             res[m] = residual_check(sol, model)
         assert res[200] / res[400] == pytest.approx(4.0, rel=0.1)
+
+
+def test_a_lane_emden_exponent_past_the_overflow_of_f_is_solved():
+    # from p = 103.8, f(+-1000) overflows in the admissibility check
+    sol = find_one_dim_solution(LaneEmden(110.0), 1)
+    assert sol.nodal_count == 1 and sol.amplitude == pytest.approx(1.03804157, rel=1e-8)
+
+
+def _short_solution():
+    x = np.linspace(0.0, 1.0, 4)
+    return OneDimSolution(grid=x, values=np.cos(x), derivative_values=-np.sin(x), amplitude=1.0, nodal_count=1)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: ShootingConfig(steps=99), "ShootingConfig.steps must be >= 100, got 99"),
+        (lambda: ShootingConfig(tol_terminal=0.0), "shooting tolerances must be positive"),
+        (lambda: integrate_ivp("quartic", 1.0, 100), "unsupported model 'quartic'"),
+        (lambda: count_nodal_domains_1d([1.0, -1.0], -1.0), "tolerance must be >= 0"),
+        (lambda: find_one_dim_solution(LaneEmden(4.0), 0), "nodal count must be >= 1, got 0"),
+        (lambda: residual_check(_short_solution(), LaneEmden(4.0)), "residual check needs at least 5 grid nodes"),
+    ],
+    ids=["steps", "tolerance", "model", "nodal-tol", "nodal-count", "residual-nodes"],
+)
+def test_unreached_raises_name_the_rule(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()

@@ -220,32 +220,52 @@ class TestOperator:
         assert np.max(np.abs(vecs.T @ vecs - np.eye(nx))) <= 1e-13
         assert np.max(np.abs(sx @ vecs - vecs * xi)) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("nx", [22, 48, 200])
-    def test_x_modes_are_built_once_per_width(self, nx):
-        # the modes as each _TensorSum built them for itself, from its grid's h_x;
-        # at nx = 22, pi * h_x and pi / (nx - 1) differ in the last bit
-        hx, k = Grid2D(nx, 16).hx, np.arange(nx)
-        dx = np.ones(nx)
-        dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
-        ref = dx[:, None] * np.cos((np.outer(k, k) % (2 * (nx - 1))) * (math.pi * hx))
-        ref /= np.linalg.norm(ref, axis=0)
-        shared = pde._TensorSum(Grid2D(nx, 16), 1.3, 0.7).modes
-        assert pde._TensorSum(Grid2D(nx, 40), 0.4, 1.0).modes is shared
-        assert shared.tobytes() == ref.tobytes() and not shared.flags.writeable
-
     def test_grid_parts_are_built_once_per_grid(self):
-        # S_y and the weights as each _TensorSum built them for itself
-        grid = Grid2D(48, 40)
-        height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
-        dx, dy = np.ones(grid.nx), np.ones(grid.ny - 1)
-        dx[0] = dx[-1] = dy[0] = 1.0 / math.sqrt(2.0)
-        first, second = pde._TensorSum(grid, 1.3, 0.7), pde._TensorSum(Grid2D(48, 40), 0.4, 1.0)
-        for name in ("sy", "dy", "dvec"):
-            assert getattr(second, name) is getattr(first, name), name
-        assert first.sy.toarray().tobytes() == height.dense().tobytes()
-        assert first.dy.tobytes() == dy.tobytes() and first.dvec.tobytes() == np.kron(dy, dx).tobytes()
-        assert not any(a.flags.writeable for a in (first.sy.data, first.sy.indices, first.sy.indptr, first.dy, first.dvec))
-        assert pde._TensorSum(Grid2D(48, 48), 1.3, 0.7).sy is not first.sy
+        # every grid part as each _TensorSum built it for itself, from its grid's h_x;
+        # at nx = 22, pi * h_x and pi / (nx - 1) differ in the last bit
+        for nx in (22, 48, 200):
+            grid = Grid2D(nx, 40)
+            height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
+            k, dx, dy = np.arange(nx), np.ones(nx), np.ones(grid.ny - 1)
+            dx[0] = dx[-1] = dy[0] = 1.0 / math.sqrt(2.0)
+            modes = dx[:, None] * np.cos((np.outer(k, k) % (2 * (nx - 1))) * (math.pi * grid.hx))
+            modes /= np.linalg.norm(modes, axis=0)
+            shared = {
+                "sy": height.dense(),
+                "dy": dy,
+                "dvec": np.kron(dy, dx),
+                "modes": modes,
+                "blocks_off": np.tile(np.append(height.off, 0.0), nx)[:-1],
+            }
+            first, second = pde._TensorSum(grid, 1.3, 0.7), pde._TensorSum(Grid2D(nx, 40), 0.4, 1.0)
+            for name, ref in shared.items():
+                part = getattr(first, name)
+                assert getattr(second, name) is part, name
+                arrays = (part.data, part.indices, part.indptr) if sparse.issparse(part) else (part,)
+                assert not any(a.flags.writeable for a in arrays), name
+                assert (part.toarray() if sparse.issparse(part) else part).tobytes() == ref.tobytes(), name
+            # the unit x'-block and its eigenvalues, which each _TensorSum scales by its own c
+            *_, sx, xi = pde._grid_parts(grid)
+            assert pde._grid_parts(Grid2D(nx, 40))[-2] is sx and pde._grid_parts(Grid2D(nx, 40))[-1] is xi
+            assert sx.toarray().tobytes() == neumann_block(nx, 1.0).tobytes()
+            assert xi.tobytes() == (2.0 * (1.0 - np.cos(k * math.pi * grid.hx))).tobytes()
+            assert not any(a.flags.writeable for a in (sx.data, sx.indices, sx.indptr, xi))
+            assert pde._TensorSum(Grid2D(nx, 48), 1.3, 0.7).sy is not first.sy
+
+    @pytest.mark.parametrize("nx", [22, 48, 200])
+    def test_scaled_x_block_matches_the_per_t_formulas(self, nx):
+        # S_x(t) and xi(t) as each _TensorSum built them from c = 1/(t L h_x)^2 before the
+        # unit block was shared: scaling by c rounds exactly as those formulas did
+        grid, k = Grid2D(nx, 16), np.arange(nx)
+        for t, l_base in np.exp(np.random.default_rng(nx).uniform(-4.0, 4.0, (20, 2))):
+            c = 1.0 / ((t * l_base) ** 2 * grid.hx**2)
+            off = np.full(nx - 1, -c)
+            off[0] = off[-1] = -c * math.sqrt(2.0)
+            sx = sparse.diags([off, np.full(nx, 2.0 * c), off], [-1, 0, 1], format="csr")
+            op = pde._TensorSum(grid, t, l_base)
+            assert op.xi.tobytes() == (2.0 * c * (1.0 - np.cos(k * math.pi * grid.hx))).tobytes()
+            for name in ("data", "indices", "indptr"):
+                assert getattr(op.sx, name).tobytes() == getattr(sx, name).tobytes(), name
 
     @pytest.mark.parametrize("n", [48, 200])
     def test_factored_apply_matches_the_assembled_matrix(self, cubic_model, n):
@@ -993,3 +1013,32 @@ class TestHalfBranches:
         assert halves.branches == {"plus": [], "minus": []}
         assert halves.outcomes == {"plus": "branch_not_found", "minus": "branch_not_found"}
         assert halves.reflections is None
+
+
+GRID16 = Grid2D(16, 16)
+CUBIC = CubicFamily(1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: assemble_linearized(np.zeros((16, 16)), 1.0, CUBIC, GRID16, 0.0), "base length must be positive, got 0.0"),
+        (lambda: smallest_eigenvalues(np.zeros((16, 16)), 1.0, CUBIC, GRID16, 1.0, 0), "k must be >= 1"),
+        (lambda: certified_spectrum(np.zeros(16), 1.0, CUBIC, GRID16, 1.0, 0), "k must be >= 1"),
+        (
+            lambda: certified_spectrum(np.zeros(16), 1.0, CUBIC, GRID16, 1.0, 14),
+            "a 16 x 16 grid has too few height modes for k = 14",
+        ),
+        (lambda: embed_one_dim(np.zeros(15), GRID16), r"expected 16 height samples, got shape \(15,\)"),
+        (lambda: count_nodal_domains_2d(np.ones((16, 16)), GRID16, -1.0), "tolerance must be >= 0"),
+        (lambda: continue_branch(SimpleNamespace(), +1, steps=0, t_max=2.0), "steps must be >= 1"),
+        (
+            lambda: backtrack_branch(SimpleNamespace(t_bar_discrete=1.25), SimpleNamespace(t=1.25)),
+            "start point must sit away from the bifurcation scaling",
+        ),
+    ],
+    ids=["l-base", "lanczos-k", "certificate-k", "certificate-grid", "embed-shape", "nodal-tol", "steps", "backtrack-start"],
+)
+def test_unreached_raises_name_the_rule(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()

@@ -177,3 +177,13 @@ class TestDiagnostics:
     def test_richardson_needs_two_values(self):
         with pytest.raises(ValidationError):
             richardson_extrapolate([1.0])
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [(lambda: assemble_sl_operator(np.zeros(4), 3), "grid_size must be >= 4, got 3")],
+    ids=["grid-size"],
+)
+def test_unreached_raises_name_the_rule(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
