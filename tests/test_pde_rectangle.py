@@ -220,21 +220,32 @@ class TestOperator:
         assert np.max(np.abs(vecs.T @ vecs - np.eye(nx))) <= 1e-13
         assert np.max(np.abs(sx @ vecs - vecs * xi)) <= 1e-14 * scale
 
-    def test_grid_parts_are_built_once_per_grid(self):
-        # every grid part as each _TensorSum built it for itself, from its grid's h_x;
+    @pytest.mark.parametrize("nx", [22, 48, 200])
+    def test_x_modes_are_built_once_per_width(self, nx):
+        # the modes as each _TensorSum built them for itself, from its grid's h_x;
         # at nx = 22, pi * h_x and pi / (nx - 1) differ in the last bit
+        hx, k = Grid2D(nx, 16).hx, np.arange(nx)
+        dx = np.ones(nx)
+        dx[0] = dx[-1] = 1.0 / math.sqrt(2.0)
+        ref = dx[:, None] * np.cos((np.outer(k, k) % (2 * (nx - 1))) * (math.pi * hx))
+        ref /= np.linalg.norm(ref, axis=0)
+        shared = pde._TensorSum(Grid2D(nx, 16), 1.3, 0.7).modes
+        assert pde._TensorSum(Grid2D(nx, 16), 0.4, 1.0).modes is shared
+        assert shared.tobytes() == ref.tobytes() and not shared.flags.writeable
+        # the modes are cached per grid, but their bytes depend on the width alone
+        assert pde._TensorSum(Grid2D(nx, 40), 0.4, 1.0).modes.tobytes() == ref.tobytes()
+
+    def test_grid_parts_are_built_once_per_grid(self):
+        # the other grid parts as each _TensorSum built them for itself
         for nx in (22, 48, 200):
             grid = Grid2D(nx, 40)
             height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
             k, dx, dy = np.arange(nx), np.ones(nx), np.ones(grid.ny - 1)
             dx[0] = dx[-1] = dy[0] = 1.0 / math.sqrt(2.0)
-            modes = dx[:, None] * np.cos((np.outer(k, k) % (2 * (nx - 1))) * (math.pi * grid.hx))
-            modes /= np.linalg.norm(modes, axis=0)
             shared = {
                 "sy": height.dense(),
                 "dy": dy,
                 "dvec": np.kron(dy, dx),
-                "modes": modes,
                 "blocks_off": np.tile(np.append(height.off, 0.0), nx)[:-1],
             }
             first, second = pde._TensorSum(grid, 1.3, 0.7), pde._TensorSum(Grid2D(nx, 40), 0.4, 1.0)
