@@ -2,7 +2,7 @@
 indices via spectral composition, degeneracy scalings, and continuation of
 the symmetry-breaking branches that appear there.
 
-The public names are the error classes and each module's ``__all__``."""
+The public names are each module's ``__all__``."""
 
 from .errors import *  # noqa: F403
 from .nonlinearity import *  # noqa: F403

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, from_spec
 
 __all__ = [
     "Interval",
@@ -263,16 +263,5 @@ def scale_spectrum(spec: BaseSpectrum, t: float) -> BaseSpectrum:
 
 
 def domain_from_dict(data: dict) -> BaseDomain:
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValidationError(f"base spec must be a dict with a 'type' key, got {data!r}")
-    kind = data["type"]
-    try:
-        if kind == "interval":
-            return Interval(length=float(data["length"]))
-        if kind == "rectangle":
-            return Rectangle(a=float(data["a"]), b=float(data["b"]))
-        if kind == "disk":
-            return Disk(radius=float(data["radius"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"missing or non-numeric field for base type {kind!r}: {exc}") from exc
-    raise ValidationError(f"unknown base type {kind!r}")
+    """Parse the run-configuration encoding of a base domain."""
+    return from_spec(data, "base", {"interval": Interval, "rectangle": Rectangle, "disk": Disk})

@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -37,6 +36,7 @@ from .errors import (
     NoSolutionError,
     NonConvergenceError,
     ValidationError,
+    finite_number,
 )
 from .morse_bifurcation import (
     compose_spectrum,
@@ -127,16 +127,6 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _number(value, what: str, kind=float):
-    """``value`` as ``kind`` if it is a finite JSON number, integral when ``kind`` is int;
-    anything else, booleans included, fails."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    if kind is int and not float(value).is_integer():
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return kind(value)
-
-
 def _section(raw: dict, name: str, defaults: dict) -> dict:
     """The defaults overridden by the map ``raw[name]``, whose keys and value types must match them;
     an integer default takes integral numbers only."""
@@ -151,7 +141,7 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
             if not isinstance(value, bool):
                 raise ValidationError(f"{name}.{key} must be true or false, got {value!r}")
         else:
-            _number(value, f"{name}.{key}", type(defaults[key]))
+            finite_number(value, f"{name}.{key}", type(defaults[key]))
     return {**defaults, **given}
 
 
@@ -188,7 +178,7 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
 
     model = model_from_dict(raw.get("model", {"type": "lane_emden", "p": 4.0}))
     base = domain_from_dict(raw.get("base", {"type": "interval", "length": 1.0}))
-    nodal_n = _number(raw.get("nodal_n", 1), "nodal_n", int)
+    nodal_n = finite_number(raw.get("nodal_n", 1), "nodal_n", int)
     if nodal_n < 1:
         raise ValidationError(f"nodal_n must be >= 1, got {nodal_n}")
 
@@ -201,9 +191,9 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     tr = raw.get("t_range", {"t_min": 0.5, "t_max": 3.0, "samples": 40})
     try:
         t_range = (
-            _number(tr["t_min"], "t_range.t_min"),
-            _number(tr["t_max"], "t_range.t_max"),
-            _number(tr["samples"], "t_range.samples", int),
+            finite_number(tr["t_min"], "t_range.t_min"),
+            finite_number(tr["t_max"], "t_range.t_max"),
+            finite_number(tr["samples"], "t_range.samples", int),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"t_range must provide t_min, t_max, samples: {exc}") from exc
@@ -214,7 +204,7 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     if alphas is not None:
         if not isinstance(alphas, list):
             raise ValidationError("config alphas must be a list of numbers")
-        alphas = [_number(a, "alphas entry") for a in alphas]
+        alphas = [finite_number(a, "alphas entry") for a in alphas]
         if sorted(alphas) != alphas:
             raise ValidationError("config alphas must be sorted ascending")
 
@@ -222,7 +212,7 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     if not isinstance(output_dir, str):
         raise ValidationError(f"output_dir must be a string, got {output_dir!r}")
     out_dir = Path(out_override or output_dir)
-    seed = seed_override if seed_override is not None else _number(raw.get("seed", 0), "seed", int)
+    seed = seed_override if seed_override is not None else finite_number(raw.get("seed", 0), "seed", int)
     return RunConfig(
         model=model,
         base=base,
@@ -356,15 +346,15 @@ def _two_dim_length(cfg: RunConfig) -> float:
 
 
 def cmd_check_f(cfg: RunConfig) -> dict:
-    samples = default_hypothesis_samples()
-    report = check_hypotheses(cfg.model, samples)
-    rows = [
-        (s, eval_f(cfg.model, s), eval_fprime(cfg.model, s), eval_F(cfg.model, s))
-        for s in samples
-    ]
+    # a sample where f, f' or F overflows is written as inf, its true float value
+    with np.errstate(over="ignore"):
+        rows = [
+            (s, eval_f(cfg.model, s), eval_fprime(cfg.model, s), eval_F(cfg.model, s))
+            for s in default_hypothesis_samples()
+        ]
     header = ["s", "f", "fprime", "F"]
     write_csv(cfg.output_dir / "check-f.csv", header, format_rows(header, rows))
-    return asdict(report)
+    return asdict(check_hypotheses(cfg.model))
 
 
 def cmd_solve_1d(cfg: RunConfig) -> dict:

@@ -27,7 +27,6 @@ from .nonlinearity import (
     LaneEmden,
     NonlinearityModel,
     check_hypotheses,
-    default_hypothesis_samples,
     eval_F,
     eval_f,
     eval_fprime,
@@ -197,13 +196,9 @@ def find_one_dim_solution(
     if n < 1:
         raise ValidationError(f"nodal count must be >= 1, got {n}")
     config = config or ShootingConfig()
-    report = check_hypotheses(model, default_hypothesis_samples())
-    if not report.all_ok:
-        raise ValidationError(
-            "model fails admissibility: "
-            f"superlinear={report.superlinear} sign={report.sign} "
-            f"(first offenders {report.superlinear_failures[:2] + report.sign_failures[:2]})"
-        )
+    if not check_hypotheses(model).all_ok:
+        # only LaneEmden with p <= 2 is inadmissible
+        raise ValidationError(f"model fails admissibility: LaneEmden needs p > 2, got p = {model.p}")
 
     def terminal(a: float) -> float:
         return float(integrate_ivp(model, a, config.steps)[0][-1])

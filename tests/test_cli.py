@@ -68,6 +68,16 @@ class TestSubcommands:
         summary = read_summary(tmp_path)
         assert summary["results"]["superlinear"] is False
 
+    def test_lane_emden_past_the_overflow_of_f(self, tmp_path):
+        # f, f' and F overflow at s = +-1000 from p = 103.8; check-f writes inf there without a
+        # RuntimeWarning, and the admissibility rule, which samples nothing, lets solve-1d run
+        cfg = write_config(tmp_path, model={"type": "lane_emden", "p": 110.0})
+        assert main(["check-f", "--config", str(cfg)]) == 0
+        rows = read_csv_rows(tmp_path / "out" / "check-f.csv")
+        assert [rows[0][k] for k in ("f", "fprime", "F")] == ["-inf", "inf", "inf"]
+        assert [rows[-1][k] for k in ("f", "fprime", "F")] == ["inf", "inf", "inf"]
+        assert main(["solve-1d", "--config", str(cfg)]) == 0
+
     def test_solve_1d(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["solve-1d", "--config", str(cfg)]) == 0
@@ -143,7 +153,7 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "subcommand, keys",
         [
-            ("check-f", ["sign", "sign_failures", "superlinear", "superlinear_failures"]),
+            ("check-f", ["sign", "superlinear"]),
             ("morse", ["contributions", "degenerate", "ground_state_flag", "m", "m_xn", "zero_multiplicity"]),
         ],
     )
@@ -602,6 +612,8 @@ class TestContract:
             {"options": {"branch_step": 3}},
             {"grids": {"nz": 64}},
             {"tolerances": {"newton_rtol": 1e-3}},
+            {"model": {"type": "lane_emden", "p": 4.0, "q": 1}},
+            {"base": {"type": "rectangle", "a": 1.0, "b": 1.0, "radius": 1.0}},
         ):
             cfg = write_config(tmp_path, **section)
             assert main(["morse", "--config", str(cfg)]) == 2, section
@@ -619,6 +631,10 @@ class TestContract:
             {"alphas": 5.0},
             {"seed": "lucky"},
             {"model": {"type": "lane_emden", "p": "four"}},
+            {"model": {"type": "lane_emden", "p": "3"}},
+            {"model": {"type": "lane_emden", "p": True}},
+            {"base": {"type": "interval", "length": "1"}},
+            {"base": {"type": "interval", "length": True}},
             {"base": {"type": "disk", "radius": "one"}},
             {"output_dir": 5},
             # integer entries take integral numbers only instead of truncating
@@ -648,6 +664,9 @@ class TestContract:
             ({"t_range": {"t_min": 3.0, "t_max": 0.5, "samples": 20}}, "need 0 < t_min < t_max and samples >= 2"),
             ({"t_range": {"t_min": 0.5, "t_max": 3.0, "samples": 1}}, "need 0 < t_min < t_max and samples >= 2"),
             ({"alphas": [1, -1]}, "config alphas must be sorted ascending"),
+            ({"model": {"type": "lane_emden", "p": 2}}, "LaneEmden needs p > 2, got p = 2.0"),
+            ({"model": {"type": "lane_emden", "p": 1.5}}, "LaneEmden needs p > 2, got p = 1.5"),
+            ({"model": {"type": "lane_emden", "p": -1000}}, "LaneEmden needs p > 2, got p = -1000.0"),
         ],
     )
     def test_config_value_failures_name_the_rule(self, tmp_path, caplog, overrides, message):
@@ -662,6 +681,15 @@ class TestContract:
         # c1 above (pi/2)^2 makes every trajectory oscillate before x = 1
         cfg = write_config(tmp_path, model={"type": "cubic", "c1": 10.0, "c3": 1.0})
         assert main(["solve-1d", "--config", str(cfg)]) == 4
+
+    @pytest.mark.parametrize("c1, c3, code", [(1.0, 1e-12, 0), (1e6, 1e-6, 4)])
+    def test_admissible_cubics_reach_the_solver(self, tmp_path, c1, c3, code):
+        # every cubic is admissible, also where f'(s) - f(s)/s = 2 c3 s^2 vanishes next to c1 in
+        # floating point; c1 = 1e6 > (pi/2)^2 has no n = 1 solution
+        cfg = write_config(tmp_path, model={"type": "cubic", "c1": c1, "c3": c3})
+        assert main(["solve-1d", "--config", str(cfg)]) == code
+        if code == 0:
+            assert read_summary(tmp_path)["results"]["amplitude"] == pytest.approx(1.4168e6, rel=1e-4)
 
     def test_amplitude_beyond_float_range_exit_code(self, tmp_path, caplog):
         # the p = 2.001 amplitude is about exp(903); the search stops where F(a) overflows

@@ -131,7 +131,7 @@ class TestAmplitudeSearch:
         assert 3.0 < order < 5.0
 
     def test_inadmissible_model_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"LaneEmden needs p > 2, got p = 1\.5"):
             find_one_dim_solution(LaneEmden(1.5), 1)
 
     def test_linear_dominated_cubic_has_no_positive_solution(self):
@@ -215,7 +215,7 @@ class TestResidual:
 
 
 def test_a_lane_emden_exponent_past_the_overflow_of_f_is_solved():
-    # from p = 103.8, f(+-1000) overflows in the admissibility check
+    # from p = 103.8, f(+-1000) overflows; the admissibility rule samples nothing
     sol = find_one_dim_solution(LaneEmden(110.0), 1)
     assert sol.nodal_count == 1 and sol.amplitude == pytest.approx(1.03804157, rel=1e-8)
 
