@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import pde_rectangle as pde  # registered lazily: scipy loads on the first pde.<name> read
 from .base_spectrum import BaseDomain, BaseSpectrum, Interval, domain_from_dict, neumann_eigenvalues
 from .errors import (
     CylbifError,
@@ -55,14 +56,6 @@ from .nonlinearity import (
     model_from_dict,
 )
 from .ode_shooting import OneDimSolution, ShootingConfig, find_one_dim_solution, integrate_ivp
-from .pde_rectangle import (
-    Grid2D,
-    backtrack_branch,
-    certified_spectrum,
-    continue_half_branches,
-    eval_energy,
-    make_branch_context,
-)
 from .sturm_liouville import extrapolated_alphas, nondegeneracy_margin, one_dim_morse, oscillation_check
 
 log = logging.getLogger("cylbif.cli")
@@ -275,7 +268,7 @@ def _u_strings(solution: np.ndarray) -> np.ndarray:
     return np.array(strings, dtype=object).reshape(solution.shape)
 
 
-def write_solution_dumps(out_dir: Path, k_index: int, grid: Grid2D, plus: list, minus: list) -> None:
+def write_solution_dumps(out_dir: Path, k_index: int, grid: pde.Grid2D, plus: list, minus: list) -> None:
     """``solution_<sign>_<k_index>_<idx>.csv`` with columns x', x_N, u for each (ny, nx) solution of
     the two half-branches, written in plus/minus pairs so that one dump's strings are held at a time.
 
@@ -457,9 +450,9 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
             f"only {composed.size} composed eigenvalues lie below alpha_max = {top}; raise options.k_eigs"
         )
 
-    grid = Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
+    grid = pde.Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
     u1d, _ = integrate_ivp(cfg.model, sol.amplitude, grid.ny - 1)
-    spectrum = certified_spectrum(u1d, t, cfg.model, grid, length, k)
+    spectrum = pde.certified_spectrum(u1d, t, cfg.model, grid, length, k)
     direct = spectrum.values
     rel = np.abs(direct - composed) / np.abs(composed)
     rows = [(i + 1, composed[i], direct[i], rel[i]) for i in range(k)]
@@ -490,17 +483,17 @@ def cmd_continue(cfg: RunConfig) -> dict:
     k_index = points.index(point) + 1
     log.info("switching at t_bar = %.8g (pair %s)", point.t_bar, point.pairs[0])
 
-    grid = Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
-    ctx = make_branch_context(cfg.model, grid, length, sol.amplitude, point, tol=cfg.tolerances["newton_tol"])
+    grid = pde.Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
+    ctx = pde.make_branch_context(cfg.model, grid, length, sol.amplitude, point, tol=cfg.tolerances["newton_tol"])
     steps = int(cfg.options["branch_steps"])
 
     results = {
         "t_bar": ctx.t_bar,
         "t_bar_discrete": ctx.t_bar_discrete,
         "kernel_pair": list(point.pairs[0]),
-        "energy_one_dim": eval_energy(ctx.u_ref, ctx.t_bar, cfg.model, grid, length),
+        "energy_one_dim": pde.eval_energy(ctx.u_ref, ctx.t_bar, cfg.model, grid, length),
     }
-    halves = continue_half_branches(ctx, steps=steps, t_max=t_max)
+    halves = pde.continue_half_branches(ctx, steps=steps, t_max=t_max)
     header = ["t", "deviation", "distance_to_1d", "nodal_count", "newton_iters", "energy"]
     for sign_name, branch in halves.branches.items():
         results[f"outcome_{sign_name}"] = halves.outcomes[sign_name]
@@ -511,7 +504,7 @@ def cmd_continue(cfg: RunConfig) -> dict:
                 bp.distance_to_1d,
                 bp.nodal_count_2d,
                 bp.newton_iters,
-                eval_energy(bp.solution, bp.t, cfg.model, grid, length),
+                pde.eval_energy(bp.solution, bp.t, cfg.model, grid, length),
             )
             for bp in branch
         ]
@@ -525,7 +518,7 @@ def cmd_continue(cfg: RunConfig) -> dict:
     if halves.reflections is not None:
         results["half_branches_are_reflections"] = halves.reflections
     if plus:
-        back = backtrack_branch(ctx, plus[0])
+        back = pde.backtrack_branch(ctx, plus[0])
         results["backtrack_distances"] = [bp.distance_to_1d for bp in back]
     if not plus and not minus:
         raise NoSolutionError("no bifurcating branch found on either half-branch")

@@ -200,8 +200,12 @@ def find_one_dim_solution(
         # only LaneEmden with p <= 2 is inadmissible
         raise ValidationError(f"model fails admissibility: LaneEmden needs p > 2, got p = {model.p}")
 
+    shot = None  # (amplitude, (u, du)) of the last integration
+
     def terminal(a: float) -> float:
-        return float(integrate_ivp(model, a, config.steps)[0][-1])
+        nonlocal shot
+        shot = (a, integrate_ivp(model, a, config.steps))
+        return float(shot[1][0][-1])
 
     a0 = _time_map_amplitude(model, n)
     delta = 1e-9
@@ -234,7 +238,8 @@ def find_one_dim_solution(
             f"terminal bisection did not converge in {MAX_BISECT} iterations", residual=abs(t_lo)
         )
 
-    u, du = integrate_ivp(model, a_star, config.steps)
+    # a stop on the terminal test has just shot a_star; a stop on the bracket width has not
+    u, du = shot[1] if shot[0] == a_star else integrate_ivp(model, a_star, config.steps)
     tol = SIGN_CHANGE_REL_TOL * float(np.max(np.abs(u)))
     count = count_nodal_domains_1d(u, tol)
     if count != n:

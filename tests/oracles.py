@@ -11,7 +11,9 @@ These deliberately avoid the code paths they are meant to check:
   arithmetic and their derivative zeros located by plain bisection (no
   scipy.special);
 * Morse counts are brute-forced over all mode pairs;
-* 2D nodal domains are counted by flood fill (no scipy.sparse.csgraph).
+* 2D nodal domains are counted by flood fill (no scipy.sparse.csgraph);
+* tridiagonal eigenpairs come from LAPACK's stebz/stein through scipy's
+  eigh_tridiagonal (not the Sturm kernel of sturm_liouville).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from decimal import Decimal, localcontext
+
+from scipy.linalg import eigh_tridiagonal
 
 
 def agm(a: float, b: float) -> float:
@@ -168,3 +172,9 @@ def flood_fill_domains(u, tol: float) -> int:
                         seen.add((c, d))
                         queue.append((c, d))
     return count
+
+
+def lapack_eigenpairs(diag, off, k: int):
+    """The k smallest eigenvalues (ascending) and unit eigenvectors (columns)
+    of the symmetric tridiagonal matrix, by LAPACK stebz + stein."""
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), lapack_driver="stebz")

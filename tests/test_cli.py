@@ -115,9 +115,9 @@ class TestSubcommands:
         grids = []
         real = sl.linearized_spectrum
 
-        def counted(model, amplitude, grid_size, k):
+        def counted(model, amplitude, grid_size, k, **kwargs):
             grids.append(grid_size)
-            return real(model, amplitude, grid_size, k)
+            return real(model, amplitude, grid_size, k, **kwargs)
 
         monkeypatch.setattr(sl, "linearized_spectrum", counted)
         cfg = write_config(tmp_path, options={"k_eigs": 6})
@@ -531,24 +531,40 @@ import json, sys
 import cylbif.cli
 args = json.loads(sys.argv[1])
 assert not args or cylbif.cli.main(args) == 0
-print(json.dumps([name in sys.modules for name in ("scipy.special", "scipy.ndimage")]))
+loaded = [name in sys.modules for name in ("scipy.special", "scipy.ndimage", "scipy.linalg")]
+print(json.dumps([*loaded, any(name.partition(".")[0] == "scipy" for name in sys.modules)]))
 """
+
+_GRID_32 = {"grids": {"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32}}
+_DISK = {"type": "disk", "radius": 1.0}
+_RECTANGLE = {"type": "rectangle", "a": 1.0, "b": 0.8}
 
 
 @pytest.mark.parametrize(
     "subcommand, overrides, loaded",
     [
-        (None, {}, [False, False]),
-        ("morse", {}, [False, False]),
-        ("base-eigs", {"base": {"type": "disk", "radius": 1.0}, "options": {"cutoff": 100.0}}, [True, False]),
-        ("verify-decomposition", {"grids": {"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32}}, [False, False]),
-        # the 2D nodal count uses scipy.sparse.csgraph, neither of the two
-        ("continue", {"grids": {"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32}, "options": {"branch_steps": 1}},
-         [False, False]),
+        (None, {}, [False, False, False, False]),
+        ("morse", {}, [False, False, False, False]),
+        ("base-eigs", {"base": _DISK, "options": {"cutoff": 100.0}}, [True, False, False, True]),
+        ("verify-decomposition", _GRID_32, [False, False, True, True]),
+        # the 2D nodal count uses scipy.sparse.csgraph, neither special nor ndimage
+        ("continue", {**_GRID_32, "options": {"branch_steps": 1}}, [False, False, True, True]),
+        ("check-f", {}, [False, False, False, False]),
+        ("solve-1d", {}, [False, False, False, False]),
+        ("spectrum-1d", {}, [False, False, False, False]),
+        ("base-eigs", {"options": {"cutoff": 100.0}}, [False, False, False, False]),
+        ("base-eigs", {"base": _RECTANGLE, "options": {"cutoff": 100.0}}, [False, False, False, False]),
+        ("morse", {"base": _RECTANGLE}, [False, False, False, False]),
+        ("bifurcation-points", {}, [False, False, False, False]),
+        ("bifurcation-points", {"base": _RECTANGLE}, [False, False, False, False]),
+        ("morse", {"base": _DISK}, [True, False, False, True]),
     ],
 )
 def test_scipy_special_and_ndimage_load_only_where_called(tmp_path, subcommand, overrides, loaded):
-    # a fresh interpreter: the Bessel zeros load scipy.special, and nothing loads scipy.ndimage
+    # a fresh interpreter; the columns are scipy.special, scipy.ndimage, scipy.linalg and any
+    # scipy module: the 1D chain on intervals and rectangles loads no scipy, the Bessel zeros
+    # of a disk load scipy.special alone, the 2D subcommands load scipy.linalg, and nothing
+    # loads scipy.ndimage
     cfg = write_config(tmp_path, **overrides)
     args = [subcommand, "--config", str(cfg)] if subcommand else []
     paths = [str(Path(pde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -560,21 +576,14 @@ def test_scipy_special_and_ndimage_load_only_where_called(tmp_path, subcommand, 
     assert json.loads(proc.stdout.splitlines()[-1]) == loaded
 
 
-def test_tracing_counts_every_file_written(tmp_path):
-    # benchmarks/tracing.py wraps cylbif functions by name and binds write_csv's path,
-    # newton_solve's tol and reference_1d; a rename shows up here instead of in a benchmark run
+def _run_traced(tmp_path, args):
+    """Run the CLI under benchmarks/tracing.py in a fresh interpreter; the invocation's profile."""
     root = Path(__file__).resolve().parents[1]
-    cfg = write_config(
-        tmp_path,
-        grids={"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32},
-        options={"branch_steps": 2, "dump_solutions": True},
-    )
     spans = tmp_path / "spans.json"
     paths = [str(Path(pde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "tracing.py"), "--spans", str(spans), "--",
-         "continue", "--config", str(cfg)],
+        [sys.executable, str(root / "benchmarks" / "tracing.py"), "--spans", str(spans), "--", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -583,7 +592,30 @@ def test_tracing_counts_every_file_written(tmp_path):
     spec = importlib.util.spec_from_file_location("tracing", root / "benchmarks" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    metrics = tracing.layer_metrics([tracing.invocation_profile(spans)])
+    return tracing, tracing.invocation_profile(spans)
+
+
+def test_tracing_records_the_1d_chain(tmp_path):
+    # tracing.py finds the layers in sys.modules after importing cylbif.cli, where
+    # pde_rectangle is registered lazily; the 1D spans must still be recorded
+    cfg = write_config(tmp_path, options={"k_eigs": 6})
+    tracing, profile = _run_traced(tmp_path, ["spectrum-1d", "--config", str(cfg)])
+    assert profile["calls"]["sturm_liouville.sl_eigenpairs"] == 3
+    assert profile["calls"]["ode_shooting.integrate_ivp"] > 3
+    metrics = tracing.layer_metrics([profile])
+    assert metrics["sturm_liouville.eig_s"] > 0.0 and metrics["ode_shooting.ivp_s"] > 0.0
+
+
+def test_tracing_counts_every_file_written(tmp_path):
+    # benchmarks/tracing.py wraps cylbif functions by name and binds write_csv's path,
+    # newton_solve's tol and reference_1d; a rename shows up here instead of in a benchmark run
+    cfg = write_config(
+        tmp_path,
+        grids={"ode_M": 1200, "eig_M": 1600, "nx": 32, "ny": 32},
+        options={"branch_steps": 2, "dump_solutions": True},
+    )
+    tracing, profile = _run_traced(tmp_path, ["continue", "--config", str(cfg)])
+    metrics = tracing.layer_metrics([profile])
     assert metrics["cli.files_written"] == len(list((tmp_path / "out").iterdir()))
     assert metrics["pde_rectangle.newton_calls"] > 0
 
@@ -696,6 +728,23 @@ class TestContract:
         cfg = write_config(tmp_path, model={"type": "lane_emden", "p": 2.001})
         assert main(["solve-1d", "--config", str(cfg)]) == 4
         assert "beyond the float range" in caplog.text
+
+    @pytest.mark.parametrize("p, n", [(110.0, 5), (60.0, 8)])
+    def test_unsorted_extrapolated_alphas_exit_3(self, tmp_path, caplog, p, n):
+        # the triple 500, 1000, 2000 is outside the h^2, h^4 regime of these profiles, and
+        # its extrapolated alphas come out unsorted: a non-convergence, not bad input (config
+        # alphas out of order stay exit 2, test_config_value_failures_name_the_rule)
+        grids = {"ode_M": 2000, "eig_M": 2000, "nx": 64, "ny": 64}
+        cfg = write_config(tmp_path, model={"type": "lane_emden", "p": p}, nodal_n=n, grids=grids)
+        for subcommand in ("spectrum-1d", "morse", "bifurcation-points"):
+            caplog.clear()
+            assert main([subcommand, "--config", str(cfg)]) == 3, subcommand
+            assert re.search(
+                r"Richardson extrapolation from the grids 500, 1000 and 2000 gives alphas out of order: "
+                r"alpha_4 = \S+ >= alpha_5 = ",
+                caplog.text,
+            )
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_nonconvergence_exit_code(self, tmp_path):
         # a tolerance below the residual rounding floor cannot be met
@@ -873,7 +922,7 @@ class TestContract:
 
     def test_verify_decomposition_needs_ten_composed_values_below_alpha_max(self, tmp_path, caplog, monkeypatch):
         # two alphas of p = 4, n = 1 leave only 3 sums below the larger one, short of the 10 compared
-        monkeypatch.setattr(cli, "certified_spectrum", lambda *a, **k: pytest.fail("certified a short list"))
+        monkeypatch.setattr(pde, "certified_spectrum", lambda *a, **k: pytest.fail("certified a short list"))
         cfg = write_config(
             tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48}, options={"t_verify": 1.0, "k_eigs": 2}
         )
@@ -979,7 +1028,8 @@ def test_cli_imports_only_public_names():
     # __all__ is the only list of public names (star-import semantics where a module has
     # none), so every name cli.py takes from a sibling module must be in it; none is an
     # underscore name, so a rule cli.py needs is exported by the module that owns it
-    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             names = {alias.name for alias in node.names}
             assert not {name for name in names if name.startswith("_")}, (node.module, sorted(names))
@@ -987,6 +1037,22 @@ def test_cli_imports_only_public_names():
             public = getattr(module, "__all__", [name for name in vars(module) if not name.startswith("_")])
             missing = names - set(public)
             assert not missing, (node.module, sorted(missing))
+    # pde_rectangle is taken as a module, so that scipy loads only when a command reads
+    # pde.<name>; the same rule holds for every name read through it
+    modules = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    assert modules == {None: "__version__", "pde": "pde_rectangle"}
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "pde"
+    }
+    assert "certified_spectrum" in read
+    assert read <= set(pde.__all__), sorted(read - set(pde.__all__))
 
 
 def test_no_pde_function_takes_both_a_context_and_a_point():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import cylbif.ode_shooting as shooting
 from cylbif import (
     CubicFamily,
     DegenerateInputError,
@@ -163,6 +164,25 @@ class TestAmplitudeSearch:
         # within rounding of the bound the amplitude search stops instead of halving to 0
         with pytest.raises(NoSolutionError, match="sits at the bound"):
             find_one_dim_solution(CubicFamily(c1=(math.pi / 2) ** 2 * (1.0 - 1e-15), c3=1.0), 1)
+
+    @pytest.mark.parametrize("p, n, calls", [(4.0, 1, 3), (2.05, 1, 14)])
+    def test_the_converged_shot_is_not_integrated_again(self, monkeypatch, p, n, calls):
+        # p = 4 brackets with two shots and stops on |u(1; a*)| <= tol_terminal at the first
+        # midpoint, whose trajectory is the solution; p = 2.05 stops on the bracket width
+        # at a midpoint not yet shot, which takes one more pass
+        amplitudes = []
+        real = shooting.integrate_ivp
+
+        def counted(model, amplitude, steps):
+            amplitudes.append(amplitude)
+            return real(model, amplitude, steps)
+
+        monkeypatch.setattr(shooting, "integrate_ivp", counted)
+        sol = find_one_dim_solution(LaneEmden(p), n)
+        assert len(amplitudes) == calls
+        assert amplitudes[-1] == sol.amplitude
+        u, du = real(LaneEmden(p), sol.amplitude, ShootingConfig().steps)
+        assert np.array_equal(sol.values, u) and np.array_equal(sol.derivative_values, du)
 
     @pytest.mark.parametrize("p, n, what", [(3.0, 20, "too coarse"), (4.0, 15, "nodal domains")])
     def test_coarse_grid_reported_as_nonconvergence(self, p, n, what):

@@ -1,14 +1,21 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import cylbif.sturm_liouville as sl
 from cylbif import (
+    CubicFamily,
     InsufficientSpectrumError,
     LaneEmden,
+    NonConvergenceError,
+    TridiagonalOperator,
     ValidationError,
     assemble_sl_operator,
+    count_nodal_domains_1d,
     eval_fprime,
+    find_one_dim_solution,
     integrate_ivp,
     linearized_spectrum,
     nondegeneracy_margin,
@@ -17,6 +24,7 @@ from cylbif import (
     richardson_extrapolate,
     sl_eigenpairs,
 )
+from oracles import lapack_eigenpairs
 
 # Richardson-extrapolated leading eigenvalue of the linearization around
 # the positive f(u) = u^3 solution, frozen from M in {500, 1000, 2000}
@@ -150,6 +158,123 @@ class TestLinearizedSpectra:
         spec = cubic_spectra_n1[500]
         assert np.all(spec.eigenfunctions[:, -1] == 0.0)
         assert np.all(spec.eigenfunctions[:, 0] > 0.0)
+
+
+# profiles of the kernel tests: the free operator, and the linearizations around
+# a two-domain Lane-Emden and a positive cubic solution
+PROFILES = {"free": None, "lane_emden": (LaneEmden(4.0), 2), "cubic": (CubicFamily(1.0, 1.0), 1)}
+
+
+@functools.cache
+def _amplitude(model, n):
+    return find_one_dim_solution(model, n).amplitude
+
+
+def profile_operator(profile, m):
+    if PROFILES[profile] is None:
+        return assemble_sl_operator(np.zeros(m + 1), m)
+    model, n = PROFILES[profile]
+    u, _ = integrate_ivp(model, _amplitude(model, n), m)
+    return assemble_sl_operator(eval_fprime(model, u), m)
+
+
+def inf_norm(op):
+    rows = np.abs(op.diag)
+    rows[:-1] += np.abs(op.off)
+    rows[1:] += np.abs(op.off)
+    return float(np.max(rows))
+
+
+def assert_matches_lapack(op, spec):
+    """Eigenvalues within 4 eps ||T||_inf of stebz, and vectors with small residuals,
+    trapezoid-orthonormal, z(0) > 0, with the zero counts of LAPACK's vectors."""
+    m, k = op.grid_size, len(spec.alphas)
+    scale = np.finfo(float).eps * inf_norm(op)
+    ref_alphas, ref_vecs = lapack_eigenpairs(op.diag, op.off, k)
+    assert np.max(np.abs(spec.alphas - ref_alphas)) <= 4.0 * scale
+    # back to the symmetrized coordinates, where the vectors have unit 2-norm
+    v = spec.eigenfunctions[:, :m] * math.sqrt(op.h)
+    v[:, 0] /= math.sqrt(2.0)
+    residual = (op.diag - spec.alphas[:, None]) * v
+    residual[:, :-1] += op.off * v[:, 1:]
+    residual[:, 1:] += op.off * v[:, :-1]
+    assert np.max(np.linalg.norm(residual, axis=1)) <= 16.0 * scale
+    weights = np.full(m + 1, op.h)
+    weights[0] = weights[-1] = 0.5 * op.h
+    gram = np.einsum("ik,jk,k->ij", spec.eigenfunctions, spec.eigenfunctions, weights)
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
+    assert np.all(spec.eigenfunctions[:, 0] > 0.0) and np.all(spec.eigenfunctions[:, -1] == 0.0)
+    ref = ref_vecs.T * np.sign(np.sum(ref_vecs.T * v, axis=1))[:, None]
+    assert np.max(np.abs(v - ref)) <= 1e-7
+    ref_counts = [count_nodal_domains_1d(z, 1e-8 * float(np.max(np.abs(z)))) - 1 for z in ref]
+    assert spec.zero_counts.tolist() == ref_counts
+
+
+class TestSturmKernel:
+    """sl_eigenpairs against LAPACK's stebz/stein, the reference it replaces."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("m", [4, 64, 199, 500, 2000])
+    def test_matches_lapack(self, profile, m):
+        # 22 pairs at M = 199 is the height block of the 2D certificate
+        op = profile_operator(profile, m)
+        spec = sl_eigenpairs(op, min(22, m - 1))
+        assert_matches_lapack(op, spec)
+        assert oscillation_check(spec)
+
+    def test_clustered_eigenvalues_on_each_grid_of_the_triple(self):
+        # p = 60, n = 8: alpha_1..alpha_8 sit within a few hundred of -2.1e5 (within 40
+        # at M = 2000, against ||T|| = 1.6e7), one eigenfunction on each peak of |u|;
+        # each grid is solved cold and warm-started from the coarser one, as the triple is
+        model = LaneEmden(60.0)
+        amplitude = _amplitude(model, 8)
+        guess = None
+        for m in (500, 1000, 2000):
+            u, _ = integrate_ivp(model, amplitude, m)
+            op = assemble_sl_operator(eval_fprime(model, u), m)
+            cold = sl_eigenpairs(op, 12)
+            assert_matches_lapack(op, cold)
+            assert np.all(cold.alphas[:8] < -1.9e5) and cold.alphas[8] > -1e3
+            if guess is not None:
+                warm = sl_eigenpairs(op, 12, guess=guess)
+                assert_matches_lapack(op, warm)
+            guess = cold.alphas
+        assert cold.alphas[7] - cold.alphas[0] < 50.0
+
+    def test_guesses_only_place_the_first_shifts(self):
+        op = profile_operator("lane_emden", 500)
+        cold = sl_eigenpairs(op, 12)
+        scale = np.finfo(float).eps * inf_norm(op)
+        for guess in (cold.alphas * (1.0 + 1e-6), cold.alphas[::-1], cold.alphas + 1e3, np.zeros(12)):
+            warm = sl_eigenpairs(op, 12, guess=guess)
+            assert np.max(np.abs(warm.alphas - cold.alphas)) <= 4.0 * scale
+            assert np.array_equal(warm.zero_counts, cold.zero_counts)
+        with pytest.raises(ValidationError, match="need k = 12 guesses, got 3"):
+            sl_eigenpairs(op, 12, guess=cold.alphas[:3])
+
+    def test_a_shift_on_a_zero_pivot_counts_right(self):
+        # every diagonal entry of the free operator is 2/h^2, so at that shift d_1 = 0
+        # exactly; it counts as -pivmin, and so does every second pivot after it
+        op = assemble_sl_operator(np.zeros(65), 64)
+        x = float(op.diag[0])
+        assert op.diag[0] - x == 0.0
+        expected = int(np.count_nonzero(np.linalg.eigvalsh(op.dense()) < x))
+        sturm = sl._Sturm(op)
+        assert sturm.count(x) == sturm.count_and_log_derivative(x)[0] == expected == 32
+
+    def test_coincident_eigenvalues_cannot_be_isolated(self):
+        # uncoupled equal diagonal entries make a double eigenvalue: the count jumps by 2
+        # at 1.0 and no bisection separates the two
+        op = TridiagonalOperator(diag=np.array([1.0, 1.0, 2.0, 3.0, 4.0]), off=np.zeros(4), h=0.2, grid_size=5)
+        with pytest.raises(NonConvergenceError, match="eigenvalue 1 cannot be isolated .*2 eigenvalues coincide"):
+            sl_eigenpairs(op, 2)
+
+    def test_a_poor_eigenvalue_gives_no_vector(self, monkeypatch):
+        # an eigenvalue off by 1e-3 leaves a residual far above M eps ||T|| (2.4e-10 here)
+        polish = sl._Sturm.polish
+        monkeypatch.setattr(sl._Sturm, "polish", lambda self, *args: polish(self, *args) + 1e-3)
+        with pytest.raises(NonConvergenceError, match=r"residual .* > M eps \|\|T\|\|"):
+            sl_eigenpairs(assemble_sl_operator(np.zeros(65), 64), 3)
 
 
 class TestDiagnostics:
