@@ -367,11 +367,11 @@ def cmd_spectrum_1d(cfg: RunConfig) -> dict:
     k = int(cfg.options["k_eigs"])
     # the chain's alphas; zero counts and eigenfunctions are those of the eig_M grid
     alphas, spec = extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
-    rows = [(i + 1, alphas[i], int(spec.zero_counts[i])) for i in range(k)]
+    rows = [(i + 1, alpha, int(count)) for i, (alpha, count) in enumerate(zip(alphas, spec.zero_counts))]
     header = ["i", "alpha_i", "zero_count_i"]
     write_csv(cfg.output_dir / "spectrum-1d.csv", header, format_rows(header, rows))
     if cfg.options["emit_eigenfunctions"]:
-        nodes = np.linspace(0.0, 1.0, spec.grid_size + 1)
+        nodes = np.linspace(0.0, 1.0, spec.eigenfunctions.shape[1])
         header = ["x", "z"]
         for i in range(k):
             body = format_rows(header, zip(nodes, spec.eigenfunctions[i]))

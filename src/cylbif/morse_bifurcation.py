@@ -88,7 +88,11 @@ class BifurcationPoint:
     t_bar: float
     pairs: list[tuple[int, int]]
     kernel_multiplicity: int
-    simple: bool
+
+    @property
+    def simple(self) -> bool:
+        """A one-dimensional kernel: one pair (i, j) whose lambda_j is simple."""
+        return self.kernel_multiplicity == 1
 
 
 @dataclass(frozen=True)
@@ -236,14 +240,13 @@ def degeneracy_times(alphas, base: BaseSpectrum, t_max: float) -> list[Bifurcati
         if points and t - points[-1].t_bar <= GROUP_REL_TOL * points[-1].t_bar:
             points[-1].pairs.append((i, j))
             points[-1].kernel_multiplicity += mult
-            points[-1].simple = False
             warnings.warn(           # noqa: B028 - caller should see the merge site
                 f"distinct mode pairs coincide at t = {t:.12g}; "
                 "treating as one non-simple degeneracy",
                 stacklevel=2,
             )
         else:
-            points.append(BifurcationPoint(t_bar=t, pairs=[(i, j)], kernel_multiplicity=mult, simple=(mult == 1)))
+            points.append(BifurcationPoint(t_bar=t, pairs=[(i, j)], kernel_multiplicity=mult))
     return points
 
 

@@ -41,7 +41,7 @@ __all__ = [
     "residual_check",
 ]
 
-#: relative threshold used when counting sign changes of a sampled function
+#: count_nodal_domains_1d ignores samples up to this multiple of max|values|
 SIGN_CHANGE_REL_TOL = 1e-8
 #: iteration budget of the terminal bisection
 MAX_BISECT = 200
@@ -64,14 +64,17 @@ class ShootingConfig:
 
 @dataclass
 class OneDimSolution:
-    """A sampled solution of the mixed boundary value problem on [0,1]."""
+    """A sampled solution of the mixed boundary value problem on the uniform grid of [0,1]."""
 
-    grid: np.ndarray
     values: np.ndarray
     derivative_values: np.ndarray
     amplitude: float
     nodal_count: int
     residual: float = math.nan
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, len(self.values))
 
 
 def _scalar_rhs(model: NonlinearityModel):
@@ -132,14 +135,12 @@ def integrate_ivp(model: NonlinearityModel, amplitude: float, steps: int):
     return np.array(us), np.array(vs)
 
 
-def count_nodal_domains_1d(values, tol: float) -> int:
-    """1 + number of strict sign changes among samples with |value| > tol."""
-    if tol < 0.0:
-        raise ValidationError("tolerance must be >= 0")
+def count_nodal_domains_1d(values) -> int:
+    """1 + number of strict sign changes among samples with |value| > SIGN_CHANGE_REL_TOL * max|values|."""
     v = np.asarray(values, dtype=float)
-    live = v[np.abs(v) > tol]
+    live = v[np.abs(v) > SIGN_CHANGE_REL_TOL * float(np.max(np.abs(v), initial=0.0))]
     if live.size == 0:
-        raise DegenerateInputError("all samples below tolerance; no sign information")
+        raise DegenerateInputError("all samples are zero; no sign information")
     signs = np.sign(live)
     return 1 + int(np.count_nonzero(signs[1:] != signs[:-1]))
 
@@ -240,14 +241,12 @@ def find_one_dim_solution(
 
     # a stop on the terminal test has just shot a_star; a stop on the bracket width has not
     u, du = shot[1] if shot[0] == a_star else integrate_ivp(model, a_star, config.steps)
-    tol = SIGN_CHANGE_REL_TOL * float(np.max(np.abs(u)))
-    count = count_nodal_domains_1d(u, tol)
+    count = count_nodal_domains_1d(u)
     if count != n:
         raise NonConvergenceError(
             f"converged amplitude {a_star} yields {count} nodal domains, wanted {n}"
         )
     sol = OneDimSolution(
-        grid=np.linspace(0.0, 1.0, config.steps + 1),
         values=u,
         derivative_values=du,
         amplitude=a_star,
@@ -266,7 +265,7 @@ def residual_check(sol: OneDimSolution, model: NonlinearityModel) -> float:
     m = u.size - 1
     if m < 4:
         raise ValidationError("residual check needs at least 5 grid nodes")
-    h = sol.grid[1] - sol.grid[0]
+    h = 1.0 / m
     d2 = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
     defect = np.max(np.abs(-d2 - eval_f(model, u[1:-1])))
     sol.residual = float(defect)

@@ -68,7 +68,7 @@ __all__ = [
 
 log = logging.getLogger("cylbif.pde")
 
-#: default relative threshold for 2D nodal counting
+#: count_nodal_domains_2d ignores samples up to this multiple of max|u|
 NODAL_REL_TOL_2D = 1e-6
 #: Newton iteration budget of every solve
 BRANCH_MAX_ITERS = 25
@@ -163,7 +163,7 @@ def _grid_parts(grid: Grid2D):
     height systems of ``_TensorSum.separable``; and the x'-block S_x at c = 1, with its
     -sqrt(2) Neumann couplings, and its closed-form eigenvalues xi_k = 2(1 - cos(k pi h_x)),
     which ``_TensorSum`` scales.  Read-only, since every _TensorSum on the grid shares them."""
-    height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
+    height = assemble_sl_operator(np.zeros(grid.ny))
     sy = sparse.diags([height.off, height.diag, height.off], [-1, 0, 1], format="csr")
     n, k = grid.nx, np.arange(grid.nx)
     dx = np.ones(n)
@@ -338,7 +338,7 @@ def certified_spectrum(
     u1d = np.asarray(u1d, dtype=float)
     matrix = assemble_linearized(embed_one_dim(u1d, grid), t, model, grid, l_base)
     bound = CERTIFICATE_RESIDUAL_REL * np.finfo(float).eps * float(abs(matrix).sum(axis=1).max())
-    height = sl_eigenpairs(assemble_sl_operator(eval_fprime(model, u1d), grid.ny - 1), k=pool)
+    height = sl_eigenpairs(assemble_sl_operator(eval_fprime(model, u1d)), k=pool)
     op = _TensorSum(grid, t, l_base)
     zs = height.eigenfunctions[:, :-1] * op.dy  # symmetrized; only the norm is off
     sums = height.alphas[:, None] + op.xi[None, :pool]
@@ -513,9 +513,7 @@ def newton_solve(
     solution[:-1] = u.reshape(grid.ny - 1, grid.nx)
     if np.any(solution):
         deviation = one_dimensionality_deviation(solution, grid)
-        nodal = count_nodal_domains_2d(
-            solution, grid, NODAL_REL_TOL_2D * float(np.max(np.abs(solution)))
-        )
+        nodal = count_nodal_domains_2d(solution, grid)
     else:
         deviation = 0.0
         nodal = 0
@@ -552,18 +550,17 @@ def one_dimensionality_deviation(u, grid: Grid2D) -> float:
     return _weighted_norm(full - _x_average(full)[:, None], grid) / norm
 
 
-def count_nodal_domains_2d(u, grid: Grid2D, tol: float) -> int:
-    """4-connected constant-sign components of {|u| > tol}: the connected components of the
-    graph whose nodes are the horizontal runs of one sign and whose edges join two runs
-    wherever cells of that sign sit one above the other."""
+def count_nodal_domains_2d(u, grid: Grid2D) -> int:
+    """4-connected constant-sign components of {|u| > NODAL_REL_TOL_2D * max|u|}: the connected
+    components of the graph whose nodes are the horizontal runs of one sign and whose edges join
+    two runs wherever cells of that sign sit one above the other."""
     from scipy.sparse.csgraph import connected_components  # on first call: only runs that count pay its import
 
-    if tol < 0.0:
-        raise ValidationError("tolerance must be >= 0")
     full = _as_full(u, grid)
+    tol = NODAL_REL_TOL_2D * float(np.max(np.abs(full)))
     sign = (full > tol).astype(np.int8) - (full < -tol)
     if not sign.any():
-        raise DegenerateInputError("all samples below tolerance; no nodal information")
+        raise DegenerateInputError("all samples are zero; no nodal information")
     start = sign != 0  # a run starts at each signed cell whose left neighbour has another sign
     start[:, 1:] &= sign[:, 1:] != sign[:, :-1]
     run = np.cumsum(start).reshape(sign.shape) - 1  # the run of each signed cell, numbered row-major
@@ -670,7 +667,7 @@ def make_branch_context(
             f"reference solve left the height-only subspace (deviation {seed.deviation:.3g})"
         )
     q = eval_fprime(model, seed.solution[:, 0])
-    spec = sl_eigenpairs(assemble_sl_operator(q, grid.ny - 1), k=i)
+    spec = sl_eigenpairs(assemble_sl_operator(q), k=i)
     mu_i = float(spec.alphas[i - 1])
     if mu_i >= 0.0:
         raise ValidationError(f"height-block eigenvalue {i} is nonnegative ({mu_i:.6g}); no crossing")

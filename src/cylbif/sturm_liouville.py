@@ -36,6 +36,9 @@ eigenvalues.
 Eigenvectors are reported as grid values of z on all M+1 nodes (the
 Dirichlet node carries an explicit 0), normalized to 1 in the trapezoid
 discrete L2 norm and signed so that z(0) > 0.
+
+M is read from the data (the potential's samples less one, the operator's length),
+h = 1/M, and a spectrum's zero counts are counted from its eigenfunctions.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .nonlinearity import NonlinearityModel, eval_fprime
-from .ode_shooting import SIGN_CHANGE_REL_TOL, count_nodal_domains_1d, integrate_ivp
+from .ode_shooting import count_nodal_domains_1d, integrate_ivp
 
 __all__ = [
     "TridiagonalOperator",
@@ -69,12 +72,10 @@ __all__ = [
 
 @dataclass
 class TridiagonalOperator:
-    """Symmetrized finite-difference operator for the mixed-BC eigenproblem."""
+    """Symmetrized finite-difference operator for the mixed-BC eigenproblem, h = 1/M."""
 
     diag: np.ndarray  # length M
     off: np.ndarray  # length M-1; off[0] carries the sqrt(2) Neumann weight
-    h: float
-    grid_size: int  # M
 
     def dense(self) -> np.ndarray:
         a = np.diag(self.diag)
@@ -88,32 +89,31 @@ class SturmSpectrum:
 
     alphas: np.ndarray
     eigenfunctions: np.ndarray  # shape (k, M+1), Dirichlet node included
-    zero_counts: np.ndarray
-    grid_size: int
+
+    @property
+    def zero_counts(self) -> np.ndarray:
+        """Interior sign changes of each eigenfunction, by ``count_nodal_domains_1d``."""
+        return np.array([count_nodal_domains_1d(z) - 1 for z in self.eigenfunctions])
 
 
-def assemble_sl_operator(potential, grid_size: int) -> TridiagonalOperator:
+def assemble_sl_operator(potential) -> TridiagonalOperator:
     """Build the symmetric tridiagonal discretization for grid spacing 1/M.
 
-    ``potential`` must be sampled on the full uniform grid (M+1 values);
-    the Dirichlet node sample is unused.  The plain ghost-node stencil has
+    ``potential`` is sampled on the full uniform grid, so its M+1 values fix
+    M; the Dirichlet node sample is unused.  The plain ghost-node stencil has
     a 2/h^2, -2/h^2 first row; the similarity scaling by diag(1/sqrt(2),
     1, ..., 1) turns both first-row couplings into -sqrt(2)/h^2 without
     touching the spectrum.
     """
-    m = int(grid_size)
     q = np.asarray(potential, dtype=float)
-    if m < 4:
-        raise ValidationError(f"grid_size must be >= 4, got {grid_size}")
-    if q.shape != (m + 1,):
-        raise ValidationError(
-            f"potential must have grid_size+1 = {m + 1} samples on a uniform grid, got shape {q.shape}"
-        )
+    if q.ndim != 1 or q.size < 5:
+        raise ValidationError(f"potential must be 1-d with at least 5 samples, got shape {q.shape}")
+    m = q.size - 1
     c = float(m) ** 2  # 1/h^2
     diag = 2.0 * c - q[:m]
     off = np.full(m - 1, -c)
     off[0] = -c * math.sqrt(2.0)
-    return TridiagonalOperator(diag=diag, off=off, h=1.0 / m, grid_size=m)
+    return TridiagonalOperator(diag=diag, off=off)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -293,9 +293,9 @@ def sl_eigenpairs(operator: TridiagonalOperator, k: int, *, guess=None) -> Sturm
 
     ``guess``, k approximate eigenvalues such as those of a coarser grid,
     only speeds the isolation and starts the polish."""
-    m = operator.grid_size
+    m = len(operator.diag)
     if not 1 <= k <= m - 1:
-        raise ValidationError(f"need 1 <= k <= grid_size - 1, got k={k}, M={m}")
+        raise ValidationError(f"need 1 <= k <= M - 1, got k={k}, M={m}")
     if guess is not None:
         guess = [float(g) for g in guess]
         if len(guess) != k:
@@ -309,18 +309,17 @@ def sl_eigenpairs(operator: TridiagonalOperator, k: int, *, guess=None) -> Sturm
     # norm h*(z0^2/2 + sum z_j^2); for the transformed vector this equals
     # h * |v|^2, and the vectors have |v| = 1
     z[:, 0] *= math.sqrt(2.0)
-    z /= math.sqrt(operator.h)
+    z /= math.sqrt(1.0 / m)
     z *= np.where(z[:, :1] < 0.0, -1.0, 1.0)
 
     full = np.zeros((k, m + 1))
     full[:, :m] = z
-    counts = np.array([count_nodal_domains_1d(z, SIGN_CHANGE_REL_TOL * float(np.max(np.abs(z)))) - 1 for z in full])
-    return SturmSpectrum(alphas=np.array(alphas), eigenfunctions=full, zero_counts=counts, grid_size=m)
+    return SturmSpectrum(alphas=np.array(alphas), eigenfunctions=full)
 
 
 def oscillation_check(spec: SturmSpectrum) -> bool:
     """True iff the i-th eigenfunction has exactly i-1 interior sign changes."""
-    return all(int(spec.zero_counts[i]) == i for i in range(len(spec.alphas)))
+    return spec.zero_counts.tolist() == list(range(len(spec.alphas)))
 
 
 def one_dim_morse(alphas) -> int:
@@ -350,7 +349,7 @@ def linearized_spectrum(
     """
     u, _ = integrate_ivp(model, amplitude, grid_size)
     q = eval_fprime(model, u)
-    return sl_eigenpairs(assemble_sl_operator(q, grid_size), k, guess=guess)
+    return sl_eigenpairs(assemble_sl_operator(q), k, guess=guess)
 
 
 def richardson_extrapolate(values) -> float:

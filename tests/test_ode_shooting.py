@@ -61,17 +61,17 @@ class TestIntegrator:
 class TestNodalCounting:
     def test_cosine_families(self):
         x = np.linspace(0.0, 1.0, 401)
-        assert count_nodal_domains_1d(np.cos(np.pi * x / 2), 1e-10) == 1
-        assert count_nodal_domains_1d(np.cos(3 * np.pi * x / 2), 1e-10) == 2
-        assert count_nodal_domains_1d(np.cos(5 * np.pi * x / 2), 1e-10) == 3
+        assert count_nodal_domains_1d(np.cos(np.pi * x / 2)) == 1
+        assert count_nodal_domains_1d(np.cos(3 * np.pi * x / 2)) == 2
+        assert count_nodal_domains_1d(np.cos(5 * np.pi * x / 2)) == 3
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInputError):
-            count_nodal_domains_1d(np.zeros(10), 1e-10)
+            count_nodal_domains_1d(np.zeros(10))
 
     def test_tolerance_masks_noise(self):
         values = np.array([1.0, 1e-12, -1e-12, 1.0])
-        assert count_nodal_domains_1d(values, 1e-8) == 1
+        assert count_nodal_domains_1d(values) == 1
 
 
 class TestAmplitudeSearch:
@@ -196,7 +196,6 @@ class TestResidual:
     def test_zero_solution(self, cubic_model):
         m = 100
         sol = OneDimSolution(
-            grid=np.linspace(0, 1, m + 1),
             values=np.zeros(m + 1),
             derivative_values=np.zeros(m + 1),
             amplitude=0.0,
@@ -224,7 +223,6 @@ class TestResidual:
         for m in (200, 400):
             x = np.linspace(0.0, 1.0, m + 1)
             sol = OneDimSolution(
-                grid=x,
                 values=np.cos(np.pi * x / 2),
                 derivative_values=-np.pi / 2 * np.sin(np.pi * x / 2),
                 amplitude=1.0,
@@ -242,7 +240,7 @@ def test_a_lane_emden_exponent_past_the_overflow_of_f_is_solved():
 
 def _short_solution():
     x = np.linspace(0.0, 1.0, 4)
-    return OneDimSolution(grid=x, values=np.cos(x), derivative_values=-np.sin(x), amplitude=1.0, nodal_count=1)
+    return OneDimSolution(values=np.cos(x), derivative_values=-np.sin(x), amplitude=1.0, nodal_count=1)
 
 
 @pytest.mark.parametrize(
@@ -251,11 +249,10 @@ def _short_solution():
         (lambda: ShootingConfig(steps=99), "ShootingConfig.steps must be >= 100, got 99"),
         (lambda: ShootingConfig(tol_terminal=0.0), "shooting tolerances must be positive"),
         (lambda: integrate_ivp("quartic", 1.0, 100), "unsupported model 'quartic'"),
-        (lambda: count_nodal_domains_1d([1.0, -1.0], -1.0), "tolerance must be >= 0"),
         (lambda: find_one_dim_solution(LaneEmden(4.0), 0), "nodal count must be >= 1, got 0"),
         (lambda: residual_check(_short_solution(), LaneEmden(4.0)), "residual check needs at least 5 grid nodes"),
     ],
-    ids=["steps", "tolerance", "model", "nodal-tol", "nodal-count", "residual-nodes"],
+    ids=["steps", "tolerance", "model", "nodal-count", "residual-nodes"],
 )
 def test_unreached_raises_name_the_rule(call, match):
     with pytest.raises(ValidationError, match=match):

@@ -102,7 +102,7 @@ def embedded_n1(cubic_model, cubic_solutions, grid64):
 
 
 def simple_point(i: int, j: int, t_bar: float = 1.0) -> BifurcationPoint:
-    return BifurcationPoint(t_bar=t_bar, pairs=[(i, j)], kernel_multiplicity=1, simple=True)
+    return BifurcationPoint(t_bar=t_bar, pairs=[(i, j)], kernel_multiplicity=1)
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,7 @@ class TestOperator:
         eigs2d = np.sort(np.linalg.eigvalsh(dense))
 
         q = eval_fprime(cubic_model, u1d)
-        sy = assemble_sl_operator(q, grid.ny - 1)
+        sy = assemble_sl_operator(q)
         mu = np.linalg.eigvalsh(sy.dense())
         xi = np.linalg.eigvalsh(neumann_block(grid.nx, 1.0 / ((t * 1.0) ** 2 * grid.hx**2)))
         sums = np.sort((mu[:, None] + xi[None, :]).ravel())
@@ -239,7 +239,7 @@ class TestOperator:
         # the other grid parts as each _TensorSum built them for itself
         for nx in (22, 48, 200):
             grid = Grid2D(nx, 40)
-            height = assemble_sl_operator(np.zeros(grid.ny), grid.ny - 1)
+            height = assemble_sl_operator(np.zeros(grid.ny))
             k, dx, dy = np.arange(nx), np.ones(nx), np.ones(grid.ny - 1)
             dx[0] = dx[-1] = dy[0] = 1.0 / math.sqrt(2.0)
             shared = {
@@ -315,7 +315,7 @@ class TestOperator:
         grid, t, u1d, state = height_only_200
         c = 1.0 / (t**2 * grid.hx**2)
         xi = 2.0 * c * (1.0 - np.cos(np.arange(10) * math.pi * grid.hx))
-        sy = assemble_sl_operator(eval_fprime(cubic_model, u1d), grid.ny - 1)
+        sy = assemble_sl_operator(eval_fprime(cubic_model, u1d))
         mu = eigh_tridiagonal(sy.diag, sy.off, eigvals_only=True, select="i", select_range=(0, 9))
         sums = np.sort((mu[:, None] + xi[None, :]).ravel())[:10]
         direct = smallest_eigenvalues(state, t, cubic_model, grid, 1.0, 10)
@@ -338,7 +338,7 @@ class TestCertifiedSpectrum:
         # mu_1 + xi_2(t) = mu_2 + xi_0 at t^2 = xi_2(1) / (mu_2 - mu_1), since xi scales as 1/t^2
         grid = Grid2D(48, 48)
         u1d = height_profile(cubic_model, 1, 48)
-        mu = sl_eigenpairs(assemble_sl_operator(eval_fprime(cubic_model, u1d), grid.ny - 1), k=4).alphas
+        mu = sl_eigenpairs(assemble_sl_operator(eval_fprime(cubic_model, u1d)), k=4).alphas
         t = math.sqrt(pde._TensorSum(grid, 1.0, 1.0).xi[2] / (mu[1] - mu[0]))
         sums = np.sort((mu[:, None] + pde._TensorSum(grid, t, 1.0).xi[None, :8]).ravel())
         k = int(np.argmin(np.diff(sums[:6]))) + 1  # the pair sits at indices k and k + 1
@@ -573,43 +573,44 @@ class TestDiagnostics:
             one_dimensionality_deviation(np.zeros((64, 64)), grid64)
 
     def test_nodal_counts(self, embedded_n1, grid64, cubic_model, cubic_solutions):
-        assert count_nodal_domains_2d(embedded_n1, grid64, 1e-8) == 1
+        assert count_nodal_domains_2d(embedded_n1, grid64) == 1
         u1d, _ = integrate_ivp(cubic_model, cubic_solutions[2].amplitude, grid64.ny - 1)
         emb2 = embed_one_dim(u1d, grid64)
-        assert count_nodal_domains_2d(emb2, grid64, 1e-8 * np.max(np.abs(emb2))) == 2
+        assert count_nodal_domains_2d(emb2, grid64) == 2
         x = grid64.x_nodes()
         y = grid64.y_nodes()
         mode = np.outer(np.cos(math.pi * y / 2), np.cos(math.pi * x))
-        assert count_nodal_domains_2d(mode, grid64, 1e-8) == 2
+        assert count_nodal_domains_2d(mode, grid64) == 2
         with pytest.raises(DegenerateInputError):
-            count_nodal_domains_2d(np.zeros((64, 64)), grid64, 1e-8)
+            count_nodal_domains_2d(np.zeros((64, 64)), grid64)
 
     @pytest.mark.parametrize("nx, ny", [(16, 40), (37, 16), (23, 23)])
     @pytest.mark.parametrize("positive, band", [(0.5, 0.0), (0.3, 0.2), (0.6, 0.3), (0.85, 0.1), (0.45, 0.5)])
     def test_nodal_counts_match_flood_fill(self, nx, ny, positive, band):
         # shares of positive, in-band and negative samples; in-band ones include |u| == tol exactly
-        grid, tol = Grid2D(nx, ny), 1e-3
+        grid = Grid2D(nx, ny)
         rng = np.random.default_rng([nx, ny, int(100 * positive), int(100 * band)])
         for _ in range(5):
             sign = rng.choice([1, 0, -1], size=(ny, nx), p=[positive, band, 1.0 - positive - band])
-            in_band = tol * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(ny, nx))
-            u = np.where(sign == 0, in_band, sign * tol * (1.0 + rng.random((ny, nx))))
-            assert count_nodal_domains_2d(u, grid, tol) == flood_fill_domains(u.tolist(), tol)
+            u = sign * (1.0 + rng.random((ny, nx)))
+            tol = pde.NODAL_REL_TOL_2D * float(np.max(np.abs(u)))  # the band's samples leave max|u| as it is
+            u = np.where(sign == 0, tol * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(ny, nx)), u)
+            assert count_nodal_domains_2d(u, grid) == flood_fill_domains(u.tolist(), tol)
 
     def test_nodal_count_hand_cases(self):
         grid = Grid2D(16, 20)
         y, x = np.indices((grid.ny, grid.nx))
         checkerboard = np.where((x + y) % 2 == 0, 1.0, -1.0)  # every cell its own domain
-        assert count_nodal_domains_2d(checkerboard, grid, 0.0) == grid.nx * grid.ny
+        assert count_nodal_domains_2d(checkerboard, grid) == grid.nx * grid.ny
         ring = -np.ones((grid.ny, grid.nx))  # a positive ring splits the negative plane into hole and outside
         ring[4:12, 3:10] = 1.0
         ring[6:10, 5:8] = -1.0
-        assert count_nodal_domains_2d(ring, grid, 0.0) == 3
+        assert count_nodal_domains_2d(ring, grid) == 3
         corners = np.zeros((grid.ny, grid.nx))  # blocks that share only a corner are not 4-connected
         corners[2:5, 2:5] = corners[5:9, 5:8] = 1.0
-        assert count_nodal_domains_2d(corners, grid, 0.0) == 2
+        assert count_nodal_domains_2d(corners, grid) == 2
         for u in (checkerboard, ring, corners):
-            assert count_nodal_domains_2d(u, grid, 0.0) == flood_fill_domains(u.tolist(), 0.0)
+            assert count_nodal_domains_2d(u, grid) == flood_fill_domains(u.tolist(), 0.0)
 
     def test_energy_of_zero_is_zero(self, cubic_model, grid64):
         assert eval_energy(np.zeros((64, 64)), 1.0, cubic_model, grid64, 1.0) == 0.0
@@ -879,9 +880,9 @@ class TestBranch:
         for name in ("integrate_ivp", "newton_solve"):
             monkeypatch.setattr(pde, name, lambda *args, _name=name, **kwargs: calls.append(_name))
         for point in (
-            BifurcationPoint(t_bar=1.4, pairs=[(1, 1), (1, 2)], kernel_multiplicity=2, simple=False),
-            BifurcationPoint(t_bar=1.4, pairs=[(1, 1)], kernel_multiplicity=2, simple=False),
-            BifurcationPoint(t_bar=1.4, pairs=[(1, 1), (1, 2)], kernel_multiplicity=1, simple=True),
+            BifurcationPoint(t_bar=1.4, pairs=[(1, 1), (1, 2)], kernel_multiplicity=2),
+            BifurcationPoint(t_bar=1.4, pairs=[(1, 1)], kernel_multiplicity=2),
+            BifurcationPoint(t_bar=1.4, pairs=[(1, 1), (1, 2)], kernel_multiplicity=1),
         ):
             with pytest.raises(ValidationError, match="simple kernel"):
                 make_branch_context(cubic_model, grid64, 1.0, cubic_solutions[1].amplitude, point, tol=1e-8)
@@ -1041,14 +1042,13 @@ CUBIC = CubicFamily(1.0, 1.0)
             "a 16 x 16 grid has too few height modes for k = 14",
         ),
         (lambda: embed_one_dim(np.zeros(15), GRID16), r"expected 16 height samples, got shape \(15,\)"),
-        (lambda: count_nodal_domains_2d(np.ones((16, 16)), GRID16, -1.0), "tolerance must be >= 0"),
         (lambda: continue_branch(SimpleNamespace(), +1, steps=0, t_max=2.0), "steps must be >= 1"),
         (
             lambda: backtrack_branch(SimpleNamespace(t_bar_discrete=1.25), SimpleNamespace(t=1.25)),
             "start point must sit away from the bifurcation scaling",
         ),
     ],
-    ids=["l-base", "lanczos-k", "certificate-k", "certificate-grid", "embed-shape", "nodal-tol", "steps", "backtrack-start"],
+    ids=["l-base", "lanczos-k", "certificate-k", "certificate-grid", "embed-shape", "steps", "backtrack-start"],
 )
 def test_unreached_raises_name_the_rule(call, match):
     with pytest.raises(ValidationError, match=match):

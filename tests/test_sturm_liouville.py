@@ -39,7 +39,7 @@ class TestAssembly:
     def test_small_grid_dispersion_is_exact(self):
         # cosine modes diagonalize the mirror-ghost stencil exactly
         m = 4
-        op = assemble_sl_operator(np.zeros(m + 1), m)
+        op = assemble_sl_operator(np.zeros(m + 1))
         eigs = np.sort(np.linalg.eigvalsh(op.dense()))
         thetas = np.array([(2 * i - 1) * math.pi / (2 * m) for i in range(1, m + 1)])
         expected = np.sort(2.0 * m**2 * (1.0 - np.cos(thetas)))
@@ -47,21 +47,21 @@ class TestAssembly:
 
     def test_constant_potential_shifts_spectrum(self):
         m = 64
-        base = np.sort(np.linalg.eigvalsh(assemble_sl_operator(np.zeros(m + 1), m).dense()))
+        base = np.sort(np.linalg.eigvalsh(assemble_sl_operator(np.zeros(m + 1)).dense()))
         c = 3.7
-        shifted = np.sort(np.linalg.eigvalsh(assemble_sl_operator(np.full(m + 1, c), m).dense()))
+        shifted = np.sort(np.linalg.eigvalsh(assemble_sl_operator(np.full(m + 1, c)).dense()))
         assert shifted == pytest.approx(base - c, rel=1e-12)
 
     def test_zero_amplitude_potential_is_fprime_at_zero(self, cubic_model):
         # f'(0) = 0, so the linearization at u = 0 is the free operator
         spec = linearized_spectrum(cubic_model, 0.0, 100, 3)
-        free = sl_eigenpairs(assemble_sl_operator(np.zeros(101), 100), 3)
+        free = sl_eigenpairs(assemble_sl_operator(np.zeros(101)), 3)
         assert np.array_equal(spec.alphas, free.alphas)
 
     def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            assemble_sl_operator(np.zeros(10), 100)
-        op = assemble_sl_operator(np.zeros(101), 100)
+        with pytest.raises(ValidationError, match=r"1-d with at least 5 samples, got shape \(5, 2\)"):
+            assemble_sl_operator(np.zeros((5, 2)))
+        op = assemble_sl_operator(np.zeros(101))
         with pytest.raises(ValidationError):
             sl_eigenpairs(op, 100)
 
@@ -70,14 +70,14 @@ class TestFreeOperator:
     def test_analytic_eigenvalues_after_richardson(self):
         per_m = {}
         for m in (500, 1000, 2000):
-            per_m[m] = sl_eigenpairs(assemble_sl_operator(np.zeros(m + 1), m), 5).alphas
+            per_m[m] = sl_eigenpairs(assemble_sl_operator(np.zeros(m + 1)), 5).alphas
         exact = analytic_free_alphas(5)
         for i in range(5):
             rich = richardson_extrapolate([per_m[500][i], per_m[1000][i], per_m[2000][i]])
             assert abs(rich - exact[i]) / exact[i] <= 1e-8
 
     def test_zero_counts_and_morse(self):
-        spec = sl_eigenpairs(assemble_sl_operator(np.zeros(501), 500), 5)
+        spec = sl_eigenpairs(assemble_sl_operator(np.zeros(501)), 5)
         assert oscillation_check(spec)
         assert one_dim_morse(spec.alphas) == 0
         assert nondegeneracy_margin(spec.alphas) == pytest.approx((math.pi / 2) ** 2, rel=1e-5)
@@ -131,7 +131,7 @@ class TestLinearizedSpectra:
 
     def test_eigenfunction_residual(self, cubic_model, cubic_solutions, cubic_spectra_n1):
         spec = cubic_spectra_n1[500]
-        m = spec.grid_size
+        m = spec.eigenfunctions.shape[1] - 1
         h = 1.0 / m
         potential = eval_fprime(cubic_model, integrate_ivp(cubic_model, cubic_solutions[1].amplitude, m)[0])
         worst = 0.0
@@ -144,7 +144,7 @@ class TestLinearizedSpectra:
 
     def test_eigenfunction_orthogonality(self, cubic_spectra_n1):
         spec = cubic_spectra_n1[1000]
-        m = spec.grid_size
+        m = spec.eigenfunctions.shape[1] - 1
         h = 1.0 / m
         w = np.ones(m + 1)
         w[0] = w[-1] = 0.5
@@ -172,10 +172,10 @@ def _amplitude(model, n):
 
 def profile_operator(profile, m):
     if PROFILES[profile] is None:
-        return assemble_sl_operator(np.zeros(m + 1), m)
+        return assemble_sl_operator(np.zeros(m + 1))
     model, n = PROFILES[profile]
     u, _ = integrate_ivp(model, _amplitude(model, n), m)
-    return assemble_sl_operator(eval_fprime(model, u), m)
+    return assemble_sl_operator(eval_fprime(model, u))
 
 
 def inf_norm(op):
@@ -188,25 +188,25 @@ def inf_norm(op):
 def assert_matches_lapack(op, spec):
     """Eigenvalues within 4 eps ||T||_inf of stebz, and vectors with small residuals,
     trapezoid-orthonormal, z(0) > 0, with the zero counts of LAPACK's vectors."""
-    m, k = op.grid_size, len(spec.alphas)
+    m, k, h = len(op.diag), len(spec.alphas), 1.0 / len(op.diag)
     scale = np.finfo(float).eps * inf_norm(op)
     ref_alphas, ref_vecs = lapack_eigenpairs(op.diag, op.off, k)
     assert np.max(np.abs(spec.alphas - ref_alphas)) <= 4.0 * scale
     # back to the symmetrized coordinates, where the vectors have unit 2-norm
-    v = spec.eigenfunctions[:, :m] * math.sqrt(op.h)
+    v = spec.eigenfunctions[:, :m] * math.sqrt(h)
     v[:, 0] /= math.sqrt(2.0)
     residual = (op.diag - spec.alphas[:, None]) * v
     residual[:, :-1] += op.off * v[:, 1:]
     residual[:, 1:] += op.off * v[:, :-1]
     assert np.max(np.linalg.norm(residual, axis=1)) <= 16.0 * scale
-    weights = np.full(m + 1, op.h)
-    weights[0] = weights[-1] = 0.5 * op.h
+    weights = np.full(m + 1, h)
+    weights[0] = weights[-1] = 0.5 * h
     gram = np.einsum("ik,jk,k->ij", spec.eigenfunctions, spec.eigenfunctions, weights)
     assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
     assert np.all(spec.eigenfunctions[:, 0] > 0.0) and np.all(spec.eigenfunctions[:, -1] == 0.0)
     ref = ref_vecs.T * np.sign(np.sum(ref_vecs.T * v, axis=1))[:, None]
     assert np.max(np.abs(v - ref)) <= 1e-7
-    ref_counts = [count_nodal_domains_1d(z, 1e-8 * float(np.max(np.abs(z)))) - 1 for z in ref]
+    ref_counts = [count_nodal_domains_1d(z) - 1 for z in ref]
     assert spec.zero_counts.tolist() == ref_counts
 
 
@@ -231,7 +231,7 @@ class TestSturmKernel:
         guess = None
         for m in (500, 1000, 2000):
             u, _ = integrate_ivp(model, amplitude, m)
-            op = assemble_sl_operator(eval_fprime(model, u), m)
+            op = assemble_sl_operator(eval_fprime(model, u))
             cold = sl_eigenpairs(op, 12)
             assert_matches_lapack(op, cold)
             assert np.all(cold.alphas[:8] < -1.9e5) and cold.alphas[8] > -1e3
@@ -255,7 +255,7 @@ class TestSturmKernel:
     def test_a_shift_on_a_zero_pivot_counts_right(self):
         # every diagonal entry of the free operator is 2/h^2, so at that shift d_1 = 0
         # exactly; it counts as -pivmin, and so does every second pivot after it
-        op = assemble_sl_operator(np.zeros(65), 64)
+        op = assemble_sl_operator(np.zeros(65))
         x = float(op.diag[0])
         assert op.diag[0] - x == 0.0
         expected = int(np.count_nonzero(np.linalg.eigvalsh(op.dense()) < x))
@@ -265,7 +265,7 @@ class TestSturmKernel:
     def test_coincident_eigenvalues_cannot_be_isolated(self):
         # uncoupled equal diagonal entries make a double eigenvalue: the count jumps by 2
         # at 1.0 and no bisection separates the two
-        op = TridiagonalOperator(diag=np.array([1.0, 1.0, 2.0, 3.0, 4.0]), off=np.zeros(4), h=0.2, grid_size=5)
+        op = TridiagonalOperator(diag=np.array([1.0, 1.0, 2.0, 3.0, 4.0]), off=np.zeros(4))
         with pytest.raises(NonConvergenceError, match="eigenvalue 1 cannot be isolated .*2 eigenvalues coincide"):
             sl_eigenpairs(op, 2)
 
@@ -274,18 +274,13 @@ class TestSturmKernel:
         polish = sl._Sturm.polish
         monkeypatch.setattr(sl._Sturm, "polish", lambda self, *args: polish(self, *args) + 1e-3)
         with pytest.raises(NonConvergenceError, match=r"residual .* > M eps \|\|T\|\|"):
-            sl_eigenpairs(assemble_sl_operator(np.zeros(65), 64), 3)
+            sl_eigenpairs(assemble_sl_operator(np.zeros(65)), 3)
 
 
 class TestDiagnostics:
     def test_oscillation_check_detects_corruption(self, cubic_spectra_n1):
         spec = cubic_spectra_n1[500]
-        corrupted = type(spec)(
-            alphas=spec.alphas.copy(),
-            eigenfunctions=spec.eigenfunctions[::-1].copy(),
-            zero_counts=spec.zero_counts[::-1].copy(),
-            grid_size=spec.grid_size,
-        )
+        corrupted = type(spec)(alphas=spec.alphas.copy(), eigenfunctions=spec.eigenfunctions[::-1].copy())
         assert not oscillation_check(corrupted)
 
     def test_insufficient_spectrum(self, cubic_model, cubic_solutions):
@@ -306,7 +301,7 @@ class TestDiagnostics:
 
 @pytest.mark.parametrize(
     "call, match",
-    [(lambda: assemble_sl_operator(np.zeros(4), 3), "grid_size must be >= 4, got 3")],
+    [(lambda: assemble_sl_operator(np.zeros(4)), r"potential must be 1-d with at least 5 samples, got shape \(4,\)")],
     ids=["grid-size"],
 )
 def test_unreached_raises_name_the_rule(call, match):
