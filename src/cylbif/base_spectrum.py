@@ -179,6 +179,15 @@ def _polish_jprime_zeros(nu, lo, hi, g_lo, g_hi) -> np.ndarray:
     return out
 
 
+def _interval_lambdas(length: float, cutoff: float, max_modes: int) -> list[float]:
+    """(j pi / length)^2 for every j >= 0 whose value is <= cutoff.  The floor of
+    length sqrt(cutoff) / pi only sizes the scan, one past it in case it rounded down."""
+    j_max = int(math.floor(length * math.sqrt(cutoff) / math.pi)) + 1
+    if j_max > max_modes:
+        raise ResourceLimitError(f"interval enumeration needs {j_max} modes > budget {max_modes}")
+    return [lam for lam in ((j * math.pi / length) ** 2 for j in range(j_max + 1)) if lam <= cutoff]
+
+
 def neumann_eigenvalues(
     domain: BaseDomain,
     cutoff: float,
@@ -190,31 +199,21 @@ def neumann_eigenvalues(
 
     ``rotation_invariant`` restricts a Disk base to its rotation-invariant
     modes (angular index 0), which are all simple; it is ignored for the
-    other variants.
+    other variants.  Membership is decided on each stored eigenvalue, so one
+    equal to ``cutoff`` is present.
     """
     if not (np.isfinite(cutoff) and cutoff > 0.0):
         raise ValidationError(f"cutoff must be positive, got {cutoff}")
 
     raw: list[tuple[float, int, tuple]] = []
     if isinstance(domain, Interval):
-        j_max = int(math.floor(domain.length * math.sqrt(cutoff) / math.pi))
-        if j_max + 1 > max_modes:
-            raise ResourceLimitError(f"interval enumeration needs {j_max + 1} modes > budget {max_modes}")
-        for j in range(j_max + 1):
-            raw.append(((j * math.pi / domain.length) ** 2, 1, (j,)))
+        raw = [(lam, 1, (j,)) for j, lam in enumerate(_interval_lambdas(domain.length, cutoff, max_modes))]
     elif isinstance(domain, Rectangle):
-        m_max = int(math.floor(domain.a * math.sqrt(cutoff) / math.pi))
-        n_max = int(math.floor(domain.b * math.sqrt(cutoff) / math.pi))
-        if (m_max + 1) * (n_max + 1) > max_modes:
-            raise ResourceLimitError(
-                f"rectangle enumeration needs {(m_max + 1) * (n_max + 1)} modes > budget {max_modes}"
-            )
-        for m in range(m_max + 1):
-            lam_m = (m * math.pi / domain.a) ** 2
-            for n in range(n_max + 1):
-                lam = lam_m + (n * math.pi / domain.b) ** 2
-                if lam <= cutoff:
-                    raw.append((lam, 1, (m, n)))
+        side_a, side_b = (_interval_lambdas(side, cutoff, max_modes) for side in (domain.a, domain.b))
+        if len(side_a) * len(side_b) > max_modes:
+            raise ResourceLimitError(f"rectangle enumeration needs {len(side_a) * len(side_b)} modes > budget {max_modes}")
+        sums = ((lam_m + lam_n, (m, n)) for m, lam_m in enumerate(side_a) for n, lam_n in enumerate(side_b))
+        raw = [(lam, 1, label) for lam, label in sums if lam <= cutoff]
     elif isinstance(domain, Disk):
         r = domain.radius
         raw.append((0.0, 1, (0, 0)))
@@ -237,7 +236,7 @@ def neumann_eigenvalues(
         zeros = _polish_jprime_zeros(nus, lo, hi, g_lo, g_hi)
         ks = np.arange(nus.size) - np.searchsorted(nus, nus) + 1  # rank of each zero within its nu
         for nu, k, z in zip(nus.tolist(), ks.tolist(), zeros.tolist()):
-            if z <= upper:  # only the last bracket of each nu can straddle upper
+            if (z / r) ** 2 <= cutoff:  # only the last bracket of each nu can straddle upper
                 raw.append(((z / r) ** 2, 1 if nu == 0 else 2, (nu, k)))
         if len(raw) > max_modes:
             raise ResourceLimitError(f"disk enumeration exceeded budget {max_modes}")

@@ -182,6 +182,9 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     options = _section(raw, "options", DEFAULT_OPTIONS)
 
     tr = raw.get("t_range", {"t_min": 0.5, "t_max": 3.0, "samples": 40})
+    unknown = set(tr) - {"t_min", "t_max", "samples"} if isinstance(tr, dict) else set()
+    if unknown:
+        raise ValidationError(f"unknown t_range keys: {sorted(unknown)}")
     try:
         t_range = (
             finite_number(tr["t_min"], "t_range.t_min"),
@@ -367,6 +370,7 @@ def cmd_spectrum_1d(cfg: RunConfig) -> dict:
     k = int(cfg.options["k_eigs"])
     # the chain's alphas; zero counts and eigenfunctions are those of the eig_M grid
     alphas, spec = extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
+    m_xn = one_dim_morse(alphas)  # before any artifact: a spectrum with no positive witness writes none
     rows = [(i + 1, alpha, int(count)) for i, (alpha, count) in enumerate(zip(alphas, spec.zero_counts))]
     header = ["i", "alpha_i", "zero_count_i"]
     write_csv(cfg.output_dir / "spectrum-1d.csv", header, format_rows(header, rows))
@@ -379,7 +383,7 @@ def cmd_spectrum_1d(cfg: RunConfig) -> dict:
     return {
         "amplitude": sol.amplitude,
         "alphas": list(alphas),
-        "m_xn": one_dim_morse(alphas),
+        "m_xn": m_xn,
         "nondegeneracy_margin": nondegeneracy_margin(alphas),
         "oscillation_ok": oscillation_check(spec),
     }

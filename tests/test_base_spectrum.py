@@ -174,6 +174,34 @@ class TestScalingLaw:
                 scale_spectrum(spec, t)
 
 
+class TestCutoffEdge:
+    """An eigenvalue equal to the cutoff is enumerated: membership is decided on the stored value."""
+
+    @staticmethod
+    def labels(spec):
+        return {label for labels in spec.labels for label in labels}
+
+    def test_interval_modes_at_the_cutoff(self):
+        # the proxy floor(L sqrt(cutoff) / pi) rounded below j for 266 of the 2,394 cases j = 1..399
+        assert neumann_eigenvalues(Interval(1.0), 1194.2221325318121).labels[-1] == [(11,)]  # (11 pi)^2
+        for length in (0.7, 0.8, 1.0, 1.3, 2.0, 3.0):
+            for j in range(1, 400):
+                spec = neumann_eigenvalues(Interval(length), (j * math.pi / length) ** 2)
+                assert spec.labels[-1] == [(j,)] and len(spec.lambdas) == j + 1, (length, j)
+
+    def test_rectangle_side_modes_at_the_cutoff(self):
+        for a, b in ((1.0, 0.8), (1.3, 0.7)):
+            for m in range(1, 40):
+                assert (m, 0) in self.labels(neumann_eigenvalues(Rectangle(a, b), (m * math.pi / a) ** 2)), (a, m)
+
+    def test_disk_modes_at_the_cutoff(self):
+        assert (1, 1) in self.labels(neumann_eigenvalues(Disk(0.7), 6.918281054432426))
+        for radius in (0.7, 1.0, 1.3, 2.0):
+            full = neumann_eigenvalues(Disk(radius), 240.0 / radius**2)
+            for lam, labels in zip(full.lambdas[1:].tolist(), full.labels[1:]):
+                assert set(labels) <= self.labels(neumann_eigenvalues(Disk(radius), lam)), (radius, lam)
+
+
 class TestGuards:
     def test_weyl_counting_sanity(self):
         # mode counting below L tracks the Weyl main term within a factor 2

@@ -110,6 +110,12 @@ class TestSubcommands:
         for i in range(1, 5):
             assert (tmp_path / "out" / f"eigenfunction_{i}.csv").exists()
 
+    def test_spectrum_1d_without_a_positive_witness_writes_nothing(self, tmp_path):
+        # six nodal domains give six negative alphas, so k_eigs = 5 has no positive one
+        cfg = write_config(tmp_path, nodal_n=6, options={"k_eigs": 5})
+        assert main(["spectrum-1d", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+
     def test_spectrum_1d_solves_the_finest_grid_once(self, tmp_path, monkeypatch):
         # eig_M for the zero counts and the Richardson triple's finest grid, eig_M / 2 and eig_M / 4
         grids = []
@@ -131,6 +137,14 @@ class TestSubcommands:
         assert float(rows[0]["lambda_j"]) == 0.0
         assert float(rows[1]["lambda_j"]) == pytest.approx(math.pi**2, rel=1e-12)
         assert float(rows[2]["lambda_j"]) == pytest.approx(4 * math.pi**2, rel=1e-12)
+
+    def test_base_eigs_keeps_an_eigenvalue_at_the_cutoff(self, tmp_path):
+        # the cutoff is (11 pi)^2 itself, which a floor of sqrt(cutoff) / pi rounded down to 10
+        cfg = write_config(tmp_path, options={"cutoff": (11 * math.pi) ** 2})
+        assert main(["base-eigs", "--config", str(cfg)]) == 0
+        rows = read_csv_rows(tmp_path / "out" / "base-eigs.csv")
+        assert (rows[-1]["j"], rows[-1]["label"]) == ("11", "11")
+        assert float(rows[-1]["lambda_j"]) == (11 * math.pi) ** 2
 
     @pytest.mark.parametrize(
         "base, label",
@@ -699,6 +713,7 @@ class TestContract:
             ({"model": {"type": "lane_emden", "p": 2}}, "LaneEmden needs p > 2, got p = 2.0"),
             ({"model": {"type": "lane_emden", "p": 1.5}}, "LaneEmden needs p > 2, got p = 1.5"),
             ({"model": {"type": "lane_emden", "p": -1000}}, "LaneEmden needs p > 2, got p = -1000.0"),
+            ({"t_range": {"t_min": 0.5, "t_max": 3.0, "samples": 7, "smaples": 7}}, "unknown t_range keys: ['smaples']"),
         ],
     )
     def test_config_value_failures_name_the_rule(self, tmp_path, caplog, overrides, message):
@@ -1077,6 +1092,25 @@ def test_every_pde_l_base_is_required():
     for name in takes:
         assert inspect.signature(functions[name]).parameters["l_base"].default is inspect.Parameter.empty, name
     assert {"assemble_linearized", "smallest_eigenvalues", "newton_solve", "eval_energy", "make_branch_context"} <= takes
+
+
+@pytest.mark.parametrize(
+    "module, name, params",
+    [
+        ("ode_shooting", "count_nodal_domains_1d", ["values"]),
+        ("pde_rectangle", "count_nodal_domains_2d", ["u", "grid"]),
+        ("sturm_liouville", "assemble_sl_operator", ["potential"]),
+        ("sturm_liouville", "TridiagonalOperator", ["diag", "off"]),
+        ("sturm_liouville", "SturmSpectrum", ["alphas", "eigenfunctions"]),
+        ("morse_bifurcation", "BifurcationPoint", ["t_bar", "pairs", "kernel_multiplicity"]),
+        ("ode_shooting", "OneDimSolution", ["values", "derivative_values", "amplitude", "nodal_count", "residual"]),
+    ],
+)
+def test_derived_values_are_neither_parameters_nor_fields(module, name, params):
+    # sign-count thresholds, grid sizes, the spacing, zero counts, simplicity and the sample
+    # grid follow from the data; as a parameter or a field they could disagree with it
+    owner = getattr(importlib.import_module(f"cylbif.{module}"), name)
+    assert list(inspect.signature(owner).parameters) == params
 
 
 def test_installed_entry_point_and_log_env(tmp_path):

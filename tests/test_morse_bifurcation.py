@@ -190,6 +190,25 @@ class TestDegeneracyTimes:
         assert not merged[0].simple
 
     @pytest.mark.parametrize(
+        "domain, alphas",
+        [(Disk(1.0), [-40.0, -12.5, 3.0]), (Rectangle(1.0, 1.0), [-20.0, -5.0, 2.0])],
+        ids=["disk", "unit-square"],
+    )
+    def test_simple_is_one_pair_of_multiplicity_one(self, domain, alphas):
+        # the disk has double modes (nu >= 1); on the square (m, n) and (n, m) merge, and
+        # alpha_1 = 4 alpha_2 makes the pairs (1, (2m, 2n)) and (2, (m, n)) coincide
+        base = neumann_eigenvalues(domain, cutoff=1.05 * -alphas[0] * 9.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            points = degeneracy_times(alphas, base, 3.0)
+        mults = base.multiplicities.tolist()
+        for p in points:
+            assert p.kernel_multiplicity == sum(mults[j] for _, j in p.pairs)
+            assert p.simple == (len(p.pairs) == 1 and mults[p.pairs[0][1]] == 1)
+        assert {p.simple for p in points} == {True, False}
+        assert any(len(p.pairs) > 1 for p in points) == isinstance(domain, Rectangle)
+
+    @pytest.mark.parametrize(
         "domain, alphas, t_max",
         [(Disk(1.0), [-40.0, -12.5, 3.0], 3.0), (Rectangle(1.0, 0.5), [-9.0, -1.0, 2.0], 4.0)],
     )

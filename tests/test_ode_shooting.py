@@ -21,6 +21,7 @@ from cylbif import (
     integrate_ivp,
     residual_check,
 )
+from cylbif.ode_shooting import SIGN_CHANGE_REL_TOL
 from oracles import cubic_quarter_period, ellipk_agm, jacobi_cn, lane_emden_amplitude
 
 K_HALF = ellipk_agm(0.5)
@@ -72,6 +73,12 @@ class TestNodalCounting:
     def test_tolerance_masks_noise(self):
         values = np.array([1.0, 1e-12, -1e-12, 1.0])
         assert count_nodal_domains_1d(values) == 1
+
+    def test_the_threshold_is_relative_to_the_largest_sample(self):
+        # a sample at SIGN_CHANGE_REL_TOL * max|values| carries no sign, one just above it does
+        at = SIGN_CHANGE_REL_TOL * 4.0
+        assert count_nodal_domains_1d([4.0, -at, 4.0]) == 1
+        assert count_nodal_domains_1d([4.0, -np.nextafter(at, 1.0), 4.0]) == 3
 
 
 class TestAmplitudeSearch:

@@ -584,6 +584,16 @@ class TestDiagnostics:
         with pytest.raises(DegenerateInputError):
             count_nodal_domains_2d(np.zeros((64, 64)), grid64)
 
+    def test_the_nodal_threshold_is_relative_to_the_largest_sample(self):
+        # a cell at NODAL_REL_TOL_2D * max|u| carries no sign, one just above it is a domain of its own
+        grid = Grid2D(16, 16)
+        u = np.full((grid.ny, grid.nx), 4.0)
+        at = pde.NODAL_REL_TOL_2D * 4.0
+        u[8, 8] = -at
+        assert count_nodal_domains_2d(u, grid) == 1
+        u[8, 8] = -np.nextafter(at, 1.0)
+        assert count_nodal_domains_2d(u, grid) == 2
+
     @pytest.mark.parametrize("nx, ny", [(16, 40), (37, 16), (23, 23)])
     @pytest.mark.parametrize("positive, band", [(0.5, 0.0), (0.3, 0.2), (0.6, 0.3), (0.85, 0.1), (0.45, 0.5)])
     def test_nodal_counts_match_flood_fill(self, nx, ny, positive, band):
