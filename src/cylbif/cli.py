@@ -22,7 +22,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
@@ -152,20 +152,8 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}")
 
-    known = {
-        "schema_version",
-        "model",
-        "base",
-        "nodal_n",
-        "grids",
-        "tolerances",
-        "t_range",
-        "output_dir",
-        "options",
-        "alphas",
-        "seed",
-    }
-    unknown = set(raw) - known
+    # the config keys are schema_version and every RunConfig field but the raw config itself
+    unknown = set(raw) - {"schema_version"} - {f.name for f in fields(RunConfig) if f.name != "raw"}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
 
@@ -448,7 +436,7 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
     top = float(alphas[-1])
     base = _base_spectrum(cfg, coverage_cutoff(alphas, t, top))
     # the sums up to the largest alpha are complete; interval eigenvalues are simple
-    composed = compose_spectrum(alphas, base, cutoff=top, t=t).values()[:k]
+    composed = compose_spectrum(alphas, base, cutoff=top, t=t).values[:k]
     if composed.size < k:
         raise InsufficientSpectrumError(
             f"only {composed.size} composed eigenvalues lie below alpha_max = {top}; raise options.k_eigs"

@@ -12,6 +12,11 @@ rescales lambda_j to lambda_j / t^2, so each pair (alpha_i < 0,
 lambda_j > 0) produces the degeneracy scaling t = sqrt(lambda_j / -alpha_i).
 The paper's ground-state test lambda_1 < -alpha_1 is the i = 1 term of the
 sum at t = 1 being positive, reported as ``MorseReport.ground_state_flag``.
+
+``SumSet`` is the only enumeration of such a sum set: the queries below take
+their sums, counts and crossings from its continuum instance (alpha, lambda),
+and ``pde_rectangle`` from its discrete instance, the height block's
+eigenvalues and the closed-form x'-block's.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import CoverageError, CylbifError, ValidationError
 from .sturm_liouville import one_dim_morse
 
 __all__ = [
-    "ComposedEntry",
+    "SumSet",
     "ComposedSpectrum",
     "MorseReport",
     "BifurcationPoint",
@@ -46,26 +51,64 @@ ZERO_REL_TOL = 1e-8
 T_MAX_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ComposedEntry:
-    """One value alpha_i + lambda_j; i is 1-based, j indexes distinct
-    base eigenvalues (j = 0 is the constant mode)."""
-
-    value: float
-    i: int
-    j: int
-    multiplicity: int
-
-
 @dataclass
 class ComposedSpectrum:
-    entries: list[ComposedEntry]
+    """Sums alpha_i + lambda_j in ascending order, with their pairs (i is 1-based, j indexes
+    distinct base eigenvalues, j = 0 the constant mode) and the multiplicities of lambda_j."""
 
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries])
+    values: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    multiplicity: np.ndarray
 
-    def negative_count(self) -> int:
-        return int(sum(e.multiplicity for e in self.entries if e.value < 0.0))
+
+class SumSet:
+    """The sum set {a_i + b_j / t^2} of an ascending spectrum ``a`` and an ascending base spectrum ``b``
+    at t = 1, b_j of multiplicity ``mults[j]``: the spectrum of a tensor sum on the base dilated by t.
+    Pairs (i, j) are 1-based in i; b_j / t**2 is the division ``scale_spectrum`` performs."""
+
+    def __init__(self, a, b, mults):
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.mults = np.asarray(mults)
+
+    def ordered(self, t: float, top: float) -> ComposedSpectrum:
+        """The sums <= ``top`` at dilation t, ordered by (value, i, j)."""
+        sums = np.add.outer(self.a, self.b / t**2)
+        rows, cols = np.nonzero(sums <= top)
+        order = np.lexsort((cols, rows, sums[rows, cols]))
+        rows, cols = rows[order], cols[order]
+        return ComposedSpectrum(sums[rows, cols], rows + 1, cols, self.mults[cols])
+
+    def counts(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per t of ``ts``, one row each: the multiplicity of the b_j / t^2 in (0, -a_i), one column per
+        a_i < 0, and that of the sums in the zero band |a_i + b_j / t^2| < ZERO_REL_TOL * max(1, |a_1|)."""
+        neg, tol_zero = self.a[self.a < 0.0], _zero_tol(self.a)
+        # t**2 on Python floats, as scale_spectrum squares its factor
+        t2 = np.array([float(t) ** 2 for t in ts])
+        contributions = np.zeros((t2.size, neg.size), dtype=int)
+        zero_mult = np.zeros(t2.size, dtype=int)
+        # blocks of about 2**16 (t, b) pairs keep each temporary array near 512 KiB
+        step = max(1, (1 << 16) // max(1, self.b.size))
+        for lo in range(0, t2.size, step):
+            rows = slice(lo, lo + step)
+            scaled = self.b[None, :] / t2[rows, None]
+            positive = scaled > 0.0
+            for i, a in enumerate(neg):
+                contributions[rows, i] = (positive & (scaled < -a)) @ self.mults
+            for a in self.a:
+                zero_mult[rows] += (np.abs(a + scaled) < tol_zero) @ self.mults
+        return contributions, zero_mult
+
+    def crossings(self, t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where some a_i + b_j / t^2 vanishes: t = sqrt(b_j / -a_i) for every pair a_i < 0, b_j > 0 with
+        t <= t_max * (1 + T_MAX_REL_TOL), as the arrays (t, i, j) ordered by (t, i, j)."""
+        neg, pos = np.flatnonzero(self.a < 0.0), np.flatnonzero(self.b > 0.0)
+        ts = np.sqrt(self.b[pos] / -self.a[neg][:, None])
+        rows, cols = np.nonzero(ts <= t_max * (1.0 + T_MAX_REL_TOL))
+        ts, i, j = ts[rows, cols], neg[rows] + 1, pos[cols]
+        order = np.lexsort((j, i, ts))
+        return ts[order], i[order], j[order]
 
 
 @dataclass
@@ -127,13 +170,19 @@ def coverage_cutoff(alphas, t_max: float = 1.0, top: float = 0.0) -> float:
     return (max(top - float(arr[0]), 0.0) + _zero_tol(arr)) * (t_max * (1.0 + T_MAX_REL_TOL)) ** 2
 
 
-def _check_coverage(arr: np.ndarray, base: BaseSpectrum, t_max: float, top: float) -> None:
+def _covered_sums(alphas, base: BaseSpectrum, t_max: float, top: float, witness: bool) -> SumSet:
+    """The sum set of sorted ``alphas`` on ``base``, whose cutoff must complete it up to ``top`` at dilations
+    up to ``t_max``; with ``witness``, ``one_dim_morse`` first checks that ``alphas`` holds every negative alpha."""
+    arr = _check_sorted(alphas)
+    if witness:
+        one_dim_morse(arr)
     needed = coverage_cutoff(arr, t_max, top)
     if base.cutoff < needed:
         raise CoverageError(
             f"base spectrum enumerated to {base.cutoff} but sums <= {top} at dilations "
             f"up to {t_max} need eigenvalues up to {needed}"
         )
+    return SumSet(arr, base.lambdas, base.multiplicities)
 
 
 def compose_spectrum(alphas, base: BaseSpectrum, cutoff: float, t: float = 1.0) -> ComposedSpectrum:
@@ -143,51 +192,9 @@ def compose_spectrum(alphas, base: BaseSpectrum, cutoff: float, t: float = 1.0) 
     The alpha list is taken as the complete 1D spectrum up to its largest
     entry.  Completeness of the composed list below ``cutoff`` additionally
     needs the base enumerated to ``coverage_cutoff(alphas, t, cutoff)``;
-    a shorter base raises ``CoverageError``.  lambda_j / t**2 is the
-    division ``scale_spectrum`` performs.
+    a shorter base raises ``CoverageError``.
     """
-    arr = _check_sorted(alphas)
-    _check_coverage(arr, base, t, cutoff)
-    sums = np.add.outer(arr, np.asarray(base.lambdas, dtype=float) / t**2)
-    rows, cols = np.nonzero(sums <= cutoff)
-    values = sums[rows, cols]
-    mults = np.asarray(base.multiplicities)
-    entries = [
-        ComposedEntry(value=float(values[k]), i=int(rows[k]) + 1, j=int(cols[k]), multiplicity=int(mults[cols[k]]))
-        for k in np.lexsort((cols, rows, values))
-    ]
-    return ComposedSpectrum(entries=entries)
-
-
-def _morse_counts(alphas, base: BaseSpectrum, ts: np.ndarray):
-    """Morse-formula terms on the base dilated by each t of the ascending ``ts``, one row per t.
-
-    Returns (alphas, m_xn, contributions, zero multiplicities).
-    lambda_j / t**2 is the division ``scale_spectrum`` performs, so each row
-    equals the counts on the scaled spectrum bit for bit.
-    """
-    arr = _check_sorted(alphas)
-    m_xn = one_dim_morse(arr)
-    tol_zero = _zero_tol(arr)
-    _check_coverage(arr, base, float(ts[-1]), 0.0)
-    # t**2 on Python floats, as scale_spectrum squares its factor
-    t2 = np.array([float(t) ** 2 for t in ts])
-
-    lambdas = np.asarray(base.lambdas)
-    mults = np.asarray(base.multiplicities)
-    contributions = np.zeros((t2.size, m_xn), dtype=int)
-    zero_mult = np.zeros(t2.size, dtype=int)
-    # blocks of about 2**16 (t, lambda) pairs keep each temporary array near 512 KiB
-    step = max(1, (1 << 16) // max(1, lambdas.size))
-    for lo in range(0, t2.size, step):
-        rows = slice(lo, lo + step)
-        scaled = lambdas[None, :] / t2[rows, None]
-        positive = scaled > 0.0
-        for i in range(m_xn):
-            contributions[rows, i] = (positive & (scaled < -float(arr[i]))) @ mults
-        for a in arr:
-            zero_mult[rows] += (np.abs(a + scaled) < tol_zero) @ mults
-    return arr, m_xn, contributions, zero_mult
+    return _covered_sums(alphas, base, t, cutoff, False).ordered(t, cutoff)
 
 
 def morse_index(alphas, base: BaseSpectrum) -> MorseReport:
@@ -196,18 +203,21 @@ def morse_index(alphas, base: BaseSpectrum) -> MorseReport:
     The result is cross-validated against the negative-entry count of the
     composed multiset; away from degeneracy the two must agree exactly.
     """
-    arr, m_xn, contributions, zero_mult = _morse_counts(alphas, base, np.ones(1))
+    sums = _covered_sums(alphas, base, 1.0, 0.0, True)
+    contributions, zero_mult = sums.counts(np.ones(1))
     contributions = [int(c) for c in contributions[0]]
+    m_xn = len(contributions)
     m = m_xn + sum(contributions)
     zero_mult = int(zero_mult[0])
     degenerate = zero_mult > 0
 
     if not degenerate:
-        composed = compose_spectrum(arr, base, cutoff=0.0)
-        if composed.negative_count() != m:
+        composed = compose_spectrum(sums.a, base, cutoff=0.0)
+        negative = int(composed.multiplicity[composed.values < 0.0].sum())
+        if negative != m:
             raise CylbifError(
                 "internal disagreement between the Morse formula "
-                f"({m}) and the composed negative count ({composed.negative_count()})"
+                f"({m}) and the composed negative count ({negative})"
             )
     flag = m_xn > 0 and contributions[0] > 0
     return MorseReport(m, m_xn, contributions, degenerate, zero_mult, ground_state_flag=flag)
@@ -216,24 +226,16 @@ def morse_index(alphas, base: BaseSpectrum) -> MorseReport:
 def degeneracy_times(alphas, base: BaseSpectrum, t_max: float) -> list[BifurcationPoint]:
     """All scalings t <= t_max at which some alpha_i + lambda_j / t^2 = 0.
 
-    ``base`` must describe the unit domain.  Events within relative
-    tolerance 1e-9 of each other are grouped into one point; a group fed
-    by more than one (i, j) pair is reported non-simple with a warning,
+    ``base`` must describe the unit domain, and ``alphas`` must hold every negative
+    alpha, as ``one_dim_morse`` checks: a list without a positive witness raises
+    InsufficientSpectrumError rather than drop the crossings of the missing ones.
+    Events within relative tolerance 1e-9 of each other are grouped into one point;
+    a group fed by more than one (i, j) pair is reported non-simple with a warning,
     never silently merged.
     """
-    arr = _check_sorted(alphas)
-    _check_coverage(arr, base, t_max, 0.0)
-    neg = np.flatnonzero(arr < 0.0)
-
-    # every (alpha_i < 0, lambda_j > 0) pair at once, ordered by (t, i, j)
-    lams = np.asarray(base.lambdas, dtype=float)
-    pos = np.flatnonzero(lams > 0.0)
-    ts = np.sqrt(lams[pos] / -arr[neg][:, None])
-    rows, cols = np.nonzero(ts <= t_max * (1.0 + T_MAX_REL_TOL))
-    ts, i_idx, j_idx = ts[rows, cols], neg[rows] + 1, pos[cols]
-    order = np.lexsort((j_idx, i_idx, ts))
-    mults = np.asarray(base.multiplicities)[j_idx[order]]
-    events = zip(ts[order].tolist(), i_idx[order].tolist(), j_idx[order].tolist(), mults.tolist())
+    ts, i_idx, j_idx = _covered_sums(alphas, base, t_max, 0.0, True).crossings(t_max)
+    mults = np.asarray(base.multiplicities)[j_idx]
+    events = zip(ts.tolist(), i_idx.tolist(), j_idx.tolist(), mults.tolist())
 
     points: list[BifurcationPoint] = []
     for t, i, j, mult in events:
@@ -263,7 +265,8 @@ def morse_vs_t(alphas, base: BaseSpectrum, t_grid) -> list[MorseSample]:
         raise ValidationError("t_grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(ts) & (ts > 0.0)) or np.any(np.diff(ts) <= 0.0):
         raise ValidationError("t_grid must be finite, positive and strictly ascending")
-    _, m_xn, contributions, zero_mult = _morse_counts(alphas, base, ts)
+    contributions, zero_mult = _covered_sums(alphas, base, float(ts[-1]), 0.0, True).counts(ts)
+    m_xn = contributions.shape[1]
     return [
         MorseSample(t=float(t), m=m_xn + int(c), degenerate=bool(z > 0))
         for t, c, z in zip(ts, contributions.sum(axis=1), zero_mult)

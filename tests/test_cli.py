@@ -714,6 +714,7 @@ class TestContract:
             ({"model": {"type": "lane_emden", "p": 1.5}}, "LaneEmden needs p > 2, got p = 1.5"),
             ({"model": {"type": "lane_emden", "p": -1000}}, "LaneEmden needs p > 2, got p = -1000.0"),
             ({"t_range": {"t_min": 0.5, "t_max": 3.0, "samples": 7, "smaples": 7}}, "unknown t_range keys: ['smaples']"),
+            ({"raw": {}}, "unknown config keys: ['raw']"),
         ],
     )
     def test_config_value_failures_name_the_rule(self, tmp_path, caplog, overrides, message):
@@ -916,6 +917,13 @@ class TestContract:
         assert read_csv_rows(tmp_path / "out" / "bifurcation-points.csv") == []
         assert read_summary(tmp_path)["results"]["count"] == 0
 
+    def test_bifurcation_points_on_a_truncated_alpha_list_exits_2(self, tmp_path, caplog):
+        # without a positive witness the list may lack negative alphas, whose crossings would go missing
+        cfg = write_config(tmp_path, alphas=[-30.0, -5.0])
+        assert main(["bifurcation-points", "--config", str(cfg)]) == 2
+        assert "positive eigenvalue witness" in caplog.text
+        assert not (tmp_path / "out" / "bifurcation-points.csv").exists()
+
     def test_bad_threads_creates_no_output_dir(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "never"
@@ -950,9 +958,10 @@ class TestContract:
         compose = mb.compose_spectrum
 
         def one_more(*args, **kwargs):
-            composed = compose(*args, **kwargs)
-            composed.entries.insert(0, mb.ComposedEntry(value=-1.0, i=1, j=0, multiplicity=1))
-            return composed
+            c = compose(*args, **kwargs)
+            return mb.ComposedSpectrum(
+                np.insert(c.values, 0, -1.0), np.insert(c.i, 0, 1), np.insert(c.j, 0, 0), np.insert(c.multiplicity, 0, 1)
+            )
 
         monkeypatch.setattr(mb, "compose_spectrum", one_more)
         cfg = write_config(tmp_path)
@@ -1103,6 +1112,7 @@ def test_every_pde_l_base_is_required():
         ("sturm_liouville", "TridiagonalOperator", ["diag", "off"]),
         ("sturm_liouville", "SturmSpectrum", ["alphas", "eigenfunctions"]),
         ("morse_bifurcation", "BifurcationPoint", ["t_bar", "pairs", "kernel_multiplicity"]),
+        ("morse_bifurcation", "SumSet", ["a", "b", "mults"]),
         ("ode_shooting", "OneDimSolution", ["values", "derivative_values", "amplitude", "nodal_count", "residual"]),
     ],
 )

@@ -14,6 +14,7 @@ from cylbif import (
     InsufficientSpectrumError,
     Interval,
     Rectangle,
+    SumSet,
     ValidationError,
     compose_spectrum,
     coverage_cutoff,
@@ -23,6 +24,7 @@ from cylbif import (
     neumann_eigenvalues,
     scale_spectrum,
 )
+from cylbif.morse_bifurcation import ZERO_REL_TOL
 from oracles import brute_force_negative_count
 
 PI2 = math.pi**2
@@ -37,19 +39,23 @@ def synthetic_base(lambdas, multiplicities, cutoff):
     )
 
 
+def entries(comp):
+    """The (value, i, j, multiplicity) rows of a ComposedSpectrum, as Python scalars."""
+    return list(zip(comp.values.tolist(), comp.i.tolist(), comp.j.tolist(), comp.multiplicity.tolist()))
+
+
 class TestCompose:
     def test_direct_sums(self):
         base = neumann_eigenvalues(Interval(1.0), cutoff=40.0)
         comp = compose_spectrum([-5.0, 3.0], base, cutoff=10.0)
-        values = comp.values()
-        assert values == pytest.approx([-5.0, 3.0, -5.0 + PI2], rel=1e-12)
-        assert [(e.i, e.j) for e in comp.entries] == [(1, 0), (2, 0), (1, 1)]
+        assert comp.values == pytest.approx([-5.0, 3.0, -5.0 + PI2], rel=1e-12)
+        assert list(zip(comp.i, comp.j)) == [(1, 0), (2, 0), (1, 1)]
 
     def test_free_spectrum_is_positive(self):
         alphas = [((2 * i - 1) * math.pi / 2) ** 2 for i in range(1, 6)]
         base = neumann_eigenvalues(Interval(1.0), cutoff=80.0)
         comp = compose_spectrum(alphas, base, cutoff=50.0)
-        assert np.all(comp.values() > 0.0)
+        assert np.all(comp.values > 0.0)
 
     def test_coverage_error_when_base_too_short(self):
         base = neumann_eigenvalues(Interval(1.0), cutoff=10.0)
@@ -71,8 +77,8 @@ class TestCompose:
             for j, (lam, mult) in enumerate(zip(base.lambdas, base.multiplicities))
             if a + float(lam) <= 150.0
         )
-        assert [(e.value, e.i, e.j, e.multiplicity) for e in comp.entries] == expected
-        assert any(e.multiplicity == 2 for e in comp.entries)
+        assert entries(comp) == expected
+        assert np.any(comp.multiplicity == 2)
 
 
 class TestMorseFormula:
@@ -149,6 +155,10 @@ def test_formula_matches_brute_force_property(neg, lam_raw, mults_raw):
     assert report.m == brute_force_negative_count(alphas, lambdas, mults)
 
 
+# negative alphas stay away from zero, where lambda / -alpha would overflow
+ALPHA_LISTS = st.lists(st.one_of(st.floats(-50.0, -0.01), st.floats(0.0, 50.0)), min_size=1, max_size=5)
+
+
 class TestDegeneracyTimes:
     def test_interval_arithmetic(self):
         base = neumann_eigenvalues(Interval(1.0), cutoff=5.0 * 25.0 + 1.0)
@@ -179,6 +189,12 @@ class TestDegeneracyTimes:
         base = neumann_eigenvalues(Interval(1.0), cutoff=20.0)
         with pytest.raises(CoverageError):
             degeneracy_times([-5.0, 1.0], base, t_max=5.0)
+
+    def test_positive_witness_required(self):
+        # [-30, -5] may be the first two of several negative alphas; the crossings of the rest would be missing
+        base = neumann_eigenvalues(Interval(1.0), cutoff=coverage_cutoff([-30.0, -5.0], 3.0))
+        with pytest.raises(InsufficientSpectrumError):
+            degeneracy_times([-30.0, -5.0], base, t_max=3.0)
 
     def test_coincident_pairs_warn(self):
         # alphas -1 and -4 hit t = pi with lambda = pi^2 and 4 pi^2
@@ -216,13 +232,7 @@ class TestDegeneracyTimes:
         # the scalar double loop over (i, j) is the reference; the same IEEE
         # division and sqrt give the same bits, so the match is exact
         base = neumann_eigenvalues(domain, cutoff=1.05 * -alphas[0] * t_max**2)
-        events = sorted(
-            (math.sqrt(lam / -a), i, j)
-            for i, a in enumerate(alphas, start=1)
-            if a < 0.0
-            for j, lam in enumerate(base.lambdas)
-            if lam > 0.0 and math.sqrt(lam / -a) <= t_max * (1.0 + 1e-12)
-        )
+        events = pair_loop(alphas, base.lambdas, t_max)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the rectangle case has coincident pairs
             points = degeneracy_times(alphas, base, t_max)
@@ -230,6 +240,51 @@ class TestDegeneracyTimes:
         starts = np.cumsum([0] + [len(p.pairs) for p in points])[:-1]
         assert [p.t_bar for p in points] == [events[k][0] for k in starts]
         assert any(len(p.pairs) > 1 for p in points) == isinstance(domain, Rectangle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ALPHA_LISTS,
+        st.lists(st.floats(0.0, 80.0, allow_subnormal=False), min_size=1, max_size=8),
+        st.floats(0.2, 4.0),
+    )
+    def test_sum_set_crossings_equal_pair_loop(self, a, b, t_max):
+        ts, i, j = SumSet(sorted(a), sorted(b), np.ones(len(b), dtype=int)).crossings(t_max)
+        assert list(zip(ts.tolist(), i.tolist(), j.tolist())) == pair_loop(sorted(a), sorted(b), t_max)
+
+
+def pair_loop(alphas, lambdas, t_max):
+    """The crossings (t, i, j) of every pair (alpha_i < 0, lambda_j > 0) up to t_max, by a scalar double loop."""
+    return sorted(
+        (math.sqrt(lam / -a), i, j)
+        for i, a in enumerate(alphas, start=1)
+        if a < 0.0
+        for j, lam in enumerate(lambdas)
+        if lam > 0.0 and math.sqrt(lam / -a) <= t_max * (1.0 + 1e-12)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ALPHA_LISTS,
+    st.lists(st.tuples(st.floats(0.0, 80.0, allow_subnormal=False), st.integers(1, 3)), min_size=1, max_size=8),
+    st.floats(0.2, 4.0),
+)
+def test_sum_set_counts_equal_its_negative_sums(a, b_mults, t):
+    # the counts per negative a_i, plus the zero-valued b_j that the counts leave to m_xn, are the
+    # multiplicity-weighted sums a_i + b_j / t^2 below zero
+    b_mults = sorted(b_mults)
+    b, mults = [lam for lam, _ in b_mults], [m for _, m in b_mults]
+    sums = SumSet(sorted(a), b, mults)
+    contributions, zero_mult = sums.counts(np.array([t]))
+    below = sums.ordered(t, 0.0)
+    constant = sum(m for lam, m in b_mults if lam / t**2 == 0.0)
+    assert contributions.shape[1] == np.count_nonzero(np.array(a) < 0.0)
+    for i in range(contributions.shape[1]):
+        assert contributions[0, i] + constant == below.multiplicity[(below.values < 0.0) & (below.i == i + 1)].sum()
+    # the zero band is the multiplicity-weighted sums within its tolerance
+    tol = ZERO_REL_TOL * max(1.0, abs(min(a)))
+    near = sums.ordered(t, tol)
+    assert zero_mult[0] == near.multiplicity[np.abs(near.values) < tol].sum()
 
 
 class TestMorseSweep:
@@ -355,8 +410,8 @@ class TestCoverageOwner:
     def test_sizing_and_checking_agree(self, domain, t_max):
         alphas, top = self.ALPHAS, self.ALPHAS[-1]
         cutoff = coverage_cutoff(alphas, t_max, top)
-        composed = self.agree_at_the_cutoff(domain, cutoff, lambda base: compose_spectrum(alphas, base, top, t_max).entries)
-        assert composed and all(e.value <= top for e in composed)
+        composed = self.agree_at_the_cutoff(domain, cutoff, lambda base: entries(compose_spectrum(alphas, base, top, t_max)))
+        assert composed and all(value <= top for value, *_ in composed)
 
         # morse_index reads the base at t = 1, here the domain dilated by t_max
         dilated = _dilated(domain, t_max)

@@ -649,6 +649,15 @@ class TestKernelMode:
         dof = branch_ctx.kernel[: grid64.ny - 1, :].ravel()
         assert np.max(np.abs(grid_action(matrix.dot, grid64, dof))) <= 1e-8
 
+    def test_discrete_crossing_is_the_closed_form_ratio(self, branch_ctx, cubic_model, first_crossing, grid64):
+        # t_bar_discrete = sqrt(xi_j / -mu_i), xi_j the x'-block eigenvalue at t = 1 and mu_i the
+        # height-block eigenvalue at u_ref's potential: the same IEEE division and sqrt, bit for bit
+        ((i, j),) = first_crossing.pairs
+        q = eval_fprime(cubic_model, branch_ctx.u_ref[:, 0])
+        mu_i = float(sl_eigenpairs(assemble_sl_operator(q), k=i).alphas[i - 1])
+        xi_j = float(pde._TensorSum(grid64, 1.0, 1.0).xi[j])
+        assert branch_ctx.t_bar_discrete == math.sqrt(xi_j / -mu_i)
+
     def test_context_rejects_pairs_without_crossing(self, cubic_model, cubic_solutions, grid64):
         amplitude = cubic_solutions[1].amplitude
         with pytest.raises(ValidationError):
