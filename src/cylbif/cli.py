@@ -22,7 +22,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -152,8 +152,20 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}")
 
-    # the config keys are schema_version and every RunConfig field but the raw config itself
-    unknown = set(raw) - {"schema_version"} - {f.name for f in fields(RunConfig) if f.name != "raw"}
+    known = {
+        "schema_version",
+        "model",
+        "base",
+        "nodal_n",
+        "grids",
+        "tolerances",
+        "t_range",
+        "output_dir",
+        "options",
+        "alphas",
+        "seed",
+    }
+    unknown = set(raw) - known
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
 

@@ -13,10 +13,8 @@ lambda_j > 0) produces the degeneracy scaling t = sqrt(lambda_j / -alpha_i).
 The paper's ground-state test lambda_1 < -alpha_1 is the i = 1 term of the
 sum at t = 1 being positive, reported as ``MorseReport.ground_state_flag``.
 
-``SumSet`` is the only enumeration of such a sum set: the queries below take
-their sums, counts and crossings from its continuum instance (alpha, lambda),
-and ``pde_rectangle`` from its discrete instance, the height block's
-eigenvalues and the closed-form x'-block's.
+``SumSet`` is the one enumeration of such a sum set, for the queries below on
+(alpha, lambda) and for ``pde_rectangle`` on its height and x'-block eigenvalues.
 """
 
 from __future__ import annotations
@@ -64,25 +62,25 @@ class ComposedSpectrum:
 
 class SumSet:
     """The sum set {a_i + b_j / t^2} of an ascending spectrum ``a`` and an ascending base spectrum ``b``
-    at t = 1, b_j of multiplicity ``mults[j]``: the spectrum of a tensor sum on the base dilated by t.
-    Pairs (i, j) are 1-based in i; b_j / t**2 is the division ``scale_spectrum`` performs."""
+    at t = 1: the spectrum of a tensor sum on the base dilated by t.  Pairs (i, j) are 1-based in i.
+    On a continuum base, b_j / t**2 is the division ``scale_spectrum`` performs."""
 
-    def __init__(self, a, b, mults):
+    def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        self.mults = np.asarray(mults)
 
-    def ordered(self, t: float, top: float) -> ComposedSpectrum:
-        """The sums <= ``top`` at dilation t, ordered by (value, i, j)."""
+    def ordered(self, t: float, top: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sums <= ``top`` at dilation t, as the arrays (value, i, j) ordered by (value, i, j)."""
         sums = np.add.outer(self.a, self.b / t**2)
         rows, cols = np.nonzero(sums <= top)
         order = np.lexsort((cols, rows, sums[rows, cols]))
         rows, cols = rows[order], cols[order]
-        return ComposedSpectrum(sums[rows, cols], rows + 1, cols, self.mults[cols])
+        return sums[rows, cols], rows + 1, cols
 
-    def counts(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per t of ``ts``, one row each: the multiplicity of the b_j / t^2 in (0, -a_i), one column per
-        a_i < 0, and that of the sums in the zero band |a_i + b_j / t^2| < ZERO_REL_TOL * max(1, |a_1|)."""
+    def counts(self, ts: np.ndarray, mults) -> tuple[np.ndarray, np.ndarray]:
+        """Per t of ``ts``, one row each, with b_j of multiplicity ``mults[j]``: the multiplicity of the
+        b_j / t^2 in (0, -a_i), one column per a_i < 0, and that of the sums in the zero band
+        |a_i + b_j / t^2| < ZERO_REL_TOL * max(1, |a_1|)."""
         neg, tol_zero = self.a[self.a < 0.0], _zero_tol(self.a)
         # t**2 on Python floats, as scale_spectrum squares its factor
         t2 = np.array([float(t) ** 2 for t in ts])
@@ -95,16 +93,19 @@ class SumSet:
             scaled = self.b[None, :] / t2[rows, None]
             positive = scaled > 0.0
             for i, a in enumerate(neg):
-                contributions[rows, i] = (positive & (scaled < -a)) @ self.mults
+                contributions[rows, i] = (positive & (scaled < -a)) @ mults
             for a in self.a:
-                zero_mult[rows] += (np.abs(a + scaled) < tol_zero) @ self.mults
+                zero_mult[rows] += (np.abs(a + scaled) < tol_zero) @ mults
         return contributions, zero_mult
 
+    def crossing(self, i, j):
+        """The dilation sqrt(b_j / -a_i) at which a_i + b_j / t^2 vanishes, for a_i < 0 < b_j; i and j broadcast."""
+        return np.sqrt(self.b[j] / -self.a[i - 1])
+
     def crossings(self, t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where some a_i + b_j / t^2 vanishes: t = sqrt(b_j / -a_i) for every pair a_i < 0, b_j > 0 with
-        t <= t_max * (1 + T_MAX_REL_TOL), as the arrays (t, i, j) ordered by (t, i, j)."""
+        """Every ``crossing`` t <= t_max * (1 + T_MAX_REL_TOL), as the arrays (t, i, j) ordered by (t, i, j)."""
         neg, pos = np.flatnonzero(self.a < 0.0), np.flatnonzero(self.b > 0.0)
-        ts = np.sqrt(self.b[pos] / -self.a[neg][:, None])
+        ts = self.crossing(neg[:, None] + 1, pos)
         rows, cols = np.nonzero(ts <= t_max * (1.0 + T_MAX_REL_TOL))
         ts, i, j = ts[rows, cols], neg[rows] + 1, pos[cols]
         order = np.lexsort((j, i, ts))
@@ -182,7 +183,7 @@ def _covered_sums(alphas, base: BaseSpectrum, t_max: float, top: float, witness:
             f"base spectrum enumerated to {base.cutoff} but sums <= {top} at dilations "
             f"up to {t_max} need eigenvalues up to {needed}"
         )
-    return SumSet(arr, base.lambdas, base.multiplicities)
+    return SumSet(arr, base.lambdas)
 
 
 def compose_spectrum(alphas, base: BaseSpectrum, cutoff: float, t: float = 1.0) -> ComposedSpectrum:
@@ -194,7 +195,8 @@ def compose_spectrum(alphas, base: BaseSpectrum, cutoff: float, t: float = 1.0) 
     needs the base enumerated to ``coverage_cutoff(alphas, t, cutoff)``;
     a shorter base raises ``CoverageError``.
     """
-    return _covered_sums(alphas, base, t, cutoff, False).ordered(t, cutoff)
+    values, i, j = _covered_sums(alphas, base, t, cutoff, False).ordered(t, cutoff)
+    return ComposedSpectrum(values, i, j, np.asarray(base.multiplicities)[j])
 
 
 def morse_index(alphas, base: BaseSpectrum) -> MorseReport:
@@ -204,7 +206,7 @@ def morse_index(alphas, base: BaseSpectrum) -> MorseReport:
     composed multiset; away from degeneracy the two must agree exactly.
     """
     sums = _covered_sums(alphas, base, 1.0, 0.0, True)
-    contributions, zero_mult = sums.counts(np.ones(1))
+    contributions, zero_mult = sums.counts(np.ones(1), base.multiplicities)
     contributions = [int(c) for c in contributions[0]]
     m_xn = len(contributions)
     m = m_xn + sum(contributions)
@@ -265,7 +267,7 @@ def morse_vs_t(alphas, base: BaseSpectrum, t_grid) -> list[MorseSample]:
         raise ValidationError("t_grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(ts) & (ts > 0.0)) or np.any(np.diff(ts) <= 0.0):
         raise ValidationError("t_grid must be finite, positive and strictly ascending")
-    contributions, zero_mult = _covered_sums(alphas, base, float(ts[-1]), 0.0, True).counts(ts)
+    contributions, zero_mult = _covered_sums(alphas, base, float(ts[-1]), 0.0, True).counts(ts, base.multiplicities)
     m_xn = contributions.shape[1]
     return [
         MorseSample(t=float(t), m=m_xn + int(c), degenerate=bool(z > 0))

@@ -318,8 +318,9 @@ def certified_spectrum(
     At such a state the matrix is the tensor sum of the height block S_y - diag f'(u1d),
     whose eigenpairs (mu_a, z_a) come from one tridiagonal eigensolve, and the x'-block,
     whose eigenpairs (xi_b, c_b) are ``_TensorSum``'s closed-form modes.  The candidates
-    z_a (x) c_b, in the matrix's symmetrized coordinates, are taken in the order of
-    ``SumSet(mu, xi at t = 1, ones).ordered(t, inf)``.  Each one's Rayleigh quotient theta and residual
+    z_a (x) c_b, in the matrix's symmetrized coordinates, are taken in the order of their sums
+    mu_a + xi_b, ``SumSet(mu, xi).ordered(1, inf)`` with xi the x'-block's eigenvalues at this t,
+    over the first `pool` of each.  Each one's Rayleigh quotient theta and residual
     |A v - theta v| are computed on the assembled A; a residual above
     CERTIFICATE_RESIDUAL_REL * eps * |A|_inf raises NonConvergenceError.  The candidates are
     orthonormal, so by Kahan's theorem (Parlett, The Symmetric Eigenvalue Problem, ch. 11)
@@ -331,7 +332,7 @@ def certified_spectrum(
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    # the smallest `pool` sums of the first `pool` mu with every xi are the smallest of all sums
+    # the smallest `pool` sums of a pool x pool table are the smallest of all sums
     pool = min(2 * (k + 1), grid.ny - 2, grid.nx)
     if pool < k + 1:
         raise ValidationError(f"a {grid.nx} x {grid.ny} grid has too few height modes for k = {k}")
@@ -339,12 +340,12 @@ def certified_spectrum(
     matrix = assemble_linearized(embed_one_dim(u1d, grid), t, model, grid, l_base)
     bound = CERTIFICATE_RESIDUAL_REL * np.finfo(float).eps * float(abs(matrix).sum(axis=1).max())
     height = sl_eigenpairs(assemble_sl_operator(eval_fprime(model, u1d)), k=pool)
-    op = _TensorSum(grid, 1.0, l_base)
+    op = _TensorSum(grid, t, l_base)
     zs = height.eigenfunctions[:, :-1] * op.dy  # symmetrized; only the norm is off
-    candidates = SumSet(height.alphas, op.xi, np.ones(grid.nx, dtype=int)).ordered(t, math.inf)
+    _, rows, cols = SumSet(height.alphas, op.xi[:pool]).ordered(1.0, math.inf)
     thetas, residuals = [], []
     # sums and residuals by numpy's pairwise add.reduce, not BLAS, so the bytes do not depend on its threads
-    for i, j in zip(candidates.i[:pool].tolist(), candidates.j[:pool].tolist()):
+    for i, j in zip(rows[:pool].tolist(), cols[:pool].tolist()):
         v = np.kron(zs[i - 1], op.modes[:, j])
         v /= math.sqrt(np.add.reduce(v * v))
         av = matrix @ v
@@ -637,8 +638,9 @@ def make_branch_context(
     height block with u_ref's own potential, so one eigensolve of the
     height block gives both the kernel and where it occurs.  The closed-form
     x'-block eigenvalue xi_j of cos(j pi X) scales as 1/t^2 with no discretization
-    error in t, so the crossing sits exactly at t^2 = xi_j(1) / (-mu_i), the pair's entry
-    in ``SumSet(mu, xi at t = 1, ones).crossings``, with kernel z_i(y) cos(j pi x'/L).
+    error in t, so the crossing sits exactly at t^2 = xi_j(1) / (-mu_i), the pair's
+    ``SumSet(mu, xi(1)).crossing(i, j)``, with kernel z_i(y) cos(j pi X), i.e.
+    cos(j pi x'/L) on the unit square.
     Backtracking toward this value (rather than the continuum scaling, which
     differs by O(h^2)) lets the branch be followed arbitrarily close to the
     pitchfork.  A reference polish that fails raises NonConvergenceError naming
@@ -671,8 +673,6 @@ def make_branch_context(
     mu_i = float(spec.alphas[i - 1])
     if mu_i >= 0.0:
         raise ValidationError(f"height-block eigenvalue {i} is nonnegative ({mu_i:.6g}); no crossing")
-    sums = SumSet(spec.alphas, _TensorSum(grid, 1.0, l_base).xi, np.ones(grid.nx, dtype=int))
-    ts, rows, cols = sums.crossings(math.inf)
     kernel = np.outer(spec.eigenfunctions[i - 1], np.cos(j * math.pi * grid.x_nodes()))
     kernel /= _weighted_norm(kernel, grid)
     return BranchContext(
@@ -683,7 +683,7 @@ def make_branch_context(
         kernel=kernel,
         j=j,
         t_bar=point.t_bar,
-        t_bar_discrete=float(ts[(rows == i) & (cols == j)][0]),
+        t_bar_discrete=float(SumSet(spec.alphas, _TensorSum(grid, 1.0, l_base).xi).crossing(i, j)),
         tol=tol,
     )
 

@@ -714,7 +714,6 @@ class TestContract:
             ({"model": {"type": "lane_emden", "p": 1.5}}, "LaneEmden needs p > 2, got p = 1.5"),
             ({"model": {"type": "lane_emden", "p": -1000}}, "LaneEmden needs p > 2, got p = -1000.0"),
             ({"t_range": {"t_min": 0.5, "t_max": 3.0, "samples": 7, "smaples": 7}}, "unknown t_range keys: ['smaples']"),
-            ({"raw": {}}, "unknown config keys: ['raw']"),
         ],
     )
     def test_config_value_failures_name_the_rule(self, tmp_path, caplog, overrides, message):
@@ -1112,7 +1111,7 @@ def test_every_pde_l_base_is_required():
         ("sturm_liouville", "TridiagonalOperator", ["diag", "off"]),
         ("sturm_liouville", "SturmSpectrum", ["alphas", "eigenfunctions"]),
         ("morse_bifurcation", "BifurcationPoint", ["t_bar", "pairs", "kernel_multiplicity"]),
-        ("morse_bifurcation", "SumSet", ["a", "b", "mults"]),
+        ("morse_bifurcation", "SumSet", ["a", "b"]),
         ("ode_shooting", "OneDimSolution", ["values", "derivative_values", "amplitude", "nodal_count", "residual"]),
     ],
 )

@@ -248,8 +248,11 @@ class TestDegeneracyTimes:
         st.floats(0.2, 4.0),
     )
     def test_sum_set_crossings_equal_pair_loop(self, a, b, t_max):
-        ts, i, j = SumSet(sorted(a), sorted(b), np.ones(len(b), dtype=int)).crossings(t_max)
+        sums = SumSet(sorted(a), sorted(b))
+        ts, i, j = sums.crossings(t_max)
         assert list(zip(ts.tolist(), i.tolist(), j.tolist())) == pair_loop(sorted(a), sorted(b), t_max)
+        # the one-pair query is the same IEEE division and sqrt as the scalar loop
+        assert [float(sums.crossing(ii, jj)) for ii, jj in zip(i, j)] == ts.tolist()
 
 
 def pair_loop(alphas, lambdas, t_max):
@@ -274,17 +277,17 @@ def test_sum_set_counts_equal_its_negative_sums(a, b_mults, t):
     # multiplicity-weighted sums a_i + b_j / t^2 below zero
     b_mults = sorted(b_mults)
     b, mults = [lam for lam, _ in b_mults], [m for _, m in b_mults]
-    sums = SumSet(sorted(a), b, mults)
-    contributions, zero_mult = sums.counts(np.array([t]))
-    below = sums.ordered(t, 0.0)
+    sums = SumSet(sorted(a), b)
+    contributions, zero_mult = sums.counts(np.array([t]), mults)
+    values, rows, cols = sums.ordered(t, 0.0)
     constant = sum(m for lam, m in b_mults if lam / t**2 == 0.0)
     assert contributions.shape[1] == np.count_nonzero(np.array(a) < 0.0)
     for i in range(contributions.shape[1]):
-        assert contributions[0, i] + constant == below.multiplicity[(below.values < 0.0) & (below.i == i + 1)].sum()
+        assert contributions[0, i] + constant == np.array(mults)[cols[(values < 0.0) & (rows == i + 1)]].sum()
     # the zero band is the multiplicity-weighted sums within its tolerance
     tol = ZERO_REL_TOL * max(1.0, abs(min(a)))
-    near = sums.ordered(t, tol)
-    assert zero_mult[0] == near.multiplicity[np.abs(near.values) < tol].sum()
+    values, _, cols = sums.ordered(t, tol)
+    assert zero_mult[0] == np.array(mults)[cols[np.abs(values) < tol]].sum()
 
 
 class TestMorseSweep:
