@@ -321,14 +321,15 @@ def _shooting_config(cfg: RunConfig) -> ShootingConfig:
     )
 
 
-def _alphas_for(cfg: RunConfig, sol: OneDimSolution | None = None) -> np.ndarray:
-    """Synthetic alphas from the config if given, otherwise extrapolate around
-    ``sol``, shooting for it first when the caller has none."""
+def _alphas_for(cfg: RunConfig, k: int, sol: OneDimSolution | None = None) -> np.ndarray:
+    """Synthetic alphas from the config if given, otherwise the first k extrapolated around ``sol``,
+    shooting for it first when the caller has none.  The Morse chain asks for nodal_n + 1: the n-nodal
+    profile's n negative alphas, which ``extrapolated_alphas`` counts, and the positive witness after them."""
     if cfg.alphas is not None:
         return np.asarray(cfg.alphas, dtype=float)
     if sol is None:
         sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    return extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), int(cfg.options["k_eigs"]))[0]
+    return extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)[0]
 
 
 def _two_dim_length(cfg: RunConfig) -> float:
@@ -417,7 +418,7 @@ def _base_with_coverage(cfg: RunConfig, alphas: np.ndarray) -> BaseSpectrum:
 
 
 def cmd_morse(cfg: RunConfig) -> dict:
-    alphas = _alphas_for(cfg)
+    alphas = _alphas_for(cfg, cfg.nodal_n + 1)
     base = _base_with_coverage(cfg, alphas)
     report = morse_index(alphas, base)
     t_min, t_max, samples = cfg.t_range
@@ -428,7 +429,7 @@ def cmd_morse(cfg: RunConfig) -> dict:
 
 
 def cmd_bifurcation_points(cfg: RunConfig) -> dict:
-    alphas = _alphas_for(cfg)
+    alphas = _alphas_for(cfg, cfg.nodal_n + 1)
     points = degeneracy_times(alphas, _base_with_coverage(cfg, alphas), cfg.t_range[1])
     rows = []
     for p in points:
@@ -443,7 +444,7 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
     length = _two_dim_length(cfg)
     t = float(cfg.options["t_verify"])
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    alphas = _alphas_for(cfg, sol)
+    alphas = _alphas_for(cfg, int(cfg.options["k_eigs"]), sol)
     k = 10
     top = float(alphas[-1])
     base = _base_spectrum(cfg, coverage_cutoff(alphas, t, top))
@@ -477,7 +478,7 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
 def cmd_continue(cfg: RunConfig) -> dict:
     length = _two_dim_length(cfg)
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    alphas = _alphas_for(cfg, sol)
+    alphas = _alphas_for(cfg, cfg.nodal_n + 1, sol)
     t_max = cfg.t_range[1]
     points = degeneracy_times(alphas, _base_with_coverage(cfg, alphas), t_max)
     simple_points = [p for p in points if p.simple]

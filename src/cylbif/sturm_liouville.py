@@ -13,7 +13,7 @@ Wilkinson 1967; Parlett, The Symmetric Eigenvalue Problem, ch. 7):
   negative pivots of T - xI = L D L^T, d_1 = a_1 - x and
   d_i = (a_i - x) - e_{i-1}^2 / d_{i-1} (Sylvester's law of inertia).  A
   pivot smaller than pivmin in magnitude is replaced by -pivmin, as stebz
-  does.
+  does.  ``TridiagonalOperator.count_below`` is this count.
 * Isolate.  Each of the k smallest eigenvalues is bisected until the counts
   at the ends of its bracket are i - 1 and i; isolation is decided by counts,
   never by the bracket's width.
@@ -81,6 +81,10 @@ class TridiagonalOperator:
         a = np.diag(self.diag)
         a += np.diag(self.off, 1) + np.diag(self.off, -1)
         return a
+
+    def count_below(self, shift: float) -> int:
+        """Number of eigenvalues below ``shift``: the negative LDL^T pivots of T - shift I."""
+        return _Sturm(self).count(shift)
 
 
 @dataclass
@@ -202,11 +206,16 @@ class _Sturm:
             append(d)
         return pivots
 
-    def isolate(self, k: int, guess) -> tuple[list[float], list[float]]:
-        """Brackets (lo_i, hi_i) with count(lo_i) = i - 1 and count(hi_i) = i.
-
-        ``guess``, approximate eigenvalues, only places the first trial
-        shifts between them; isolation is always decided by the counts."""
+    def eigenvalues(self, k: int, guess) -> list[float]:
+        """The k smallest eigenvalues, each isolated by the counts in a bracket (lo_i, hi_i) with count(lo_i)
+        = i - 1 and count(hi_i) = i, then polished inside it.  ``guess``, k approximate eigenvalues such as
+        those of a coarser grid, only places the first trial shifts between them and starts the polish."""
+        if not 1 <= k <= self.m - 1:
+            raise ValidationError(f"need 1 <= k <= M - 1, got k={k}, M={self.m}")
+        if guess is not None:
+            guess = [float(g) for g in guess]
+            if len(guess) != k:
+                raise ValidationError(f"need k = {k} guesses, got {len(guess)}")
         lo, hi = [self.lower] * k, [self.upper] * k
         count_lo, count_hi = [0] * k, [self.m] * k
 
@@ -232,7 +241,7 @@ class _Sturm:
                         f"{count_hi[i] - count_lo[i]} eigenvalues coincide to working precision"
                     )
                 record(x)
-        return lo, hi
+        return [self.polish(i, lo[i], hi[i], None if guess is None else guess[i]) for i in range(k)]
 
     def polish(self, i: int, lo: float, hi: float, start: float | None) -> float:
         """The (i+1)-th eigenvalue by safeguarded Newton inside its isolating bracket."""
@@ -293,27 +302,19 @@ def sl_eigenpairs(operator: TridiagonalOperator, k: int, *, guess=None) -> Sturm
 
     ``guess``, k approximate eigenvalues such as those of a coarser grid,
     only speeds the isolation and starts the polish."""
-    m = len(operator.diag)
-    if not 1 <= k <= m - 1:
-        raise ValidationError(f"need 1 <= k <= M - 1, got k={k}, M={m}")
-    if guess is not None:
-        guess = [float(g) for g in guess]
-        if len(guess) != k:
-            raise ValidationError(f"need k = {k} guesses, got {len(guess)}")
     sturm = _Sturm(operator)
-    brackets = zip(*sturm.isolate(k, guess))
-    alphas = [sturm.polish(i, lo, hi, None if guess is None else guess[i]) for i, (lo, hi) in enumerate(brackets)]
+    alphas = sturm.eigenvalues(k, guess)
     z = sturm.unit_eigenvectors(alphas)
 
     # undo the half-weight similarity, then normalize in the trapezoid L2
     # norm h*(z0^2/2 + sum z_j^2); for the transformed vector this equals
     # h * |v|^2, and the vectors have |v| = 1
     z[:, 0] *= math.sqrt(2.0)
-    z /= math.sqrt(1.0 / m)
+    z /= math.sqrt(1.0 / sturm.m)
     z *= np.where(z[:, :1] < 0.0, -1.0, 1.0)
 
-    full = np.zeros((k, m + 1))
-    full[:, :m] = z
+    full = np.zeros((k, sturm.m + 1))
+    full[:, : sturm.m] = z
     return SturmSpectrum(alphas=np.array(alphas), eigenfunctions=full)
 
 
@@ -371,18 +372,28 @@ def extrapolated_alphas(
 ) -> tuple[np.ndarray, SturmSpectrum]:
     """First k linearization eigenvalues, Richardson-extrapolated from the
     grids grid_size // 4, grid_size // 2 and grid_size, and the spectrum
-    solved on the finest of them.
+    solved on the finest of them, the only grid that computes eigenvectors.
 
-    Each grid starts from the coarser grids' alphas: grid_size // 2 from
-    those of grid_size // 4, and grid_size from the h^2 error term of the two.
+    Operators that count different numbers of negative eigenvalues
+    (``count_below(0)``, exact by Sylvester's law) do not resolve the Morse
+    index and raise NonConvergenceError before any eigensolve.  Each grid
+    starts from the coarser grids' alphas: grid_size // 2 from those of
+    grid_size // 4, and grid_size from the h^2 error term of the two.
     Extrapolated alphas that are not strictly ascending mean that the grids
     are outside the regime the h^2, h^4 weights assume, and raise
     NonConvergenceError.
     """
     grids = (grid_size // 4, grid_size // 2, grid_size)
-    coarse = linearized_spectrum(model, amplitude, grids[0], k).alphas
-    middle = linearized_spectrum(model, amplitude, grids[1], k, guess=coarse).alphas
-    finest = linearized_spectrum(model, amplitude, grids[2], k, guess=middle + (middle - coarse) / 4.0)
+    operators = [assemble_sl_operator(eval_fprime(model, integrate_ivp(model, amplitude, m)[0])) for m in grids]
+    counts = [op.count_below(0.0) for op in operators]
+    if len(set(counts)) > 1:
+        raise NonConvergenceError(
+            f"the grids {grids[0]}, {grids[1]} and {grids[2]} count {counts} negative eigenvalues; "
+            "the grids are too coarse to resolve the Morse index of this profile"
+        )
+    coarse = np.array(_Sturm(operators[0]).eigenvalues(k, None))
+    middle = np.array(_Sturm(operators[1]).eigenvalues(k, coarse))
+    finest = sl_eigenpairs(operators[2], k, guess=middle + (middle - coarse) / 4.0)
     alphas = np.array([richardson_extrapolate(column) for column in zip(coarse, middle, finest.alphas)])
     values = alphas.tolist()
     for i in range(k - 1):

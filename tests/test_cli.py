@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 
 import cylbif.cli as cli
-import cylbif.morse_bifurcation as mb
 import cylbif.pde_rectangle as pde
 import cylbif.sturm_liouville as sl
 from cylbif import Interval, LaneEmden, extrapolated_alphas, neumann_eigenvalues
 from cylbif.cli import format_rows, main, write_csv
-from cylbif.errors import NonConvergenceError
+from cylbif.errors import NoSolutionError, NonConvergenceError
 from oracles import brute_force_negative_count, ellipk_agm, jprime_zero
 
 BASE_CONFIG = {
@@ -117,15 +116,16 @@ class TestSubcommands:
         assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
 
     def test_spectrum_1d_solves_the_finest_grid_once(self, tmp_path, monkeypatch):
-        # eig_M for the zero counts and the Richardson triple's finest grid, eig_M / 2 and eig_M / 4
+        # eig_M for the zero counts and the Richardson triple's finest grid, eig_M / 2 and eig_M / 4;
+        # every eigenvalue solve goes through _Sturm.eigenvalues, whose operator's length is the grid
         grids = []
-        real = sl.linearized_spectrum
+        real = sl._Sturm.eigenvalues
 
-        def counted(model, amplitude, grid_size, k, **kwargs):
-            grids.append(grid_size)
-            return real(model, amplitude, grid_size, k, **kwargs)
+        def counted(self, k, guess):
+            grids.append(self.m)
+            return real(self, k, guess)
 
-        monkeypatch.setattr(sl, "linearized_spectrum", counted)
+        monkeypatch.setattr(sl._Sturm, "eigenvalues", counted)
         cfg = write_config(tmp_path, options={"k_eigs": 6})
         assert main(["spectrum-1d", "--config", str(cfg)]) == 0
         assert sorted(grids) == [400, 800, 1600]
@@ -216,6 +216,43 @@ class TestSubcommands:
         single = (tmp_path / "out" / "morse.csv").read_bytes()
         assert main(["morse", "--config", str(cfg), "--threads", "4"]) == 0
         assert (tmp_path / "out" / "morse.csv").read_bytes() == single
+
+    @pytest.mark.parametrize("nodal_n", [12, 20])
+    def test_morse_counts_every_nodal_domain(self, tmp_path, nodal_n):
+        # more nodal domains than the default k_eigs (12) has eigenvalues
+        cfg = write_config(tmp_path, nodal_n=nodal_n)
+        assert main(["morse", "--config", str(cfg)]) == 0
+        assert read_summary(tmp_path)["results"]["m_xn"] == nodal_n
+
+    def test_bifurcation_points_reads_every_negative_alpha(self, tmp_path):
+        # the crossings of all twenty negative alphas below t_max = 3, with default options
+        cfg = write_config(tmp_path, nodal_n=20, grids={"ode_M": 2000, "eig_M": 2000})
+        assert main(["bifurcation-points", "--config", str(cfg)]) == 0
+        assert read_summary(tmp_path)["results"]["count"] == 1746
+
+    def test_the_morse_chain_reads_no_k_eigs(self, tmp_path, monkeypatch):
+        # morse, bifurcation-points and continue solve the n negative alphas and the positive
+        # witness after them, whatever options.k_eigs says
+        real, solved = cli.extrapolated_alphas, []
+
+        def spy(model, amplitude, grid_size, k):
+            solved.append(k)
+            return real(model, amplitude, grid_size, k)
+
+        def stop(*args, **kwargs):
+            raise NoSolutionError("stopped before the 2D solve")
+
+        monkeypatch.setattr(cli, "extrapolated_alphas", spy)
+        monkeypatch.setattr(pde, "make_branch_context", stop)
+        written = []
+        for options in ({}, {"k_eigs": 2}):
+            cfg = write_config(tmp_path, nodal_n=3, options=options)
+            for subcommand in ("morse", "bifurcation-points"):
+                assert main([subcommand, "--config", str(cfg)]) == 0
+                written.append(((tmp_path / "out" / f"{subcommand}.csv").read_bytes(), read_summary(tmp_path)["results"]))
+            assert main(["continue", "--config", str(cfg)]) == 4
+        assert solved == [4] * 6
+        assert written[:2] == written[2:]
 
     def test_bifurcation_points_with_synthetic_alphas(self, tmp_path):
         cfg = write_config(tmp_path, alphas=[-5.0, 1.0], t_range={"t_min": 0.5, "t_max": 5.0, "samples": 5})
@@ -614,7 +651,8 @@ def test_tracing_records_the_1d_chain(tmp_path):
     # pde_rectangle is registered lazily; the 1D spans must still be recorded
     cfg = write_config(tmp_path, options={"k_eigs": 6})
     tracing, profile = _run_traced(tmp_path, ["spectrum-1d", "--config", str(cfg)])
-    assert profile["calls"]["sturm_liouville.sl_eigenpairs"] == 3
+    # the two coarse grids of the Richardson triple compute eigenvalues only
+    assert profile["calls"]["sturm_liouville.sl_eigenpairs"] == 1
     assert profile["calls"]["ode_shooting.integrate_ivp"] > 3
     metrics = tracing.layer_metrics([profile])
     assert metrics["sturm_liouville.eig_s"] > 0.0 and metrics["ode_shooting.ivp_s"] > 0.0
@@ -744,22 +782,28 @@ class TestContract:
         assert main(["solve-1d", "--config", str(cfg)]) == 4
         assert "beyond the float range" in caplog.text
 
-    @pytest.mark.parametrize("p, n", [(110.0, 5), (60.0, 8)])
+    @pytest.mark.parametrize("p, n", [(110.0, 5), (60.0, 8), (30.0, 8)])
     def test_unsorted_extrapolated_alphas_exit_3(self, tmp_path, caplog, p, n):
-        # the triple 500, 1000, 2000 is outside the h^2, h^4 regime of these profiles, and
-        # its extrapolated alphas come out unsorted: a non-convergence, not bad input (config
-        # alphas out of order stay exit 2, test_config_value_failures_name_the_rule)
+        # the triple 500, 1000, 2000 is too coarse for these profiles: its grids count different
+        # numbers of negative eigenvalues, a non-convergence found before any eigensolve (at
+        # p = 110 and 60 the extrapolated alphas would also come out unsorted, at p = 30 sorted
+        # but wrong); config alphas out of order stay exit 2, test_config_value_failures_name_the_rule
+        counts = {110.0: "[9, 7, 6]", 60.0: "[14, 10, 9]", 30.0: "[9, 8, 8]"}[p]
         grids = {"ode_M": 2000, "eig_M": 2000, "nx": 64, "ny": 64}
         cfg = write_config(tmp_path, model={"type": "lane_emden", "p": p}, nodal_n=n, grids=grids)
         for subcommand in ("spectrum-1d", "morse", "bifurcation-points"):
             caplog.clear()
             assert main([subcommand, "--config", str(cfg)]) == 3, subcommand
-            assert re.search(
-                r"Richardson extrapolation from the grids 500, 1000 and 2000 gives alphas out of order: "
-                r"alpha_4 = \S+ >= alpha_5 = ",
-                caplog.text,
-            )
+            assert f"the grids 500, 1000 and 2000 count {counts} negative eigenvalues" in caplog.text
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_grids_that_disagree_on_the_count_exit_3(self, tmp_path, caplog):
+        # the 15-nodal p = 8 profile: the coarsest grid counts one negative eigenvalue too many
+        grids = {"ode_M": 2000, "eig_M": 2000}
+        cfg = write_config(tmp_path, model={"type": "lane_emden", "p": 8.0}, nodal_n=15, grids=grids)
+        assert main(["morse", "--config", str(cfg)]) == 3
+        assert "the grids 500, 1000 and 2000 count [16, 15, 15] negative eigenvalues" in caplog.text
+        assert not (tmp_path / "out" / "morse.csv").exists()
 
     def test_nonconvergence_exit_code(self, tmp_path):
         # a tolerance below the residual rounding floor cannot be met
@@ -951,23 +995,6 @@ class TestContract:
         assert main(["verify-decomposition", "--config", str(cfg)]) == 2
         assert re.search(r"only 3 composed eigenvalues lie below alpha_max = \S+; raise options.k_eigs", caplog.text)
         assert not (tmp_path / "out" / "verify-decomposition.csv").exists()
-
-    def test_morse_formula_disagreeing_with_the_composed_count_exits_2(self, tmp_path, caplog, monkeypatch):
-        # a composed list with one negative entry too many contradicts the Morse formula
-        compose = mb.compose_spectrum
-
-        def one_more(*args, **kwargs):
-            c = compose(*args, **kwargs)
-            return mb.ComposedSpectrum(
-                np.insert(c.values, 0, -1.0), np.insert(c.i, 0, 1), np.insert(c.j, 0, 0), np.insert(c.multiplicity, 0, 1)
-            )
-
-        monkeypatch.setattr(mb, "compose_spectrum", one_more)
-        cfg = write_config(tmp_path)
-        assert main(["morse", "--config", str(cfg)]) == 2
-        found = re.search(r"disagreement between the Morse formula \((\d+)\) and the composed negative count \((\d+)\)", caplog.text)
-        assert found and int(found.group(2)) == int(found.group(1)) + 1
-        assert not (tmp_path / "out" / "morse.csv").exists()
 
     def test_verify_decomposition_rejects_synthetic_alphas(self, tmp_path, caplog):
         # composing config alphas against the solved 2D operator checks nothing

@@ -262,6 +262,13 @@ class TestSturmKernel:
         sturm = sl._Sturm(op)
         assert sturm.count(x) == sturm.count_and_log_derivative(x)[0] == expected == 32
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_count_below_is_the_number_of_eigenvalues_below_the_shift(self, profile):
+        op = profile_operator(profile, 64)
+        eigs = np.linalg.eigvalsh(op.dense())
+        for shift in (-1e4, -10.0, 0.0, 50.0, float(np.mean(eigs[3:5])), 1e6):
+            assert op.count_below(shift) == int(np.count_nonzero(eigs < shift)), shift
+
     def test_coincident_eigenvalues_cannot_be_isolated(self):
         # uncoupled equal diagonal entries make a double eigenvalue: the count jumps by 2
         # at 1.0 and no bisection separates the two
@@ -275,6 +282,34 @@ class TestSturmKernel:
         monkeypatch.setattr(sl._Sturm, "polish", lambda self, *args: polish(self, *args) + 1e-3)
         with pytest.raises(NonConvergenceError, match=r"residual .* > M eps \|\|T\|\|"):
             sl_eigenpairs(assemble_sl_operator(np.zeros(65)), 3)
+
+
+class TestTripleCounts:
+    """``extrapolated_alphas`` counts the negative eigenvalues of its three operators before any eigensolve."""
+
+    @pytest.mark.parametrize(
+        "model", [LaneEmden(3.0), LaneEmden(4.0), CubicFamily(1.0, 1.0), CubicFamily(0.0, 2.0)], ids=repr
+    )
+    def test_the_n_nodal_profile_counts_n_on_every_grid(self, model):
+        # the linearization around the n-nodal profile has n negative eigenvalues (Sturm), and
+        # each grid of the eig_M = 2000 triple resolves that up to n = 20
+        for n in range(1, 21):
+            amplitude = _amplitude(model, n)
+            counts = [
+                assemble_sl_operator(eval_fprime(model, integrate_ivp(model, amplitude, m)[0])).count_below(0.0)
+                for m in (500, 1000, 2000)
+            ]
+            assert counts == [n, n, n], n
+
+    def test_agreeing_counts_still_need_ascending_alphas(self, monkeypatch):
+        # p = 60, n = 8: the grids disagree on the count ([14, 10, 9]); forced to agree, the
+        # Richardson weights still meet the profile outside their regime and give unsorted alphas
+        model = LaneEmden(60.0)
+        with pytest.raises(NonConvergenceError, match="count \\[14, 10, 9\\] negative eigenvalues"):
+            sl.extrapolated_alphas(model, _amplitude(model, 8), 2000, 12)
+        monkeypatch.setattr(TridiagonalOperator, "count_below", lambda self, shift: 9)
+        with pytest.raises(NonConvergenceError, match="gives alphas out of order: alpha_4 = .* >= alpha_5"):
+            sl.extrapolated_alphas(model, _amplitude(model, 8), 2000, 12)
 
 
 class TestDiagnostics:
