@@ -33,7 +33,6 @@ from . import pde_rectangle as pde  # registered lazily: scipy loads on the firs
 from .base_spectrum import BaseDomain, BaseSpectrum, Interval, domain_from_dict, neumann_eigenvalues
 from .errors import (
     CylbifError,
-    InsufficientSpectrumError,
     NoSolutionError,
     NonConvergenceError,
     ValidationError,
@@ -122,20 +121,21 @@ class RunConfig:
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
     """The defaults overridden by the map ``raw[name]``, whose keys and value types must match them;
-    an integer default takes integral numbers only."""
+    an integer default takes integral numbers only.  Each value is stored as its default's type."""
     given = raw.get(name, {})
     if not isinstance(given, dict):
         raise ValidationError(f"{name} must be a JSON object")
     unknown = set(given) - set(defaults)
     if unknown:
         raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
+    typed = dict(defaults)
     for key, value in given.items():
-        if isinstance(defaults[key], bool):
-            if not isinstance(value, bool):
-                raise ValidationError(f"{name}.{key} must be true or false, got {value!r}")
-        else:
-            finite_number(value, f"{name}.{key}", type(defaults[key]))
-    return {**defaults, **given}
+        if not isinstance(defaults[key], bool):
+            value = finite_number(value, f"{name}.{key}", type(defaults[key]))
+        elif not isinstance(value, bool):
+            raise ValidationError(f"{name}.{key} must be true or false, got {value!r}")
+        typed[key] = value
+    return typed
 
 
 def load_config(path: str, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
@@ -315,21 +315,21 @@ def write_summary(cfg: RunConfig, subcommand: str, results: dict) -> None:
 
 def _shooting_config(cfg: RunConfig) -> ShootingConfig:
     return ShootingConfig(
-        steps=int(cfg.grids["ode_M"]),
+        steps=cfg.grids["ode_M"],
         tol_terminal=cfg.tolerances["tol_terminal"],
         tol_amplitude=cfg.tolerances["tol_amplitude"],
     )
 
 
-def _alphas_for(cfg: RunConfig, k: int, sol: OneDimSolution | None = None) -> np.ndarray:
-    """Synthetic alphas from the config if given, otherwise the first k extrapolated around ``sol``,
-    shooting for it first when the caller has none.  The Morse chain asks for nodal_n + 1: the n-nodal
+def _alphas_for(cfg: RunConfig, sol: OneDimSolution | None = None) -> np.ndarray:
+    """The Morse chain's alphas: synthetic ones from the config if given, otherwise the first nodal_n + 1
+    extrapolated around ``sol``, shooting for it first when the caller has none.  Those are the n-nodal
     profile's n negative alphas, which ``extrapolated_alphas`` counts, and the positive witness after them."""
     if cfg.alphas is not None:
         return np.asarray(cfg.alphas, dtype=float)
     if sol is None:
         sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    return extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)[0]
+    return extrapolated_alphas(cfg.model, sol.amplitude, cfg.grids["eig_M"], cfg.nodal_n + 1)[0]
 
 
 def _two_dim_length(cfg: RunConfig) -> float:
@@ -368,9 +368,9 @@ def cmd_solve_1d(cfg: RunConfig) -> dict:
 
 def cmd_spectrum_1d(cfg: RunConfig) -> dict:
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    k = int(cfg.options["k_eigs"])
+    k = cfg.options["k_eigs"]
     # the chain's alphas; zero counts and eigenfunctions are those of the eig_M grid
-    alphas, spec = extrapolated_alphas(cfg.model, sol.amplitude, int(cfg.grids["eig_M"]), k)
+    alphas, spec = extrapolated_alphas(cfg.model, sol.amplitude, cfg.grids["eig_M"], k)
     m_xn = one_dim_morse(alphas)  # before any artifact: a spectrum with no positive witness writes none
     rows = [(i + 1, alpha, int(count)) for i, (alpha, count) in enumerate(zip(alphas, spec.zero_counts))]
     header = ["i", "alpha_i", "zero_count_i"]
@@ -395,13 +395,13 @@ def _base_spectrum(cfg: RunConfig, cutoff: float) -> BaseSpectrum:
     return neumann_eigenvalues(
         cfg.base,
         cutoff,
-        max_modes=int(cfg.options["max_modes"]),
-        rotation_invariant=bool(cfg.options["rotation_invariant"]),
+        max_modes=cfg.options["max_modes"],
+        rotation_invariant=cfg.options["rotation_invariant"],
     )
 
 
 def cmd_base_eigs(cfg: RunConfig) -> dict:
-    spec = _base_spectrum(cfg, float(cfg.options["cutoff"]))
+    spec = _base_spectrum(cfg, cfg.options["cutoff"])
     # one CSV field: a mode's indices joined by spaces, the modes of one eigenvalue by "|"
     rows = [
         (j, lam, int(mult), "|".join(" ".join(map(str, lab)) for lab in labs))
@@ -418,7 +418,7 @@ def _base_with_coverage(cfg: RunConfig, alphas: np.ndarray) -> BaseSpectrum:
 
 
 def cmd_morse(cfg: RunConfig) -> dict:
-    alphas = _alphas_for(cfg, cfg.nodal_n + 1)
+    alphas = _alphas_for(cfg)
     base = _base_with_coverage(cfg, alphas)
     report = morse_index(alphas, base)
     t_min, t_max, samples = cfg.t_range
@@ -429,7 +429,7 @@ def cmd_morse(cfg: RunConfig) -> dict:
 
 
 def cmd_bifurcation_points(cfg: RunConfig) -> dict:
-    alphas = _alphas_for(cfg, cfg.nodal_n + 1)
+    alphas = _alphas_for(cfg)
     points = degeneracy_times(alphas, _base_with_coverage(cfg, alphas), cfg.t_range[1])
     rows = []
     for p in points:
@@ -442,20 +442,17 @@ def cmd_bifurcation_points(cfg: RunConfig) -> dict:
 
 def cmd_verify_decomposition(cfg: RunConfig) -> dict:
     length = _two_dim_length(cfg)
-    t = float(cfg.options["t_verify"])
+    t = cfg.options["t_verify"]
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    alphas = _alphas_for(cfg, int(cfg.options["k_eigs"]), sol)
     k = 10
+    # lambda_0 = 0 makes alpha_1..alpha_k sums, so the k smallest sums lie at or below alpha_k and use no later alpha
+    alphas = extrapolated_alphas(cfg.model, sol.amplitude, cfg.grids["eig_M"], k)[0]
     top = float(alphas[-1])
     base = _base_spectrum(cfg, coverage_cutoff(alphas, t, top))
     # the sums up to the largest alpha are complete; interval eigenvalues are simple
     composed = compose_spectrum(alphas, base, cutoff=top, t=t).values[:k]
-    if composed.size < k:
-        raise InsufficientSpectrumError(
-            f"only {composed.size} composed eigenvalues lie below alpha_max = {top}; raise options.k_eigs"
-        )
 
-    grid = pde.Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
+    grid = pde.Grid2D(cfg.grids["nx"], cfg.grids["ny"])
     u1d, _ = integrate_ivp(cfg.model, sol.amplitude, grid.ny - 1)
     spectrum = pde.certified_spectrum(u1d, t, cfg.model, grid, length, k)
     direct = spectrum.values
@@ -478,7 +475,7 @@ def cmd_verify_decomposition(cfg: RunConfig) -> dict:
 def cmd_continue(cfg: RunConfig) -> dict:
     length = _two_dim_length(cfg)
     sol = find_one_dim_solution(cfg.model, cfg.nodal_n, _shooting_config(cfg))
-    alphas = _alphas_for(cfg, cfg.nodal_n + 1, sol)
+    alphas = _alphas_for(cfg, sol)
     t_max = cfg.t_range[1]
     points = degeneracy_times(alphas, _base_with_coverage(cfg, alphas), t_max)
     simple_points = [p for p in points if p.simple]
@@ -488,9 +485,9 @@ def cmd_continue(cfg: RunConfig) -> dict:
     k_index = points.index(point) + 1
     log.info("switching at t_bar = %.8g (pair %s)", point.t_bar, point.pairs[0])
 
-    grid = pde.Grid2D(int(cfg.grids["nx"]), int(cfg.grids["ny"]))
+    grid = pde.Grid2D(cfg.grids["nx"], cfg.grids["ny"])
     ctx = pde.make_branch_context(cfg.model, grid, length, sol.amplitude, point, tol=cfg.tolerances["newton_tol"])
-    steps = int(cfg.options["branch_steps"])
+    steps = cfg.options["branch_steps"]
 
     results = {
         "t_bar": ctx.t_bar,

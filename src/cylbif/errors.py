@@ -61,10 +61,6 @@ class NonConvergenceError(CylbifError):
 class IntegrationOverflowError(NonConvergenceError):
     """State became non-finite during time stepping."""
 
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
 
 class NoSolutionError(CylbifError):
     """No admissible solution or branch exists, or its amplitude is not representable."""

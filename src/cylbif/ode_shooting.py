@@ -127,9 +127,7 @@ def integrate_ivp(model: NonlinearityModel, amplitude: float, steps: int):
         except OverflowError:
             u = math.inf
         if not (math.isfinite(u) and math.isfinite(v)):
-            raise IntegrationOverflowError(
-                f"non-finite state at node {j + 1} (amplitude {amplitude})", node=j + 1
-            )
+            raise IntegrationOverflowError(f"non-finite state at node {j + 1} (amplitude {amplitude})")
         us.append(u)
         vs.append(v)
     return np.array(us), np.array(vs)

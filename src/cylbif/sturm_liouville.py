@@ -328,8 +328,10 @@ def one_dim_morse(alphas) -> int:
     largest must be a positive witness that the count is complete."""
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0 or alphas[-1] <= 0.0:
+        found = f"the largest alpha, {float(alphas[-1])!r}, is not positive" if alphas.size else "the list is empty"
         raise InsufficientSpectrumError(
-            "need a positive eigenvalue witness to certify the 1D Morse index; increase k"
+            f"need a positive eigenvalue witness to certify the 1D Morse index: {found}, "
+            "so the list may omit negative eigenvalues"
         )
     return int(np.count_nonzero(alphas < 0.0))
 
@@ -339,18 +341,15 @@ def nondegeneracy_margin(alphas) -> float:
     return float(np.min(np.abs(alphas)))
 
 
-def linearized_spectrum(
-    model: NonlinearityModel, amplitude: float, grid_size: int, k: int, *, guess=None
-) -> SturmSpectrum:
+def linearized_spectrum(model: NonlinearityModel, amplitude: float, grid_size: int, k: int) -> SturmSpectrum:
     """Spectrum of the ODE linearization around the shooting solution.
 
     The initial-value problem is re-integrated at the eigenproblem grid
     resolution so the potential q = f'(u) carries no interpolation error.
-    ``guess`` is passed on to :func:`sl_eigenpairs`.
     """
     u, _ = integrate_ivp(model, amplitude, grid_size)
     q = eval_fprime(model, u)
-    return sl_eigenpairs(assemble_sl_operator(q), k, guess=guess)
+    return sl_eigenpairs(assemble_sl_operator(q), k)
 
 
 def richardson_extrapolate(values) -> float:
@@ -373,6 +372,8 @@ def extrapolated_alphas(
     """First k linearization eigenvalues, Richardson-extrapolated from the
     grids grid_size // 4, grid_size // 2 and grid_size, and the spectrum
     solved on the finest of them, the only grid that computes eigenvectors.
+    The h^2, h^4 weights assume that each grid halves h, so a grid_size that
+    is not a multiple of 4 raises ValidationError.
 
     Operators that count different numbers of negative eigenvalues
     (``count_below(0)``, exact by Sylvester's law) do not resolve the Morse
@@ -384,6 +385,10 @@ def extrapolated_alphas(
     NonConvergenceError.
     """
     grids = (grid_size // 4, grid_size // 2, grid_size)
+    if grid_size % 4:
+        raise ValidationError(
+            f"the grids {grids[0]}, {grids[1]} and {grids[2]} do not halve h; the finest must be a multiple of 4"
+        )
     operators = [assemble_sl_operator(eval_fprime(model, integrate_ivp(model, amplitude, m)[0])) for m in grids]
     counts = [op.count_below(0.0) for op in operators]
     if len(set(counts)) > 1:

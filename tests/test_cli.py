@@ -115,6 +115,13 @@ class TestSubcommands:
         assert main(["spectrum-1d", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
 
+    def test_spectrum_1d_on_grids_that_do_not_halve_h_exits_2(self, tmp_path, caplog):
+        # the Richardson weights assume eig_M / 4, eig_M / 2 and eig_M halve h, which 2001 breaks
+        cfg = write_config(tmp_path, grids={"ode_M": 1200, "eig_M": 2001})
+        assert main(["spectrum-1d", "--config", str(cfg)]) == 2
+        assert "the grids 500, 1000 and 2001 do not halve h" in caplog.text
+        assert not (tmp_path / "out" / "spectrum-1d.csv").exists()
+
     def test_spectrum_1d_solves_the_finest_grid_once(self, tmp_path, monkeypatch):
         # eig_M for the zero counts and the Richardson triple's finest grid, eig_M / 2 and eig_M / 4;
         # every eigenvalue solve goes through _Sturm.eigenvalues, whose operator's length is the grid
@@ -303,6 +310,26 @@ class TestSubcommands:
         assert [(int(r["i"]), int(r["j"])) for r in rows] == [(i, j) for _, i, j in expected]
         assert [float(r["t_bar"]) for r in rows] == pytest.approx([t for t, _, _ in expected], rel=1e-10)
         assert [int(r["multiplicity"]) for r in rows] == [mults[j] for _, _, j in expected]
+
+    def test_disk_morse_with_rotation_invariant_counts_only_nu_0(self, tmp_path):
+        # rotation-invariant modes of the unit disk: lambda = j'_{0,k}^2, each simple
+        alphas = [-30.0, 4.0]
+        lambdas = [0.0] + [jprime_zero(0, k) ** 2 for k in range(1, 6)]
+        cfg = write_config(
+            tmp_path,
+            base={"type": "disk", "radius": 1.0},
+            alphas=alphas,
+            options={"rotation_invariant": True},
+            t_range={"t_min": 0.5, "t_max": 2.0, "samples": 7},
+        )
+        assert main(["morse", "--config", str(cfg)]) == 0
+        assert read_summary(tmp_path)["results"]["contributions"] == [1]  # j'_{0,1}^2 = 14.7 < 30 < j'_{0,2}^2
+        rows = read_csv_rows(tmp_path / "out" / "morse.csv")
+        assert len(rows) == 7
+        for row in rows:
+            t = float(row["t"])
+            expected = brute_force_negative_count(alphas, [lam / t**2 for lam in lambdas], [1] * len(lambdas))
+            assert (int(row["m"]), row["degenerate"]) == (expected, "false"), t
 
     def test_verify_decomposition(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -736,6 +763,12 @@ class TestContract:
         cfg = write_config(tmp_path, grids={"nx": 64.0}, options={"k_eigs": 12.0}, nodal_n=1.0)
         assert main(["base-eigs", "--config", str(cfg)]) == 0
 
+    def test_config_values_take_their_default_types(self, tmp_path):
+        # a count spelled as a float is an int, a tolerance spelled as an integer a float
+        cfg = cli.load_config(str(write_config(tmp_path, grids={"nx": 64.0}, tolerances={"newton_tol": 1})))
+        assert (type(cfg.grids["nx"]), cfg.grids["nx"]) == (int, 64)
+        assert (type(cfg.tolerances["newton_tol"]), cfg.tolerances["newton_tol"]) == (float, 1.0)
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -965,6 +998,9 @@ class TestContract:
         cfg = write_config(tmp_path, alphas=[-30.0, -5.0])
         assert main(["bifurcation-points", "--config", str(cfg)]) == 2
         assert "positive eigenvalue witness" in caplog.text
+        # config alphas have no k to increase: the message states the fact
+        assert "the largest alpha, -5.0, is not positive" in caplog.text
+        assert "increase k" not in caplog.text
         assert not (tmp_path / "out" / "bifurcation-points.csv").exists()
 
     def test_bad_threads_creates_no_output_dir(self, tmp_path):
@@ -978,23 +1014,26 @@ class TestContract:
         assert main(["verify-decomposition", "--config", str(cfg)]) == 2
 
     def test_verify_decomposition_enumerates_the_base_within_max_modes(self, tmp_path, caplog):
-        # the base that covers t_verify = 1 up to alpha_max needs 12 interval modes here
+        # the base that covers t_verify = 1 up to alpha_10 needs 10 interval modes here
         cfg = write_config(
             tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48}, options={"t_verify": 1.0, "max_modes": 5}
         )
         assert main(["verify-decomposition", "--config", str(cfg)]) == 2
-        assert "interval enumeration needs 12 modes > budget 5" in caplog.text
+        assert "interval enumeration needs 10 modes > budget 5" in caplog.text
         assert not (tmp_path / "out" / "verify-decomposition.csv").exists()
 
-    def test_verify_decomposition_needs_ten_composed_values_below_alpha_max(self, tmp_path, caplog, monkeypatch):
-        # two alphas of p = 4, n = 1 leave only 3 sums below the larger one, short of the 10 compared
-        monkeypatch.setattr(pde, "certified_spectrum", lambda *a, **k: pytest.fail("certified a short list"))
-        cfg = write_config(
-            tmp_path, grids={"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48}, options={"t_verify": 1.0, "k_eigs": 2}
-        )
-        assert main(["verify-decomposition", "--config", str(cfg)]) == 2
-        assert re.search(r"only 3 composed eigenvalues lie below alpha_max = \S+; raise options.k_eigs", caplog.text)
-        assert not (tmp_path / "out" / "verify-decomposition.csv").exists()
+    def test_verify_decomposition_reads_no_k_eigs(self, tmp_path):
+        # the ten smallest sums lie at or below alpha_10, so alpha_1..alpha_10 are solved whatever
+        # options.k_eigs says; only the config hash, which records the config, may differ
+        grids = {"ode_M": 1200, "eig_M": 1600, "nx": 48, "ny": 48}
+        outputs = []
+        for k_eigs in (2, 10, 12, 20):
+            cfg = write_config(tmp_path, grids=grids, options={"t_verify": 1.0, "k_eigs": k_eigs})
+            assert main(["verify-decomposition", "--config", str(cfg)]) == 0, k_eigs
+            summary = read_summary(tmp_path)
+            del summary["config_hash"]
+            outputs.append(((tmp_path / "out" / "verify-decomposition.csv").read_bytes(), summary))
+        assert all(output == outputs[0] for output in outputs[1:])
 
     def test_verify_decomposition_rejects_synthetic_alphas(self, tmp_path, caplog):
         # composing config alphas against the solved 2D operator checks nothing
@@ -1105,6 +1144,17 @@ def test_cli_imports_only_public_names():
     assert read <= set(pde.__all__), sorted(read - set(pde.__all__))
 
 
+def test_cli_does_not_cast_config_values_again():
+    # load_config stores each grids, tolerances and options value as its default's type, so
+    # no read site converts one again
+    sections = {"grids", "tolerances", "options"}
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("int", "float", "bool"):
+            for arg in node.args:
+                read = arg.value if isinstance(arg, ast.Subscript) else None
+                assert not (isinstance(read, ast.Attribute) and read.attr in sections), ast.unparse(node)
+
+
 def test_no_pde_function_takes_both_a_context_and_a_point():
     # a BranchContext owns its crossing, so no public function takes a BifurcationPoint
     # next to one: the two could describe different crossings
@@ -1139,12 +1189,14 @@ def test_every_pde_l_base_is_required():
         ("sturm_liouville", "SturmSpectrum", ["alphas", "eigenfunctions"]),
         ("morse_bifurcation", "BifurcationPoint", ["t_bar", "pairs", "kernel_multiplicity"]),
         ("morse_bifurcation", "SumSet", ["a", "b"]),
+        ("cli", "_alphas_for", ["cfg", "sol"]),
         ("ode_shooting", "OneDimSolution", ["values", "derivative_values", "amplitude", "nodal_count", "residual"]),
     ],
 )
 def test_derived_values_are_neither_parameters_nor_fields(module, name, params):
-    # sign-count thresholds, grid sizes, the spacing, zero counts, simplicity and the sample
-    # grid follow from the data; as a parameter or a field they could disagree with it
+    # sign-count thresholds, grid sizes, the spacing, zero counts, simplicity, the sample grid
+    # and the Morse chain's length follow from the data; as a parameter or a field they could
+    # disagree with it
     owner = getattr(importlib.import_module(f"cylbif.{module}"), name)
     assert list(inspect.signature(owner).parameters) == params
 
