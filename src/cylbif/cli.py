@@ -121,7 +121,8 @@ class RunConfig:
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
     """The defaults overridden by the map ``raw[name]``, whose keys and value types must match them;
-    an integer default takes integral numbers only.  Each value is stored as its default's type."""
+    an integer default takes integral numbers only, and every number must be positive, as every
+    default is.  Each value is stored as its default's type."""
     given = raw.get(name, {})
     if not isinstance(given, dict):
         raise ValidationError(f"{name} must be a JSON object")
@@ -132,6 +133,8 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
     for key, value in given.items():
         if not isinstance(defaults[key], bool):
             value = finite_number(value, f"{name}.{key}", type(defaults[key]))
+            if value <= 0:
+                raise ValidationError(f"{name}.{key} must be positive, got {value!r}")
         elif not isinstance(value, bool):
             raise ValidationError(f"{name}.{key} must be true or false, got {value!r}")
         typed[key] = value
@@ -177,8 +180,6 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
 
     grids = _section(raw, "grids", DEFAULT_GRIDS)
     tolerances = _section(raw, "tolerances", DEFAULT_TOLERANCES)
-    if any(v <= 0 for v in tolerances.values()):
-        raise ValidationError("all tolerances must be positive")
     options = _section(raw, "options", DEFAULT_OPTIONS)
 
     tr = raw.get("t_range", {"t_min": 0.5, "t_max": 3.0, "samples": 40})

@@ -124,15 +124,15 @@ class TestSubcommands:
 
     def test_spectrum_1d_solves_the_finest_grid_once(self, tmp_path, monkeypatch):
         # eig_M for the zero counts and the Richardson triple's finest grid, eig_M / 2 and eig_M / 4;
-        # every eigenvalue solve goes through _Sturm.eigenvalues, whose operator's length is the grid
+        # every eigenvalue solve goes through TridiagonalOperator._eigenvalues, whose operator's length is the grid
         grids = []
-        real = sl._Sturm.eigenvalues
+        real = sl.TridiagonalOperator._eigenvalues
 
         def counted(self, k, guess):
-            grids.append(self.m)
+            grids.append(self.diag.size)
             return real(self, k, guess)
 
-        monkeypatch.setattr(sl._Sturm, "eigenvalues", counted)
+        monkeypatch.setattr(sl.TridiagonalOperator, "_eigenvalues", counted)
         cfg = write_config(tmp_path, options={"k_eigs": 6})
         assert main(["spectrum-1d", "--config", str(cfg)]) == 0
         assert sorted(grids) == [400, 800, 1600]
@@ -763,6 +763,33 @@ class TestContract:
         cfg = write_config(tmp_path, grids={"nx": 64.0}, options={"k_eigs": 12.0}, nodal_n=1.0)
         assert main(["base-eigs", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("verify-decomposition", "options", "t_verify", 0),
+            ("verify-decomposition", "options", "t_verify", -1),
+            ("continue", "options", "branch_steps", 0),
+            ("continue", "options", "branch_steps", -2),
+            ("spectrum-1d", "grids", "eig_M", 0),
+            ("spectrum-1d", "options", "k_eigs", 0),
+            ("morse", "options", "max_modes", 0),
+            ("morse", "options", "cutoff", 0),
+            ("continue", "tolerances", "newton_tol", -1),
+        ],
+    )
+    def test_a_non_positive_config_number_exits_2_before_any_solve(
+        self, tmp_path, monkeypatch, caplog, command, section, key, value
+    ):
+        # every grids, tolerances and options number is positive, checked at load under its key,
+        # not after the shooting solve by the library rule that reads it
+        shots = []
+        for module in (cli, sl, importlib.import_module("cylbif.ode_shooting")):
+            monkeypatch.setattr(module, "integrate_ivp", lambda *args: shots.append(args))
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"{section}.{key} must be positive" in caplog.text
+        assert shots == []
+
     def test_config_values_take_their_default_types(self, tmp_path):
         # a count spelled as a float is an int, a tolerance spelled as an integer a float
         cfg = cli.load_config(str(write_config(tmp_path, grids={"nx": 64.0}, tolerances={"newton_tol": 1})))
@@ -775,7 +802,7 @@ class TestContract:
             ({"options": []}, "options must be a JSON object"),
             (None, "config root must be a JSON object"),
             ({"nodal_n": 0}, "nodal_n must be >= 1, got 0"),
-            ({"tolerances": {"newton_tol": -1}}, "all tolerances must be positive"),
+            ({"tolerances": {"newton_tol": -1}}, "tolerances.newton_tol must be positive, got -1.0"),
             ({"t_range": {"t_min": 0.5, "samples": 20}}, "t_range must provide t_min, t_max, samples"),
             ({"t_range": [0.5, 3.0, 20]}, "t_range must provide t_min, t_max, samples"),
             ({"t_range": {"t_min": 3.0, "t_max": 0.5, "samples": 20}}, "need 0 < t_min < t_max and samples >= 2"),

@@ -259,8 +259,7 @@ class TestSturmKernel:
         x = float(op.diag[0])
         assert op.diag[0] - x == 0.0
         expected = int(np.count_nonzero(np.linalg.eigvalsh(op.dense()) < x))
-        sturm = sl._Sturm(op)
-        assert sturm.count(x) == sturm.count_and_log_derivative(x)[0] == expected == 32
+        assert op.count_below(x) == expected == 32
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_count_below_is_the_number_of_eigenvalues_below_the_shift(self, profile):
@@ -278,10 +277,47 @@ class TestSturmKernel:
 
     def test_a_poor_eigenvalue_gives_no_vector(self, monkeypatch):
         # an eigenvalue off by 1e-3 leaves a residual far above M eps ||T|| (2.4e-10 here)
-        polish = sl._Sturm.polish
-        monkeypatch.setattr(sl._Sturm, "polish", lambda self, *args: polish(self, *args) + 1e-3)
+        polish = TridiagonalOperator._polish
+        monkeypatch.setattr(TridiagonalOperator, "_polish", lambda self, *args: polish(self, *args) + 1e-3)
         with pytest.raises(NonConvergenceError, match=r"residual .* > M eps \|\|T\|\|"):
             sl_eigenpairs(assemble_sl_operator(np.zeros(65)), 3)
+
+
+class TestOperatorView:
+    """A ``TridiagonalOperator`` builds the float view its Sturm queries run on once, from entries that stay fixed."""
+
+    def test_one_view_per_operator(self, monkeypatch):
+        builds = []
+        build = TridiagonalOperator._view.func
+
+        def spy(self):
+            builds.append(self.diag.size)
+            return build(self)
+
+        view = functools.cached_property(spy)
+        view.__set_name__(TridiagonalOperator, "_view")
+        monkeypatch.setattr(TridiagonalOperator, "_view", view)
+        # the triple counts each grid at 0 and then solves it: one view per grid
+        model = LaneEmden(4.0)
+        sl.extrapolated_alphas(model, _amplitude(model, 2), 2000, 12)
+        assert sorted(builds) == [500, 1000, 2000]
+        builds.clear()
+        op = profile_operator("lane_emden", 200)
+        counts = [op.count_below(shift) for shift in np.linspace(-1e5, 1e5, 200)]
+        assert builds == [200]
+        assert counts == sorted(counts) and counts[0] == 0 and counts[-1] > 0
+
+    def test_entries_are_read_only_copies(self):
+        diag, off = np.array([2.0, 3.0, 4.0]), np.array([1.0, -1.0])
+        op = TridiagonalOperator(diag=diag, off=off)
+        with pytest.raises(AttributeError):
+            op.diag = np.zeros(3)
+        assert not op.diag.flags.writeable and not op.off.flags.writeable
+        with pytest.raises(ValueError):
+            op.diag[0] = 0.0
+        assert diag.flags.writeable and off.flags.writeable
+        diag[0] = 9.0
+        assert op.diag.tolist() == [2.0, 3.0, 4.0] and op.count_below(2.5) == 1
 
 
 class TestTripleCounts:
