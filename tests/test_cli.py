@@ -802,7 +802,11 @@ class TestContract:
             ({"options": []}, "options must be a JSON object"),
             (None, "config root must be a JSON object"),
             ({"nodal_n": 0}, "nodal_n must be >= 1, got 0"),
-            ({"tolerances": {"newton_tol": -1}}, "tolerances.newton_tol must be positive, got -1.0"),
+            pytest.param(
+                {"tolerances": {"newton_tol": -1}},
+                "tolerances.newton_tol must be positive, got -1.0",
+                id="overrides3-all tolerances must be positive",
+            ),
             ({"t_range": {"t_min": 0.5, "samples": 20}}, "t_range must provide t_min, t_max, samples"),
             ({"t_range": [0.5, 3.0, 20]}, "t_range must provide t_min, t_max, samples"),
             ({"t_range": {"t_min": 3.0, "t_max": 0.5, "samples": 20}}, "need 0 < t_min < t_max and samples >= 2"),
