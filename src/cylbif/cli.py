@@ -55,7 +55,13 @@ from .nonlinearity import (
     model_from_dict,
 )
 from .ode_shooting import OneDimSolution, ShootingConfig, find_one_dim_solution, integrate_ivp
-from .sturm_liouville import extrapolated_alphas, nondegeneracy_margin, one_dim_morse, oscillation_check
+from .sturm_liouville import (
+    extrapolated_alphas,
+    nondegeneracy_margin,
+    one_dim_morse,
+    oscillation_check,
+    richardson_grids,
+)
 
 log = logging.getLogger("cylbif.cli")
 
@@ -181,6 +187,16 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     grids = _section(raw, "grids", DEFAULT_GRIDS)
     tolerances = _section(raw, "tolerances", DEFAULT_TOLERANCES)
     options = _section(raw, "options", DEFAULT_OPTIONS)
+    # the range rules beyond the sign, each applied by the module that owns it and named by its key
+    for key, rule in (
+        ("grids.ode_M", lambda: ShootingConfig(steps=grids["ode_M"])),
+        ("grids.eig_M", lambda: richardson_grids(grids["eig_M"], 1)),
+        ("options.k_eigs", lambda: richardson_grids(grids["eig_M"], options["k_eigs"])),
+    ):
+        try:
+            rule()
+        except ValidationError as exc:
+            raise ValidationError(f"{key}: {exc}") from exc
 
     tr = raw.get("t_range", {"t_min": 0.5, "t_max": 3.0, "samples": 40})
     unknown = set(tr) - {"t_min", "t_max", "samples"} if isinstance(tr, dict) else set()

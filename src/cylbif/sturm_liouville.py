@@ -68,6 +68,7 @@ __all__ = [
     "nondegeneracy_margin",
     "linearized_spectrum",
     "richardson_extrapolate",
+    "richardson_grids",
     "extrapolated_alphas",
 ]
 
@@ -352,14 +353,27 @@ def richardson_extrapolate(values) -> float:
     return vals[0]
 
 
+def richardson_grids(grid_size: int, k: int) -> tuple[int, int, int]:
+    """The grids grid_size // 4, grid_size // 2 and grid_size of the Richardson triple for k eigenvalues.
+    The h^2, h^4 weights assume that each grid halves h, so a grid_size that is not a multiple of 4
+    raises ValidationError, as does a k outside 1 .. grid_size // 4 - 1, which the coarsest grid's
+    operator cannot give."""
+    grids = (grid_size // 4, grid_size // 2, grid_size)
+    if grid_size % 4:
+        raise ValidationError(
+            f"the grids {grids[0]}, {grids[1]} and {grids[2]} do not halve h; the finest must be a multiple of 4"
+        )
+    if not 1 <= k <= grids[0] - 1:
+        raise ValidationError(f"the coarsest grid {grids[0]} of the triple gives k = 1 .. {grids[0] - 1}, got k={k}")
+    return grids
+
+
 def extrapolated_alphas(
     model: NonlinearityModel, amplitude: float, grid_size: int, k: int
 ) -> tuple[np.ndarray, SturmSpectrum]:
     """First k linearization eigenvalues, Richardson-extrapolated from the
-    grids grid_size // 4, grid_size // 2 and grid_size, and the spectrum
-    solved on the finest of them, the only grid that computes eigenvectors.
-    The h^2, h^4 weights assume that each grid halves h, so a grid_size that
-    is not a multiple of 4 raises ValidationError.
+    grids of ``richardson_grids(grid_size, k)``, and the spectrum solved on
+    the finest of them, the only grid that computes eigenvectors.
 
     Operators whose ``count_below(0)`` differ do not resolve the Morse index
     and raise NonConvergenceError before any eigensolve.  Each grid starts
@@ -367,11 +381,7 @@ def extrapolated_alphas(
     and grid_size from the h^2 error term of the two.  Extrapolated alphas that
     are not strictly ascending lie outside the weights' regime and raise
     NonConvergenceError."""
-    grids = (grid_size // 4, grid_size // 2, grid_size)
-    if grid_size % 4:
-        raise ValidationError(
-            f"the grids {grids[0]}, {grids[1]} and {grids[2]} do not halve h; the finest must be a multiple of 4"
-        )
+    grids = richardson_grids(grid_size, k)
     operators = [assemble_sl_operator(eval_fprime(model, integrate_ivp(model, amplitude, m)[0])) for m in grids]
     counts = [op.count_below(0.0) for op in operators]
     if len(set(counts)) > 1:

@@ -16,28 +16,42 @@ from cylbif import (
     neumann_eigenvalues,
     scale_spectrum,
 )
+from cylbif import base_spectrum
 from oracles import jprime_zero
 
 PI2 = math.pi**2
 
 
-class CountingSpecial:
-    """Counts the Bessel calls base_spectrum makes and the points passed to
-    them, by wrapping scipy.special's jv and jvp for one test."""
+class CountingBessel:
+    """Counts the values (orders times points) of each pass of base_spectrum's Bessel kernel, those of
+    the scan and those of the polish apart, by wrapping _bessel_j and _polish_jprime_zeros for one test."""
 
     def __init__(self, monkeypatch):
-        self.calls = 0
-        self.points = 0
-        for name in ("jv", "jvp"):
-            monkeypatch.setattr(special, name, self._counted(getattr(special, name)))
+        self.scan, self.polish = [], []
+        self._passes = self.scan
+        kernel, polish = base_spectrum._bessel_j, base_spectrum._polish_jprime_zeros
 
-    def _counted(self, func):
-        def counted(nu, x, *args):
-            self.calls += 1
-            self.points += np.broadcast(nu, x).size
-            return func(nu, x, *args)
+        def counted(x, low, count):
+            self._passes.append(count * x.size)
+            return kernel(x, low, count)
 
-        return counted
+        def polishing(*args):
+            self._passes = self.polish
+            return polish(*args)
+
+        monkeypatch.setattr(base_spectrum, "_bessel_j", counted)
+        monkeypatch.setattr(base_spectrum, "_polish_jprime_zeros", polishing)
+
+
+def jnp_zero_labels(cutoff: float, nus) -> dict:
+    """(nu, k) -> the squared k-th zero of J_nu' from scipy.special.jnp_zeros, for every zero below cutoff."""
+    out = {}
+    for nu in nus:
+        count = 4
+        while (zeros := special.jnp_zeros(nu, count))[-1] ** 2 <= cutoff:
+            count *= 2
+        out.update({(nu, k): z**2 for k, z in enumerate(zeros.tolist(), 1) if z**2 <= cutoff})
+    return out
 
 
 class TestInterval:
@@ -116,15 +130,51 @@ class TestDisk:
         assert spec.labels[1:] == [[label] for _, label in expected]
 
     def test_zeros_polished_together(self, monkeypatch):
-        # the Bessel calls grow with the number of nu (96 here), not with
-        # the 1,285 zeros: a Newton step that has converged is kept, not
+        # the Bessel passes grow with neither the 96 orders nor the 1,285 zeros: the scan's 124
+        # steps take one pass per chunk of 64, for every order at once, and the polish one pass per
+        # Newton step over the brackets still open; a Newton step that has converged is kept, not
         # thrown away for bisections down to the last bit
-        counter = CountingSpecial(monkeypatch)
+        counter = CountingBessel(monkeypatch)
         spec = neumann_eigenvalues(Disk(1.0), cutoff=9901.04)
         assert len(spec.lambdas) == 1277
-        assert counter.calls <= 300
+        assert len(counter.scan) == 2
+        assert 1 <= len(counter.polish) <= 6
         (at,) = [i for i, labels in enumerate(spec.labels) if (8, 1) in labels]
         assert math.sqrt(spec.lambdas[at]) == pytest.approx(jprime_zero(8, 1), rel=1e-12)
+
+    def test_every_mode_at_the_morse_disk_cutoff_against_scipy(self):
+        # 1,217 distinct values with nu <= 93, against an independent evaluation of the zeros
+        cutoff = 9429.557601467863
+        spec = neumann_eigenvalues(Disk(1.0), cutoff)
+        expected = sorted((lam, label) for label, lam in jnp_zero_labels(cutoff, range(100)).items())
+        assert len(spec.lambdas) == 1217 and len(expected) == 1216
+        assert spec.lambdas[1:] == pytest.approx([lam for lam, _ in expected], rel=1e-14, abs=0.0)
+        assert list(spec.multiplicities[1:]) == [1 if nu == 0 else 2 for _, (nu, _) in expected]
+        assert spec.labels[1:] == [[label] for _, label in expected]
+
+    def test_large_zeros_against_scipy(self):
+        # upper = sqrt(1e5) = 316: the last columns start near order 425, with no overflow
+        # anywhere (RuntimeWarning is an error under pytest)
+        cutoff = 1e5
+        spec = neumann_eigenvalues(Disk(1.0), cutoff)
+        got = {label: lam for lam, labels in zip(spec.lambdas[1:].tolist(), spec.labels[1:]) for label in labels}
+        nus = (0, 1, 50, 150, 300)
+        expected = jnp_zero_labels(cutoff, nus)
+        assert {label for label in got if label[0] in nus} == set(expected)
+        for label, lam in expected.items():
+            assert got[label] == pytest.approx(lam, rel=1e-14, abs=0.0), label
+
+    def test_bessel_kernel_against_scipy(self):
+        # every order up to x + 8, at points from 1e-6, whose column would overflow without the
+        # rescaling, to 316; and windows of three orders per point, as the polish asks for them
+        x = np.array([1e-6, 1e-3, 0.05, 1.0, 7.3, 50.0, 316.0])
+        orders = np.arange(330)[:, None]
+        table = base_spectrum._bessel_j(x, np.zeros(x.size, dtype=int), 330)
+        assert np.abs(table - special.jv(orders, x))[orders <= x + 8.0].max() < 1e-14
+        low = np.array([0, 0, 1, 4, 40, 300])
+        x = np.array([3.8, 0.05, 1.9, 5.3, 44.0, 305.0])
+        windows = base_spectrum._bessel_j(x, low, 3)
+        assert np.abs(windows - special.jv(low + np.arange(3)[:, None], x)).max() < 1e-14
 
     def test_rotation_invariant_restriction(self):
         spec = neumann_eigenvalues(Disk(1.0), cutoff=60.0, rotation_invariant=True)
@@ -195,7 +245,8 @@ class TestCutoffEdge:
                 assert (m, 0) in self.labels(neumann_eigenvalues(Rectangle(a, b), (m * math.pi / a) ** 2)), (a, m)
 
     def test_disk_modes_at_the_cutoff(self):
-        assert (1, 1) in self.labels(neumann_eigenvalues(Disk(0.7), 6.918281054432426))
+        # (j'_11 / 0.7)^2 as stored; the true value lies between this and the 6.918281054432426 of scipy.special
+        assert (1, 1) in self.labels(neumann_eigenvalues(Disk(0.7), 6.918281054432429))
         for radius in (0.7, 1.0, 1.3, 2.0):
             full = neumann_eigenvalues(Disk(radius), 240.0 / radius**2)
             for lam, labels in zip(full.lambdas[1:].tolist(), full.labels[1:]):
@@ -225,12 +276,14 @@ class TestGuards:
             neumann_eigenvalues(Rectangle(1.0, 1.0), cutoff=1e8, max_modes=100)
 
     def test_disk_budget_is_checked_before_the_polish(self, monkeypatch):
-        # nu = 0 alone has 318 zeros below 1000 against a budget of 100;
-        # scanning every nu before the check would pass about 6e5 points
-        counter = CountingSpecial(monkeypatch)
+        # nu = 0 alone has 318 zeros below 1000 against a budget of 100; the first chunk of the scan,
+        # 65 points up to x = 50 and 52 orders, already holds more, while scanning every chunk before
+        # the check would take about 6.8e5 Bessel values
+        counter = CountingBessel(monkeypatch)
         with pytest.raises(ResourceLimitError):
             neumann_eigenvalues(Disk(1.0), cutoff=1e6, max_modes=100)
-        assert 0 < counter.points < 1e5
+        assert counter.polish == []
+        assert 0 < sum(counter.scan) < 1e4
 
     def test_domain_validation(self):
         with pytest.raises(ValidationError):

@@ -623,7 +623,7 @@ _RECTANGLE = {"type": "rectangle", "a": 1.0, "b": 0.8}
     [
         (None, {}, [False, False, False, False]),
         ("morse", {}, [False, False, False, False]),
-        ("base-eigs", {"base": _DISK, "options": {"cutoff": 100.0}}, [True, False, False, True]),
+        ("base-eigs", {"base": _DISK, "options": {"cutoff": 100.0}}, [False, False, False, False]),
         ("verify-decomposition", _GRID_32, [False, False, True, True]),
         # the 2D nodal count uses scipy.sparse.csgraph, neither special nor ndimage
         ("continue", {**_GRID_32, "options": {"branch_steps": 1}}, [False, False, True, True]),
@@ -635,14 +635,15 @@ _RECTANGLE = {"type": "rectangle", "a": 1.0, "b": 0.8}
         ("morse", {"base": _RECTANGLE}, [False, False, False, False]),
         ("bifurcation-points", {}, [False, False, False, False]),
         ("bifurcation-points", {"base": _RECTANGLE}, [False, False, False, False]),
-        ("morse", {"base": _DISK}, [True, False, False, True]),
+        ("morse", {"base": _DISK}, [False, False, False, False]),
+        ("bifurcation-points", {"base": _DISK}, [False, False, False, False]),
     ],
 )
 def test_scipy_special_and_ndimage_load_only_where_called(tmp_path, subcommand, overrides, loaded):
     # a fresh interpreter; the columns are scipy.special, scipy.ndimage, scipy.linalg and any
-    # scipy module: the 1D chain on intervals and rectangles loads no scipy, the Bessel zeros
-    # of a disk load scipy.special alone, the 2D subcommands load scipy.linalg, and nothing
-    # loads scipy.ndimage
+    # scipy module: the 1D chain loads no scipy on any base (the Bessel zeros of a disk come
+    # from base_spectrum's own recurrence), the 2D subcommands load scipy.linalg, and nothing
+    # loads scipy.special or scipy.ndimage
     cfg = write_config(tmp_path, **overrides)
     args = [subcommand, "--config", str(cfg)] if subcommand else []
     paths = [str(Path(pde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -788,6 +789,30 @@ class TestContract:
         cfg = write_config(tmp_path, **{section: {key: value}})
         assert main([command, "--config", str(cfg)]) == 2
         assert f"{section}.{key} must be positive" in caplog.text
+        assert shots == []
+
+    @pytest.mark.parametrize(
+        "command, section, key, value, message",
+        [
+            ("solve-1d", "grids", "ode_M", 99, "ShootingConfig.steps must be >= 100, got 99"),
+            ("spectrum-1d", "grids", "eig_M", 2001, "the grids 500, 1000 and 2001 do not halve h"),
+            ("morse", "grids", "eig_M", 4, "the coarsest grid 1 of the triple gives k = 1 .. 0, got k=1"),
+            ("spectrum-1d", "options", "k_eigs", 400, "the coarsest grid 400 of the triple gives k = 1 .. 399, got k=400"),
+            ("check-f", "options", "k_eigs", 5000, "the coarsest grid 400 of the triple gives k = 1 .. 399, got k=5000"),
+        ],
+    )
+    def test_a_config_number_outside_its_owners_range_exits_2_before_any_solve(
+        self, tmp_path, monkeypatch, caplog, command, section, key, value, message
+    ):
+        # the range rules beyond the sign are checked at load by the modules that own them,
+        # ode_shooting's ShootingConfig for ode_M and sturm_liouville's Richardson triple for
+        # eig_M and k_eigs, and re-raised under the config key
+        shots = []
+        for module in (cli, sl, importlib.import_module("cylbif.ode_shooting")):
+            monkeypatch.setattr(module, "integrate_ivp", lambda *args: shots.append(args))
+        cfg = write_config(tmp_path, **{section: {**BASE_CONFIG.get(section, {}), key: value}})
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"{section}.{key}: {message}" in caplog.text
         assert shots == []
 
     def test_config_values_take_their_default_types(self, tmp_path):
@@ -1173,6 +1198,25 @@ def test_cli_imports_only_public_names():
     }
     assert "certified_spectrum" in read
     assert read <= set(pde.__all__), sorted(read - set(pde.__all__))
+
+
+def test_base_spectrum_imports_no_scipy():
+    # the disk's Bessel values come from base_spectrum's own recurrence, so the 1D chain loads no
+    # scipy on any base; an import of it at module or function level would bring back about 0.2 s
+    # of every disk run's start-up
+    tree = ast.parse(Path(importlib.import_module("cylbif.base_spectrum").__file__).read_text())
+    imported = [
+        name
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import)
+            else [node.module or ""]
+            if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    ]
+    assert imported and not [name for name in imported if name.partition(".")[0] == "scipy"], imported
 
 
 def test_cli_does_not_cast_config_values_again():
